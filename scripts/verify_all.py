@@ -1,31 +1,32 @@
 #!/usr/bin/env python3
 """Run every verification battery and print one line per check.
 
-Exit code 0 when everything holds, 1 otherwise.  This drives the same
-machinery as the acceptance tests but stands alone for quick experiments:
+Each check is one `edgeschur verify` command line, run in process.  Exit
+code 0 when everything holds, 1 otherwise:
 
     python scripts/verify_all.py [--seed N] [--count N]
 """
 
 import argparse
-import random
+import contextlib
+import io
 import sys
 import time
 
-from edgeschur.lattice import (cauchy_check, commutation_check,
-                               edge_schur_lattice, free_fermion_check,
-                               model_Ell, model_L, model_Lstar,
-                               yang_baxter_check)
-from edgeschur.poly import swap_x_vars
-from edgeschur.schur import EdgeSchurParams, edge_schur, edge_schur_brute
-from edgeschur.shapes import Partition, SkewShape, partitions_in_box
+from edgeschur.cli import main as edgeschur
 
 
-def check(name, fn):
-    t0 = time.time()
-    ok = fn()
-    print(f"{'ok  ' if ok else 'FAIL'} {name} ({time.time() - t0:.2f}s)")
-    return ok
+def verify_lines(seed: int, count: int) -> list[str]:
+    return [f"yb --kind {kind}"
+            for kind in ("RLL_L", "RLL_Lstar", "rll_Ell", "frakRLell")] + [
+        "yb --perturb b2 --perturb-mode double",
+        "freefermion",
+        "symmetry --box 2:2 --n 3 --window -2:2",
+        f"equivalence --seed {seed} --count {count}",
+        "commutation --box 2:2 --window -2:5 --trunc 6",
+        "cauchy --n 1 --m 1 --window -2:4 --trunc 4",
+        "cauchy --mu 1 --n 2 --m 1 --window -2:5 --trunc 4",
+    ]
 
 
 def main() -> int:
@@ -33,67 +34,17 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=20240808)
     ap.add_argument("--count", type=int, default=30)
     args = ap.parse_args()
-    rng = random.Random(args.seed)
     results = []
-
-    for kind in ("RLL_L", "RLL_Lstar", "rll_Ell", "frakRLell"):
-        results.append(check(f"yang-baxter {kind}",
-                             lambda k=kind: yang_baxter_check(k)[0]))
-    results.append(check(
-        "yang-baxter perturbation sensitivity",
-        lambda: not yang_baxter_check("RLL_L", perturb="b2",
-                                      perturb_mode="double")[0]))
-    for name, model in (("L", model_L()), ("Lstar", model_Lstar()),
-                        ("Ell", model_Ell())):
-        results.append(check(f"free fermion {name}",
-                             lambda m=model: free_fermion_check(m)))
-
-    def symmetry():
-        for lam in partitions_in_box(2, 2):
-            shape = SkewShape.of(lam.parts, (), extent=2)
-            e = edge_schur(shape, EdgeSchurParams(3, (-2, 2), 2))
-            if swap_x_vars(e, 1, 2) != e or swap_x_vars(e, 2, 3) != e:
-                return False
-        return True
-
-    results.append(check("edge Schur symmetry (2x2 box, n=3)", symmetry))
-
-    def equivalence():
-        done = 0
-        while done < args.count:
-            ext = rng.randint(1, 2)
-            lam = Partition(tuple(sorted((rng.randint(0, 3)
-                                          for _ in range(ext)), reverse=True)))
-            mu = Partition(tuple(sorted((rng.randint(0, lam.part(k))
-                                         for k in range(1, ext + 1)),
-                                        reverse=True)))
-            if not lam.contains(mu):
-                continue
-            shape = SkewShape.of(lam.parts, mu.parts, extent=ext)
-            p = EdgeSchurParams(rng.randint(1, 2),
-                                (-ext, lam.first() + rng.randint(0, 1)), ext)
-            closed = edge_schur(shape, p)
-            if closed != edge_schur_brute(shape, p):
-                return False
-            if closed != edge_schur_lattice(shape, p, "T"):
-                return False
-            if closed != edge_schur_lattice(shape, p, "Tstar"):
-                return False
-            done += 1
-        return True
-
-    results.append(check(f"oracle equivalence ({args.count} instances)",
-                         equivalence))
-    results.append(check("commutation lemma (2x2 box)",
-                         lambda: commutation_check((2, 2), (-2, 5), 6)[0]))
-    results.append(check(
-        "skew Cauchy (empty boundaries)",
-        lambda: cauchy_check(Partition.of(()), Partition.of(()), 1, 1,
-                             (-2, 4), 4)["ok"]))
-    results.append(check(
-        "skew Cauchy (mu=(1), n=2)",
-        lambda: cauchy_check(Partition.of((1,)), Partition.of(()), 2, 1,
-                             (-2, 5), 4)["ok"]))
+    for line in verify_lines(args.seed, args.count):
+        report = io.StringIO()
+        t0 = time.time()
+        with contextlib.redirect_stdout(report):
+            ok = edgeschur(["verify", *line.split()]) == 0
+        print(f"{'ok  ' if ok else 'FAIL'} verify {line} "
+              f"({time.time() - t0:.2f}s)")
+        if not ok:
+            print(report.getvalue(), end="")
+        results.append(ok)
     print("---")
     print("all checks passed" if all(results)
           else f"{results.count(False)} checks FAILED")

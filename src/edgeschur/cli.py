@@ -29,6 +29,13 @@ def parse_partition(s: str | None, extent=None) -> Partition:
     return Partition.of(parts, extent=extent)
 
 
+def positive_int(s: str) -> int:
+    v = int(s)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
+    return v
+
+
 def parse_window(s: str) -> tuple[int, int]:
     lo, hi = s.split(":")
     return int(lo), int(hi)
@@ -253,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", default="", metavar="PARTS")
         p.add_argument("--mu", default="", metavar="PARTS")
         p.add_argument("--extent", type=int, default=None)
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--m", type=int, default=1)
+        p.add_argument("--n", type=positive_int, default=2)
+        p.add_argument("--m", type=positive_int, default=1)
         p.add_argument("--window", default=None, metavar="M:N")
         p.add_argument("--trunc", type=int, default=None)
 

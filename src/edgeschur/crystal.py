@@ -98,18 +98,6 @@ def f_ssyt(t: SemistandardTableau, i: int) -> Optional[SemistandardTableau]:
     return SemistandardTableau.of(t.shape, em)
 
 
-def e_ssyt(t: SemistandardTableau, i: int) -> Optional[SemistandardTableau]:
-    word = reading_word(t)
-    pos = e_position([v for v, _ in word], i)
-    if pos is None:
-        return None
-    _, loc = word[pos]
-    _, r, c = loc
-    em = t.entry_map()
-    em[(r, c)] = i
-    return SemistandardTableau.of(t.shape, em)
-
-
 def f_elt(t: EdgeLabeledTableau, i: int) -> Optional[EdgeLabeledTableau]:
     word = reading_word(t)
     letters = [v for v, _ in word]

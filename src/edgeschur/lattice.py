@@ -19,7 +19,7 @@ from typing import Optional
 
 from .poly import MultiPoly, av, canonical_string, series_inverse, xv, yv
 from .shapes import (Partition, SkewShape, WindowError, deformed_diagonals,
-                     maya_bit, partitions_in_box)
+                     maya_bits, partitions_in_box)
 from .schur import EdgeSchurParams, edge_schur, factorial_schur
 
 Config = tuple[int, int, int, int]  # (west, south, east, north)
@@ -277,13 +277,6 @@ def partition_function_brute(g: GridSpec) -> MultiPoly:
     return total
 
 
-def maya_bits(lam: Partition, window: tuple[int, int],
-              shift: int = 0) -> tuple[int, ...]:
-    """Shifted Maya bits: bit at column p is maya_bit(lam, p - shift)."""
-    return tuple(maya_bit(lam, p - shift) for p in
-                 range(window[0], window[1] + 1))
-
-
 def transfer_row(model: VertexModel, bottom: Partition, top: Partition,
                  param: MultiPoly, window: tuple[int, int],
                  shifts: tuple[int, int] = (0, 0)) -> MultiPoly:
@@ -329,17 +322,13 @@ def factorial_schur_lattice(shape: SkewShape, n: int, kappa: int) -> MultiPoly:
         return MultiPoly.zero()  # no semistandard filling exists either
     W = lam.first() + kappa + n
     window = (1, W)
-    bottom = [0] * W
-    for k in range(1, kappa + 1):
-        bottom[mu.part(k) + kappa - k] = 1
-    top = [0] * W
-    for k in range(1, kappa + n + 1):
-        top[lam.part(k) + kappa + n - k] = 1
+    bottom = maya_bits(mu, window, kappa + 1)
+    top = maya_bits(lam, window, kappa + n + 1)
     rows = tuple(GridRow(model_Ell(), MultiPoly.var(xv(i)))
                  for i in range(1, n + 1))
     # column j carries a_{j - kappa}: the shifted boundaries move every
     # tableau index up by kappa.
-    g = GridSpec(rows, window, tuple(bottom), tuple(top), col_shift=-kappa)
+    g = GridSpec(rows, window, bottom, top, col_shift=-kappa)
     return partition_function(g)
 
 

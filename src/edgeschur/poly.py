@@ -240,18 +240,6 @@ class MultiPoly:
         return MultiPoly({m: c for m, c in self.terms.items()
                           if monomial_degree(m) <= T}, T)
 
-    def with_trunc(self, T: Optional[int]) -> "MultiPoly":
-        """Same terms, declared truncation T (drops higher terms if needed)."""
-        return self.truncate(T)
-
-
-def add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p + q
-
-
-def mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p * q
-
 
 def series_inverse(p: MultiPoly, T: int) -> MultiPoly:
     """q with p*q = 1 modulo total degree T+1.  Needs constant term +-1."""

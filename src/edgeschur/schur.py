@@ -10,7 +10,7 @@ products (1 - a_k y_j)) carry a mandatory total-degree truncation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .poly import (MultiPoly, av, group_by_x, map_vars, series_inverse,
@@ -18,7 +18,7 @@ from .poly import (MultiPoly, av, group_by_x, map_vars, series_inverse,
 from .shapes import (Partition, SkewShape, WindowError, deformed_diagonals,
                      is_horizontal_strip, horizontal_strips_between,
                      strip_chains)
-from .tableaux import enumerate_elt, enumerate_ssyt, weight_elt
+from .tableaux import enumerate_elt, enumerate_ssyt
 
 
 class NotSymmetric(ValueError):
@@ -135,7 +135,7 @@ def edge_schur_brute(shape: SkewShape, p: EdgeSchurParams,
         return MultiPoly.zero(p.trunc)
     out = MultiPoly.zero(p.trunc)
     for t in enumerate_elt(shape, p.num_vars, p.window, p.extent):
-        out = out + weight_elt(t)
+        out = out + t.weight()
     if var_kind != "x" or sign != 1:
         def fn(v):
             if v[0] == 0:  # x -> chosen kind
@@ -176,14 +176,14 @@ def variation(kind: str, shape: SkewShape, p: EdgeSchurParams,
     if kind == "EBar":
         if skew:
             raise UnsupportedSkew("EBar is not defined via the quotient for skew shapes")
-        e = edge_schur(shape, p, var_kind="y")
-        # columns lambda_1..M are deformed in every row; divide them out.
-        out = e
+        # columns lambda_1..M are deformed in every row; divide them out
+        # before truncating, since a truncated dividend is not a multiple.
+        out = edge_schur(shape, replace(p, trunc=None), var_kind="y")
         for k in range(lam.first(), M + 1):
             for j in range(1, p.num_vars + 1):
                 out = _exact_divide(out, MultiPoly.one()
                                     + MultiPoly.var(av(k)) * MultiPoly.var(yv(j)))
-        return out
+        return out.truncate(p.trunc)
     if kind == "DualFact":
         q = EdgeSchurParams(p.num_vars, (m, min(M, -1)), p.extent, p.trunc)
         return edge_schur(shape, q, var_kind="y")

@@ -79,13 +79,6 @@ class Partition:
             for j in range(1, p + 1):
                 yield (i, j)
 
-    def add_cell(self, i: int, j: int) -> "Partition":
-        parts = list(self.parts)
-        while len(parts) < i:
-            parts.append(0)
-        parts[i - 1] += 1
-        return Partition(tuple(parts))
-
     def to_json(self) -> dict:
         return {"parts": [p for p in self.parts if p > 0],
                 "extent": self.extent}
@@ -162,6 +155,13 @@ def maya_bit(lam: Partition, pos: int) -> int:
     return 0
 
 
+def maya_bits(lam: Partition, window: tuple[int, int],
+              shift: int = 0) -> tuple[int, ...]:
+    """Shifted Maya bits: bit at column p is maya_bit(lam, p - shift)."""
+    return tuple(maya_bit(lam, p - shift) for p in
+                 range(window[0], window[1] + 1))
+
+
 @dataclass(frozen=True)
 class MayaWindow:
     lo: int
@@ -181,7 +181,7 @@ def to_maya(lam: Partition, lo: int, hi: int) -> MayaWindow:
         raise WindowError(f"window lo={lo} must be <= -extent={-lam.extent}")
     if hi < lam.first():
         raise WindowError(f"window hi={hi} must be >= lambda_1={lam.first()}")
-    return MayaWindow(lo, hi, tuple(maya_bit(lam, p) for p in range(lo, hi + 1)))
+    return MayaWindow(lo, hi, maya_bits(lam, (lo, hi)))
 
 
 def from_maya(m: MayaWindow, extent: int) -> Partition:
@@ -235,6 +235,8 @@ def horizontal_strips_between(inner: Partition, outer: Partition) -> Iterator[Pa
 
 def strip_chains(shape: SkewShape, n: int) -> list[tuple[Partition, ...]]:
     """All chains mu = nu^0 <= ... <= nu^n = lambda of horizontal strips."""
+    if n < 0:
+        raise ValueError(f"number of steps must be >= 0, got {n}")
     lam, mu = shape.outer, shape.inner
     if not lam.contains(mu):
         return []

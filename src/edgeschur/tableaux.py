@@ -15,9 +15,10 @@ diagonals of step v that carry a label v.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .poly import MultiPoly, av, monomial_mul, xv
 from .shapes import (Partition, SkewShape, deformed_diagonals,
@@ -25,10 +26,6 @@ from .shapes import (Partition, SkewShape, deformed_diagonals,
 
 
 class ValidationError(ValueError):
-    pass
-
-
-class ChainInvariantViolation(AssertionError):
     pass
 
 
@@ -65,12 +62,6 @@ class SemistandardTableau:
             if (i + 1, j) in em and em[(i + 1, j)] <= v:
                 raise ValidationError(f"column violation at {(i, j)}")
 
-    def x_weight(self) -> MultiPoly:
-        m: tuple = ()
-        for _, v in self.entries:
-            m = monomial_mul(m, ((xv(v), 1),))
-        return MultiPoly.monomial(m)
-
     def content_vector(self, n: int) -> tuple[int, ...]:
         counts = [0] * n
         for _, v in self.entries:
@@ -78,28 +69,31 @@ class SemistandardTableau:
         return tuple(counts)
 
 
-def enumerate_ssyt(shape: SkewShape, n: int) -> list[SemistandardTableau]:
-    """All semistandard fillings of the shape with entries in [n]."""
-    out = []
-    for chain in strip_chains(shape, n):
-        em: dict[Cell, int] = {}
-        for v in range(1, n + 1):
-            lo, hi = chain[v - 1], chain[v]
-            for i in range(1, hi.extent + 1):
-                for j in range(lo.part(i) + 1, hi.part(i) + 1):
-                    em[(i, j)] = v
-        out.append(SemistandardTableau(shape, tuple(sorted(em.items()))))
-    return out
-
-
-def ssyt_from_chain(shape: SkewShape, chain) -> SemistandardTableau:
+def _chain_entries(chain) -> dict[Cell, int]:
+    """Entry map of a strip chain: the boxes of step v hold v."""
     em: dict[Cell, int] = {}
     for v in range(1, len(chain)):
         lo, hi = chain[v - 1], chain[v]
         for i in range(1, hi.extent + 1):
             for j in range(lo.part(i) + 1, hi.part(i) + 1):
                 em[(i, j)] = v
-    return SemistandardTableau(shape, tuple(sorted(em.items())))
+    return em
+
+
+def _label_edge(nu: Partition, d: int) -> Cell:
+    """Edge carrying a label of the step ending at nu on deformed diagonal d.
+
+    It is the upper edge of the first cell of diagonal d outside nu: row i,
+    where i - 1 particles of nu (particle k at nu_k - k) sit right of d.
+    """
+    i = 1 + sum(1 for k in range(1, nu.extent + 1) if nu.part(k) - k > d)
+    return (i, d + i)
+
+
+def enumerate_ssyt(shape: SkewShape, n: int) -> list[SemistandardTableau]:
+    """All semistandard fillings of the shape with entries in [n]."""
+    return [SemistandardTableau(shape, tuple(sorted(_chain_entries(chain).items())))
+            for chain in strip_chains(shape, n)]
 
 
 @dataclass(frozen=True)
@@ -113,7 +107,7 @@ class EdgeLabeledTableau:
     @staticmethod
     def of(shape: SkewShape, extent: int, window: tuple[int, int],
            entry_map: dict[Cell, int],
-           edges: dict[Cell, tuple[int, ...]]) -> "EdgeLabeledTableau":
+           edges: dict[Cell, Sequence[int]]) -> "EdgeLabeledTableau":
         t = EdgeLabeledTableau(
             shape, extent, window, tuple(sorted(entry_map.items())),
             tuple(sorted((pos, tuple(sorted(set(vals))))
@@ -210,11 +204,14 @@ class EdgeLabeledTableau:
 
     @staticmethod
     def from_json(d: dict) -> "EdgeLabeledTableau":
-        return EdgeLabeledTableau.of(
-            SkewShape.from_json(d["shape"]), d["extent"],
-            tuple(d["window"]),
-            {(i, j): v for i, j, v in d["entries"]},
-            {(i, j): tuple(vals) for i, j, vals in d["edges"]})
+        try:
+            return EdgeLabeledTableau.of(
+                SkewShape.from_json(d["shape"]), d["extent"],
+                tuple(d["window"]),
+                {(i, j): v for i, j, v in d["entries"]},
+                {(i, j): tuple(vals) for i, j, vals in d["edges"]})
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed tableau JSON: {exc!r}") from exc
 
     def key(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -315,38 +312,12 @@ class ChainForm:
 def chain_to_positional(c: ChainForm) -> EdgeLabeledTableau:
     """Place each chain label at the unique admissible edge position."""
     c.validate()
-    n = len(c.chain) - 1
-    extent = c.shape.extent
-    sh = c.shape
-    em: dict[Cell, int] = {}
-    for v in range(1, n + 1):
-        lo, hi = c.chain[v - 1], c.chain[v]
-        for i in range(1, hi.extent + 1):
-            for j in range(lo.part(i) + 1, hi.part(i) + 1):
-                em[(i, j)] = v
-    scratch = EdgeLabeledTableau(sh, extent, c.window,
-                                 tuple(sorted(em.items())), ())
     edges: dict[Cell, list[int]] = {}
-    for v in range(1, n + 1):
-        for d in c.labels[v - 1]:
-            spots = []
-            for i in range(1, extent + 2):
-                j = d + i
-                if not scratch.legal_edge_position(i, j):
-                    continue
-                above = em.get((i - 1, j))
-                below = em.get((i, j))
-                if above is not None and v <= above:
-                    continue
-                if below is not None and v >= below:
-                    continue
-                spots.append((i, j))
-            if len(spots) != 1:
-                raise ChainInvariantViolation(
-                    f"label {v} on diagonal {d} admits positions {spots}")
-            edges.setdefault(spots[0], []).append(v)
-    return EdgeLabeledTableau.of(sh, extent, c.window, em,
-                                 {pos: tuple(sorted(vs)) for pos, vs in edges.items()})
+    for v, diagonals in enumerate(c.labels, start=1):
+        for d in diagonals:
+            edges.setdefault(_label_edge(c.chain[v], d), []).append(v)
+    return EdgeLabeledTableau.of(c.shape, c.shape.extent, c.window,
+                                 _chain_entries(c.chain), edges)
 
 
 def positional_to_chain(t: EdgeLabeledTableau, n: int) -> ChainForm:
@@ -372,23 +343,26 @@ def positional_to_chain(t: EdgeLabeledTableau, n: int) -> ChainForm:
 
 def enumerate_elt(shape: SkewShape, n: int, window: tuple[int, int],
                   extent: int) -> Iterator[EdgeLabeledTableau]:
-    """All edge labeled tableaux with entries and labels in [n]."""
+    """All edge labeled tableaux with entries and labels in [n].
+
+    Chains come in strip_chains order; for each chain the label subsets of
+    step 1 vary slowest, and subset `mask` of a step holds the deformed
+    diagonals (ascending) whose bit is set.
+    """
     lam = shape.outer.with_extent(extent)
     mu = shape.inner.with_extent(extent)
     sh = SkewShape(lam, mu)
     for chain in strip_chains(sh, n):
-        deformed = [sorted(deformed_diagonals(chain[v], chain[v - 1], window))
-                    for v in range(1, n + 1)]
-
-        def go(v: int, chosen: list[tuple[int, ...]]):
-            if v > n:
-                yield chain_to_positional(
-                    ChainForm(sh, window, chain, tuple(chosen)))
-                return
-            opts = deformed[v - 1]
-            for mask in range(1 << len(opts)):
-                subset = tuple(opts[b] for b in range(len(opts))
-                               if mask >> b & 1)
-                yield from go(v + 1, chosen + [subset])
-
-        yield from go(1, [])
+        em = _chain_entries(chain)
+        subsets = []
+        for v in range(1, n + 1):
+            spots = [_label_edge(chain[v], d) for d in
+                     sorted(deformed_diagonals(chain[v], chain[v - 1], window))]
+            subsets.append([[spots[b] for b in range(len(spots)) if mask >> b & 1]
+                            for mask in range(1 << len(spots))])
+        for choice in itertools.product(*subsets):
+            edges: dict[Cell, list[int]] = {}
+            for v, spots in enumerate(choice, start=1):
+                for pos in spots:
+                    edges.setdefault(pos, []).append(v)
+            yield EdgeLabeledTableau.of(sh, extent, window, em, edges)

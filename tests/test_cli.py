@@ -41,6 +41,20 @@ class TestExpand:
                         "1", "--m", "1", "--trunc", "5")
         assert code == 0 and out == "y1 + a0*y1^2 + a0^2*y1^3"
 
+    def test_ebar_truncated(self, capsys):
+        code, out = run(capsys, "expand", "--family", "ebar", "--lambda",
+                        "2,1", "--extent", "2", "--n", "2", "--window",
+                        "-2:2", "--trunc", "6")
+        assert code == 0
+        assert out == "y1^2*y2 + y1*y2^2 + a0*y1^2*y2^2 + a1*y1^2*y2^2"
+
+    @pytest.mark.parametrize("flag,value", [("--n", "-1"), ("--m", "0")])
+    def test_rejects_nonpositive_count(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "expand", "--family", "edge", "--lambda", "1",
+                flag, value)
+        assert exc.value.code == 2
+
     def test_dualschur_needs_trunc(self, capsys):
         code, _ = run(capsys, "expand", "--family", "dualschur",
                       "--lambda", "1")
@@ -109,6 +123,13 @@ class TestCrystalAndUncrowd:
         code, out = run(capsys, "uncrowd", "--in", str(f), "--roundtrip")
         assert code == 0
         assert "round trip ok" in out
+
+    def test_uncrowd_malformed_json(self, capsys, tmp_path):
+        f = tmp_path / "t.json"
+        f.write_text(json.dumps({"extent": 1, "window": [-1, 2],
+                                 "entries": [], "edges": []}))
+        code, _ = run(capsys, "uncrowd", "--in", str(f))
+        assert code == 2
 
     def test_tableaux_count(self, capsys):
         code, out = run(capsys, "tableaux", "--lambda", "2,0", "--extent",

@@ -163,6 +163,12 @@ class TestVariations:
                 back = back * (one + V(av(k)) * V(yv(j)))
         assert back == edge_schur(shape, p, var_kind="y")
 
+    def test_ebar_truncates_after_dividing(self):
+        shape = SkewShape.of((2, 1), extent=2)
+        exact = variation("EBar", shape, EdgeSchurParams(2, (-2, 2), 2))
+        cut = variation("EBar", shape, EdgeSchurParams(2, (-2, 2), 2, 6), 6)
+        assert cut == exact.truncate(6)
+
     def test_ebar_rejects_skew(self):
         p = EdgeSchurParams(1, (-2, 2), 2)
         with pytest.raises(UnsupportedSkew):

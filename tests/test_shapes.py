@@ -105,6 +105,10 @@ class TestStrips:
         lam = Partition.of((2, 1))
         assert len(strip_chains(SkewShape(lam, lam), 3)) == 1
 
+    def test_negative_step_count(self):
+        with pytest.raises(ValueError):
+            strip_chains(SkewShape.of((1,)), -1)
+
     @given(small_partitions(rows=3, cols=3), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_chain_count_matches_enumeration(self, lam, n):
