@@ -13,7 +13,7 @@ import sys
 from . import lattice
 from . import uncrowding
 from .crystal import component_decomposition, crystal_graph, dot_export
-from .poly import MultiPoly, canonical_string, map_vars, swap_x_vars
+from .poly import canonical_string, swap_x_vars
 from .schur import (EdgeSchurParams, dual_schur, dual_schur_alpha,
                     edge_schur, edge_schur_brute, factorial_schur,
                     schur_expand, variation)
@@ -197,7 +197,7 @@ def cmd_crystal(args) -> int:
         t = g.vertices[hw]
         summary.append({"size": len(comp),
                         "weight": list(t.content_vector(args.n)),
-                        "a_monomial": canonical_string(_a_part(t))})
+                        "a_monomial": canonical_string(t.a_monomial())})
     print(json.dumps({"vertices": len(g.vertices),
                       "components": summary}, indent=2))
     if args.dot:
@@ -205,12 +205,6 @@ def cmd_crystal(args) -> int:
             fh.write(dot_export(g, args.n))
         print(f"wrote {args.dot}")
     return 0
-
-
-def _a_part(t: EdgeLabeledTableau) -> MultiPoly:
-    def keep_a(v):
-        return MultiPoly.var(v) if v[0] == 3 else MultiPoly.one()
-    return map_vars(t.weight(), keep_a)
 
 
 def cmd_uncrowd(args) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .poly import MultiPoly, av
+from .poly import MultiPoly
 from .shapes import Partition, SkewShape
 from .schur import EdgeSchurParams
 from .tableaux import (EdgeLabeledTableau, SemistandardTableau, enumerate_elt,
@@ -207,10 +207,7 @@ def highest_weights(lam: Partition, p: EdgeSchurParams, n: int):
     out = []
     for t in enumerate_elt(shape, n, p.window, p.extent):
         if is_highest_weight(t, n):
-            amono = MultiPoly.one()
-            for (i, j), vals in t.edge_sets:
-                amono = amono * MultiPoly.var(av(j - i)) ** len(vals)
-            out.append((t, t.content_vector(n), amono))
+            out.append((t, t.content_vector(n), t.a_monomial()))
     return out
 
 
@@ -306,7 +303,6 @@ def graphs_isomorphic(g1: CrystalGraph, v1: int, g2: CrystalGraph, v2: int,
 
 def component_decomposition(graph: CrystalGraph, n: int):
     """Split into components; returns list of (component, hw vertex)."""
-    back: dict[int, set] = {}
     incoming: set[tuple[int, int]] = set()
     for (u, i), w in graph.arcs.items():
         incoming.add((w, i))
@@ -326,9 +322,11 @@ def component_decomposition(graph: CrystalGraph, n: int):
     return out
 
 
-def dot_export(graph: CrystalGraph, n: int, label=None) -> str:
+def dot_export(graph: CrystalGraph, n: int) -> str:
     """Deterministic DOT rendering; arcs labeled f<i>."""
-    label = label or (lambda t: t.key() if hasattr(t, "key") else repr(t))
+    def label(t) -> str:
+        return t.key() if hasattr(t, "key") else repr(t)
+
     order = sorted(range(len(graph.vertices)),
                    key=lambda k: label(graph.vertices[k]))
     rank = {k: r for r, k in enumerate(order)}

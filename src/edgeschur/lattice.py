@@ -278,11 +278,9 @@ def partition_function_brute(g: GridSpec) -> MultiPoly:
 
 
 def transfer_row(model: VertexModel, bottom: Partition, top: Partition,
-                 param: MultiPoly, window: tuple[int, int],
-                 shifts: tuple[int, int] = (0, 0)) -> MultiPoly:
+                 param: MultiPoly, window: tuple[int, int]) -> MultiPoly:
     g = GridSpec((GridRow(model, param),), window,
-                 maya_bits(bottom, window, shifts[0]),
-                 maya_bits(top, window, shifts[1]))
+                 maya_bits(bottom, window), maya_bits(top, window))
     return partition_function(g)
 
 

@@ -63,6 +63,11 @@ def av(d: int) -> VarKey:
 ALPHA: VarKey = (_RANK_ALPHA, 0)
 
 
+def family(v: VarKey) -> str:
+    """The family of a variable: "x", "y", "alpha" or "a"."""
+    return _RANK_NAMES[v[0]]
+
+
 def var_name(v: VarKey) -> str:
     rank, idx = v
     if rank == _RANK_ALPHA:

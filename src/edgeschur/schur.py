@@ -13,8 +13,8 @@ import functools
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .poly import (MultiPoly, av, group_by_x, map_vars, series_inverse,
-                   x_exponent_vector, xv, yv)
+from .poly import (MultiPoly, av, family, group_by_x, map_vars,
+                   series_inverse, x_exponent_vector, xv, yv)
 from .shapes import (Partition, SkewShape, WindowError, deformed_diagonals,
                      is_horizontal_strip, horizontal_strips_between,
                      strip_chains)
@@ -126,8 +126,7 @@ def edge_schur_pair(lam: Partition, mu: Partition,
                       p, **kw)
 
 
-def edge_schur_brute(shape: SkewShape, p: EdgeSchurParams,
-                     var_kind: str = "x", sign: int = 1) -> MultiPoly:
+def edge_schur_brute(shape: SkewShape, p: EdgeSchurParams) -> MultiPoly:
     """Independent oracle: enumerate all ELTs and sum their weights."""
     lam = shape.outer.with_extent(p.extent)
     mu = shape.inner.with_extent(p.extent)
@@ -136,14 +135,6 @@ def edge_schur_brute(shape: SkewShape, p: EdgeSchurParams,
     out = MultiPoly.zero(p.trunc)
     for t in enumerate_elt(shape, p.num_vars, p.window, p.extent):
         out = out + t.weight()
-    if var_kind != "x" or sign != 1:
-        def fn(v):
-            if v[0] == 0:  # x -> chosen kind
-                return _var(var_kind, v[1])
-            if v[0] == 3 and sign == -1:
-                return -MultiPoly.var(v)
-            return MultiPoly.var(v)
-        out = map_vars(out, fn)
     return out
 
 
@@ -266,7 +257,7 @@ def dual_schur_alpha(shape: SkewShape, m: int, T: int) -> MultiPoly:
     sym = dual_schur(shape, m, T)
 
     def fn(v):
-        if v[0] == 3:
+        if family(v) == "a":
             return MultiPoly.var(ALPHA)
         return MultiPoly.var(v)
 
@@ -279,7 +270,7 @@ def schur_substituted(lam: Partition, m: int, T: int) -> MultiPoly:
     s = schur(SkewShape.of(lam.parts, (), extent=lam.extent), m, var_kind="y")
 
     def fn(v):
-        if v[0] == 1:
+        if family(v) == "y":
             geom = series_inverse(MultiPoly.one(T)
                                   - MultiPoly.var(ALPHA) * MultiPoly.var(v), T)
             return MultiPoly.var(v) * geom

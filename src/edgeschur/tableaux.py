@@ -182,6 +182,13 @@ class EdgeLabeledTableau:
                 m = monomial_mul(m, ((av(d), len(vals)),))
         return MultiPoly.monomial(m)
 
+    def a_monomial(self) -> MultiPoly:
+        """The a-part of the weight: a_{j-i} per label at (i, j)."""
+        out = MultiPoly.one()
+        for (i, j), vals in self.edge_sets:
+            out = out * MultiPoly.var(av(j - i)) ** len(vals)
+        return out
+
     def content_vector(self, n: int) -> tuple[int, ...]:
         counts = [0] * n
         for _, v in self.entries:

@@ -4,14 +4,18 @@ Uncrowding proceeds along diagonals from the lower left, RSK-inserting each
 diagonal's reading word (which is strictly decreasing, so every insertion
 path adds one cell per row, strictly descending).  The recording filling Q
 tracks where the insertion shape outgrows the column-justified part of the
-original shape: old entries keep their column and sink to the lowest skew
-cells, new cells take the current diagonal index.
+original shape.  Q is held as one list per column, top to bottom: old
+entries keep their column and sink to the bottom of the insertion shape's
+column, and each step puts copies of the current diagonal index above them.
+Q becomes cells only for the result and the trace.
 
 The inverse recovers one diagonal at a time by reverse bumping, bottom row
-first, then redistributes the extracted strictly-decreasing word into box
-entries and edge sets.  The redistribution may be locally ambiguous, so it
-is resolved by a small backtracking search; exactly one global solution
-exists on the image of the forward map.
+first, dropping that diagonal's index from Q's columns, then redistributes
+the extracted strictly-decreasing word into box entries and edge sets.  The
+redistribution may be locally ambiguous, so it is resolved by a small
+backtracking search; exactly one global solution exists on the image of the
+forward map.  A pair off the image is refused: crowd raises MalformedPair
+unless uncrowding its result gives the pair back.
 """
 
 from __future__ import annotations
@@ -87,21 +91,19 @@ def rows_to_ssyt(rows: Rows) -> SemistandardTableau:
                 for j, v in enumerate(r)})
 
 
-def _column_counts(p: Partition, width: int) -> list[int]:
-    return [len([q for q in p.parts if q >= j]) for j in range(1, width + 1)]
+def _slid_heights(lam_cols: tuple[int, ...], c: int, width: int) -> list[int]:
+    """Column heights of lam's cells of content <= c, top-justified, padded
+    to width: column j keeps rows max(1, j - c) .. lam'_j."""
+    heights = [max(0, h - max(1, j - c) + 1)
+               for j, h in enumerate(lam_cols, start=1)]
+    return heights + [0] * (width - len(heights))
 
 
-def _slid_prefix(lam: Partition, c: int) -> Partition:
-    """Columns of lam restricted to contents <= c, top-justified."""
-    width = lam.first()
-    cols = []
-    for j in range(1, width + 1):
-        height = len([1 for r in range(1, lam.extent + 1)
-                      if lam.part(r) >= j and j - r <= c])
-        cols.append(height)
-    parts = tuple(len([h for h in cols if h >= r])
-                  for r in range(1, max(cols, default=0) + 1))
-    return Partition(parts)
+def _q_cells(q_cols: list[list[int]], p_cols: tuple[int, ...]) -> dict:
+    """Recording cells: column j's entries fill the bottom of P's column j."""
+    return {(h - len(col) + k, j): v
+            for j, (col, h) in enumerate(zip(q_cols, p_cols), start=1)
+            for k, v in enumerate(col, start=1)}
 
 
 def _diagonal_words(t: EdgeLabeledTableau) -> dict[int, list]:
@@ -124,27 +126,6 @@ class RSKPair:
         return dict(self.Q)
 
 
-def _migrate_q(q_old: dict, mu_new: Partition, nu_new: Partition,
-               diag_index: int, width: int) -> dict:
-    mu_cols = _column_counts(mu_new, width)
-    nu_cols = _column_counts(nu_new, width)
-    out: dict[tuple[int, int], int] = {}
-    by_col: dict[int, list] = {}
-    for (r, c), v in sorted(q_old.items()):
-        by_col.setdefault(c, []).append((r, v))
-    for j in range(1, width + 1):
-        olds = [v for _, v in sorted(by_col.get(j, []))]
-        lo, hi = nu_cols[j - 1], mu_cols[j - 1]
-        if hi - lo < len(olds):
-            raise AssertionError("recording column shrank below its entries")
-        base = hi - len(olds)
-        for k, v in enumerate(olds):
-            out[(base + k + 1, j)] = v
-        for r in range(lo + 1, base + 1):
-            out[(r, j)] = diag_index
-    return out
-
-
 def uncrowd(t: EdgeLabeledTableau, with_trace: bool = False):
     """Insertion tableau and recording filling of an edge labeled tableau."""
     lam = t.shape.outer
@@ -153,21 +134,29 @@ def uncrowd(t: EdgeLabeledTableau, with_trace: bool = False):
     words = _diagonal_words(t)
     c_min = 1 - lam.length()
     c_max = max(list(words) + [lam.first() - 1]) if (words or lam.parts) else 0
+    lam_cols = lam.conjugate().parts
     rows: Rows = ()
-    q: dict[tuple[int, int], int] = {}
-    width_bound = lam.first() + sum(len(vs) for _, vs in t.edge_sets) + 1
+    p_cols: tuple[int, ...] = ()          # column heights of P
+    q_cols: list[list[int]] = []          # Q by column, top to bottom
     trace = []
     for i, c in enumerate(range(c_min, c_max + 1), start=1):
         word = [v for v, _ in words.get(c, [])]
         if any(word[k] <= word[k + 1] for k in range(len(word) - 1)):
             raise AssertionError(f"diagonal word {word} is not decreasing")
         rows = rsk_insert(rows, word)
-        mu_i = rows_shape(rows)
-        nu_i = _slid_prefix(lam, c)
-        q = _migrate_q(q, mu_i, nu_i, i, width_bound)
+        p_cols = tuple(len([r for r in rows if len(r) > j])
+                       for j in range(len(rows[0]) if rows else 0))
+        width = max(len(p_cols), len(lam_cols))
+        q_cols += [[] for _ in range(width - len(q_cols))]
+        for col, hi, lo in zip(q_cols, p_cols + (0,) * width,
+                               _slid_heights(lam_cols, c, width)):
+            gap = hi - lo - len(col)
+            if gap < 0:
+                raise AssertionError("recording column shrank below its entries")
+            col[:0] = [i] * gap
         if with_trace:
-            trace.append((rows, dict(q)))
-    pair = RSKPair(rows, tuple(sorted(q.items())))
+            trace.append((rows, _q_cells(q_cols, p_cols)))
+    pair = RSKPair(rows, tuple(sorted(_q_cells(q_cols, p_cols).items())))
     if with_trace:
         return pair, trace
     return pair
@@ -195,50 +184,36 @@ def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
     extent = extent if extent is not None else lam.extent
     q = pair.q_map()
     c_min = 1 - lam.length()
-    i_max = max([lam.first() - 1 - c_min + 1]
-                + [v for v in q.values()]) if (lam.parts or q) else 0
-    width_bound = lam.first() + len(q) + 1
+    i_max = max([0, lam.first() - c_min] + list(q.values()))
+    # Q columns top to bottom; a cell beyond them is caught by the last check
+    width = lam.first() + len(q) + 1
+    lam_cols = lam.conjugate().parts
+    q_cols = [[v for (r, cc), v in sorted(q.items()) if cc == j]
+              for j in range(1, width + 1)]
 
     # reconstruct the per-diagonal words by reverse bumping, top diagonal first
     rows = pair.P
     words: dict[int, list[int]] = {}
     for i in range(i_max, 0, -1):
-        c = c_min + i - 1
-        nu_prev = _slid_prefix(lam, c - 1)
-        nu_cols_prev = _column_counts(nu_prev, width_bound)
-        olds_by_col: dict[int, list[int]] = {}
-        for (r, cc), v in sorted(q.items()):
-            if v != i:
-                olds_by_col.setdefault(cc, []).append(v)
-        mu_prev_cols = [nu_cols_prev[j - 1] + len(olds_by_col.get(j, []))
-                        for j in range(1, width_bound + 1)]
-        mu_prev = Partition(tuple(
-            len([h for h in mu_prev_cols if h >= r])
-            for r in range(1, max(mu_prev_cols, default=0) + 1)))
-        cur_shape = rows_shape(rows)
-        if not cur_shape.contains(mu_prev):
+        q_cols = [[v for v in col if v != i] for col in q_cols]
+        heights = [h + len(col) for h, col in
+                   zip(_slid_heights(lam_cols, c_min + i - 2, width), q_cols)]
+        # row lengths before diagonal i; P loses one cell in each longer row
+        prev = [len([h for h in heights if h >= r])
+                for r in range(1, max(heights, default=0) + 1)]
+        cur = rows_shape(rows).parts
+        if len(prev) > len(cur) or any(p > h for p, h in zip(prev, cur)):
             raise MalformedPair("recording data inconsistent with P")
-        cells = [(r, c2) for r in range(1, cur_shape.extent + 1)
-                 for c2 in range(mu_prev.part(r) + 1, cur_shape.part(r) + 1)]
-        by_row: dict[int, list[int]] = {}
-        for r, c2 in cells:
-            by_row.setdefault(r, []).append(c2)
-        if any(len(cs) > 1 for cs in by_row.values()):
+        grow = [h - p for h, p in zip(cur, prev + [0] * len(cur))]
+        if any(g > 1 for g in grow):
             raise MalformedPair("diagonal strip removes two cells in a row")
         letters = []
-        for r in sorted(by_row, reverse=True):
-            rows, letter = rsk_remove(rows, (r, by_row[r][0]))
-            letters.append(letter)
+        for r in range(len(cur), 0, -1):
+            if grow[r - 1]:
+                rows, letter = rsk_remove(rows, (r, cur[r - 1]))
+                letters.append(letter)
         words[i] = letters[::-1]
-        # rebuild the previous recording filling
-        q_new: dict[tuple[int, int], int] = {}
-        for j in range(1, width_bound + 1):
-            olds = olds_by_col.get(j, [])
-            base = mu_prev_cols[j - 1] - len(olds)
-            for k, v in enumerate(olds):
-                q_new[(base + k + 1, j)] = v
-        q = q_new
-    if rows_shape(rows).size() != 0 or q:
+    if rows_shape(rows).size() != 0 or any(q_cols):
         raise MalformedPair("leftover cells after unwinding all diagonals")
 
     # redistribute each diagonal word over boxes and edges, with backtracking
@@ -304,8 +279,12 @@ def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
         raise MalformedPair(
             f"{len(solutions)} reconstructions; pair is not in the image")
     em, edges = solutions[0]
-    return EdgeLabeledTableau.of(SkewShape.of(lam.parts, (), extent=extent),
-                                 extent, window, em, edges)
+    t = EdgeLabeledTableau.of(SkewShape.of(lam.parts, (), extent=extent),
+                              extent, window, em, edges)
+    if uncrowd(t) != RSKPair(pair.P, tuple(sorted(pair.Q))):
+        raise MalformedPair("uncrowding the reconstruction does not give "
+                            "the pair back; pair is not in the image")
+    return t
 
 
 def check_crystal_commute(lam: Partition, window: tuple[int, int],
@@ -325,18 +304,11 @@ def check_crystal_commute(lam: Partition, window: tuple[int, int],
             if ft is None:
                 continue
             fpair = uncrowd(ft)
-            if fpair.P != tuple(tuple(r) for r in _ssyt_rows(fp)):
+            if rows_to_ssyt(fpair.P) != fp:
                 return False
             if fpair.Q != pair.Q:
                 return False
     return True
-
-
-def _ssyt_rows(t: SemistandardTableau) -> Rows:
-    em = t.entry_map()
-    nrows = max((i for i, _ in em), default=0)
-    return tuple(tuple(em[(i, j)] for j in range(1, 1 + len([1 for (a, b) in em if a == i])))
-                 for i in range(1, nrows + 1))
 
 
 def hook_tableau_census(lam: Partition, window: tuple[int, int],

@@ -95,20 +95,25 @@ class TestBijection:
         assert pair.P == ((1, 1), (2, 2))
 
     def test_exhaustive_roundtrip_small(self):
-        for lam in partitions_in_box(2, 2):
-            if not lam.size():
-                continue
-            lam = Partition.of([p for p in lam.parts if p > 0])
+        straight = [Partition.of([p for p in lam.parts if p > 0])
+                    for lam in partitions_in_box(2, 2) if lam.size()]
+        cases = [(lam, (-2, 2)) for lam in straight]
+        # every three-row shape in the 3x2 box
+        cases += [(lam, (-3, lam.first() + 1))
+                  for lam in partitions_in_box(3, 2) if lam.length() == 3]
+        # with trailing zeros the empty shape still carries row-0 labels
+        cases += [(Partition.of((), extent=e), (-2, 1)) for e in (1, 2)]
+        for lam, window in cases:
             shape = SkewShape.of(lam.parts, (), extent=lam.extent)
             seen = {}
-            for t in enumerate_elt(shape, 3, (-2, 2), lam.extent):
+            for t in enumerate_elt(shape, 3, window, lam.extent):
                 pair = uncrowd(t)
                 key = (pair.P, pair.Q)
                 assert key not in seen, "uncrowding collided"
                 seen[key] = t
-                assert crowd(pair, lam, (-2, 2), lam.extent).key() == t.key()
+                assert crowd(pair, lam, window, lam.extent).key() == t.key()
 
-    def test_off_image_raises(self):
+    def test_off_image_raises(self, example_tableau):
         with pytest.raises(MalformedPair):
             crowd(RSKPair(((1,),), ()), Partition.of((2,)), (-1, 2), 1)
         with pytest.raises(MalformedPair):
@@ -116,6 +121,12 @@ class TestBijection:
                   Partition.of((2,)), (-1, 2), 1)
         with pytest.raises(MalformedPair):
             crowd(RSKPair(((2, 2),), ()), Partition.of((1, 1)), (-2, 1), 2)
+        # the worked example's pair with one recording cell too many
+        pair = uncrowd(example_tableau)
+        for extra in (((1, 0), 1), ((1, 40), 6)):
+            with pytest.raises(MalformedPair):
+                crowd(RSKPair(pair.P, tuple(sorted(pair.Q + (extra,)))),
+                      Partition.of((3, 3, 2, 2)), (-4, 3), 4)
 
 
 class TestCrystalCommute:
