@@ -6,9 +6,9 @@ nonzero weight.  A grid is a stack of rows (bottom to top), each row using
 one weight table with its own spectral parameter and fixed left/right
 boundary labels; columns carry the diagonal-indexed a-parameters.
 
-The partition function is computed by a frontier dynamic program over the
-vertical edge configuration between rows, and independently by brute-force
-state enumeration (the oracle used in tests).
+The partition function is computed by a column-sweep profile dynamic
+program, one vertex at a time with states merged after every vertex, and
+independently by brute-force state enumeration (the oracle used in tests).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ VERTEX_ROLES: dict[str, Config] = {
     "c1": (0, 1, 1, 0),
     "c2": (1, 0, 0, 1),
 }
+_ROLE_OF: dict[Config, str] = {cfg: role for role, cfg in VERTEX_ROLES.items()}
 
 
 @dataclass(frozen=True)
@@ -54,11 +55,8 @@ class VertexModel:
                x: MultiPoly, a: MultiPoly) -> MultiPoly:
         if w + s != e + n:
             return _ZERO
-        for role, cfg in VERTEX_ROLES.items():
-            if cfg == (w, s, e, n):
-                fn = self.weights.get(role)
-                return fn(x, a) if fn else _ZERO
-        return _ZERO
+        fn = self.weights.get(_ROLE_OF.get((w, s, e, n)))
+        return fn(x, a) if fn else _ZERO
 
     def perturbed(self, role: str, mode: str = "one") -> "VertexModel":
         """Replace one weight: mode 'one' sets it to 1, 'double' scales by 2."""
@@ -203,44 +201,55 @@ class GridSpec:
         return MultiPoly.var(av(d + self.col_shift))
 
 
+def _weight_table(row: GridRow, a: MultiPoly,
+                  trunc: Optional[int]) -> dict[Config, MultiPoly]:
+    """{(w, s, e, n): weight} of one vertex, zeros left out; 1 is _ONE."""
+    table = {}
+    for role, cfg in VERTEX_ROLES.items():
+        fn = row.model.weights.get(role)
+        wt = fn(row.param, a) if fn else _ZERO
+        if wt.is_zero():
+            continue
+        if trunc is not None and (wt.trunc is None or wt.trunc > trunc):
+            wt = wt.truncate(trunc)  # a tighter cutoff of its own stays
+        unit = wt.terms == _ONE.terms and wt.trunc in (None, trunc)
+        table[cfg] = _ONE if unit else wt
+    return table
+
+
+def _profile(bits: tuple[int, ...]) -> int:
+    return sum(b << c for c, b in enumerate(bits))
+
+
 def partition_function(g: GridSpec) -> MultiPoly:
-    """Frontier DP over vertical edge configurations, bottom row first."""
+    """Column-sweep profile DP, bottom row first, merged after every vertex.
+
+    Entering column c a state is (h, profile): the horizontal label, and the
+    emitted top bits below bit c over the bottom bits not yet consumed."""
     ncols = g.window[1] - g.window[0] + 1
     if len(g.bottom) != ncols or len(g.top) != ncols:
         raise ValueError("boundary bit count does not match the window")
-    col_params = [g.col_param(d) for d in g.columns()]
-    frontier: dict[tuple[int, ...], MultiPoly] = {
-        tuple(g.bottom): MultiPoly.one(g.trunc)}
+    frontier = {_profile(g.bottom): MultiPoly.one(g.trunc)}
     for row in g.rows:
         left, right = row.bounds()
-        nxt: dict[tuple[int, ...], MultiPoly] = {}
-        for vbits, acc in frontier.items():
-            # sweep the row: states are (horizontal label, emitted top bits)
-            states: dict[tuple[int, tuple[int, ...]], MultiPoly] = {
-                (left, ()): acc}
-            for c in range(ncols):
-                s = vbits[c]
-                nstates: dict[tuple[int, tuple[int, ...]], MultiPoly] = {}
-                for (h, tops), wgt in states.items():
-                    for e in (0, 1):
-                        n_ = h + s - e
-                        if n_ not in (0, 1):
-                            continue
-                        wv = row.model.weight(h, s, e, n_, row.param,
-                                              col_params[c])
-                        if wv.is_zero():
-                            continue
-                        key = (e, tops + (n_,))
-                        cur = nstates.get(key)
-                        nstates[key] = wv * wgt if cur is None else cur + wv * wgt
-                states = nstates
-            for (h, tops), wgt in states.items():
-                if h != right:
-                    continue
-                cur = nxt.get(tops)
-                nxt[tops] = wgt if cur is None else cur + wgt
-        frontier = nxt
-    return frontier.get(tuple(g.top), _ZERO)
+        states = {(left, prof): acc for prof, acc in frontier.items()}
+        for c, d in enumerate(g.columns()):
+            table = _weight_table(row, g.col_param(d), g.trunc)
+            nstates: dict[tuple[int, int], MultiPoly] = {}
+            for (h, prof), acc in states.items():
+                s = prof >> c & 1
+                for e in (0, 1):
+                    n_ = h + s - e
+                    wt = table.get((h, s, e, n_))
+                    if wt is None:
+                        continue
+                    term = acc if wt is _ONE else wt * acc
+                    key = (e, prof + ((n_ - s) << c))
+                    cur = nstates.get(key)
+                    nstates[key] = term if cur is None else cur + term
+            states = nstates
+        frontier = {prof: z for (h, prof), z in states.items() if h == right}
+    return frontier.get(_profile(g.top), _ZERO)
 
 
 def partition_function_brute(g: GridSpec) -> MultiPoly:
@@ -300,12 +309,12 @@ def edge_schur_lattice(shape: SkewShape, p: EdgeSchurParams,
         rows = tuple(GridRow(model_L(), MultiPoly.var(xv(i)))
                      for i in range(1, n + 1))
         g = GridSpec(rows, p.window, maya_bits(mu, p.window),
-                     maya_bits(lam, p.window))
+                     maya_bits(lam, p.window), trunc=p.trunc)
     elif form == "Tstar":
         rows = tuple(GridRow(model_Lstar(), MultiPoly.var(xv(i)))
                      for i in range(n, 0, -1))
         g = GridSpec(rows, p.window, maya_bits(lam, p.window),
-                     maya_bits(mu, p.window))
+                     maya_bits(mu, p.window), trunc=p.trunc)
     else:
         raise ValueError(f"unknown form {form!r}")
     return partition_function(g).truncate(p.trunc)
@@ -441,7 +450,8 @@ def commutation_check(box: tuple[int, int], window: tuple[int, int],
     2*(M+1) - lam_1 - mu_1, the escape tail of the finite window, so the
     window must satisfy 2*M - 2*box_cols >= T - 1 for a truncation-T check.
     Flipping the t-row right boundary to 1 readmits the escape state and
-    breaks the relation.  Returns (ok, witness).
+    breaks the relation.  Both grids are cut at T inside the DP, which is
+    exact: truncation by total degree is a ring map.  Returns (ok, witness).
     """
     x, y = MultiPoly.var(xv(1)), MultiPoly.var(yv(1))
     t_row = GridRow(model_Ell(-1), x,
@@ -454,10 +464,10 @@ def commutation_check(box: tuple[int, int], window: tuple[int, int],
             bottom = maya_bits(mu, window)
             # with the escape readmitted the particle count no longer grows
             top = maya_bits(lam, window, shift=0 if flip_t_right else 1)
-            g1 = GridSpec((t_row, tstar_row), window, bottom, top)
-            g2 = GridSpec((tstar_row, t_row), window, bottom, top)
-            lhs = ((_ONE - x * y) * partition_function(g1)).truncate(T)
-            rhs = partition_function(g2).truncate(T)
+            g1 = GridSpec((t_row, tstar_row), window, bottom, top, trunc=T)
+            g2 = GridSpec((tstar_row, t_row), window, bottom, top, trunc=T)
+            lhs = (_ONE - x * y) * partition_function(g1)
+            rhs = partition_function(g2)
             if lhs != rhs:
                 ok = False
                 if witness is None:

@@ -181,6 +181,8 @@ def _blocks(word: list[int], k: int):
 def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
           extent: Optional[int] = None) -> EdgeLabeledTableau:
     """Inverse of uncrowd; unique on its image, error off it."""
+    if any(len(lo) > len(hi) for hi, lo in zip(pair.P, pair.P[1:])):
+        raise MalformedPair("rows of P do not weakly shrink downwards")
     extent = extent if extent is not None else lam.extent
     q = pair.q_map()
     c_min = 1 - lam.length()

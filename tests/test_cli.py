@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from edgeschur import lattice
 from edgeschur.cli import main, parse_partition, parse_window
+from edgeschur.poly import MultiPoly
 
 
 def run(capsys, *argv):
@@ -92,6 +94,19 @@ class TestVerify:
         code, _ = run(capsys, "verify", "symmetry", "--box", "2:2",
                       "--n", "3", "--window", "-2:2")
         assert code == 0
+
+    def test_equivalence_names_route(self, capsys, monkeypatch):
+        real = lattice.edge_schur_lattice
+
+        def wrong_tstar(shape, p, form="T"):
+            z = real(shape, p, form)
+            return z + MultiPoly.one() if form == "Tstar" else z
+
+        monkeypatch.setattr(lattice, "edge_schur_lattice", wrong_tstar)
+        code, out = run(capsys, "verify", "equivalence", "--seed", "1",
+                        "--count", "1")
+        assert code == 1
+        assert out.endswith("Tstar disagrees with the closed form")
 
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as exc:

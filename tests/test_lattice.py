@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,19 @@ def V(v):
 
 
 ONE = MultiPoly.one()
+
+# both sides of commutation_check((1, 1), (-1, 2), 4, flip_t_right=True) at
+# its first failure, lam = (0), mu = (1)
+FLIPPED_LHS = (
+    "x1^2 + a1*x1 + a2*x1 + a1*a2 + a(-1)*x1^2*y1 + a0*x1^2*y1 + a1*x1^2*y1"
+    " + a2*x1^2*y1 + a(-1)*a1*x1*y1 + a(-1)*a2*x1*y1 + a0*a1*x1*y1"
+    " + a0*a2*x1*y1 + a1^2*x1*y1 + 2*a1*a2*x1*y1 + a2^2*x1*y1"
+    " + a(-1)*a1*a2*y1 + a0*a1*a2*y1 + a1^2*a2*y1 + a1*a2^2*y1")
+FLIPPED_RHS = (
+    "x1^2 + a1*x1 + a2*x1 + a1*a2 + x1^3*y1 + a(-1)*x1^2*y1 + a0*x1^2*y1"
+    " + 2*a1*x1^2*y1 + 2*a2*x1^2*y1 + a(-1)*a1*x1*y1 + a(-1)*a2*x1*y1"
+    " + a0*a1*x1*y1 + a0*a2*x1*y1 + a1^2*x1*y1 + 3*a1*a2*x1*y1 + a2^2*x1*y1"
+    " + a(-1)*a1*a2*y1 + a0*a1*a2*y1 + a1^2*a2*y1 + a1*a2^2*y1")
 
 
 class TestConservation:
@@ -77,6 +91,13 @@ class TestTransferRows:
             return map_vars(p, lambda v: V(yv(v[1])) if v[0] == 0 else V(v))
         assert to_y(tr).truncate(6) == want
 
+    def test_ellsubst_row_keeps_series_cutoff(self):
+        # the grid sets no cutoff, so the step series keep their own
+        lam, nu = Partition.of((2, 1)), Partition.of((1,), extent=2)
+        tr = transfer_row(model_EllSubst(6), nu, lam, V(yv(1)), (-2, 2))
+        assert tr.trunc == 6
+        assert tr.total_degree() <= 6
+
 
 class TestPartitionFunction:
     def test_zero_rows(self):
@@ -107,6 +128,25 @@ class TestPartitionFunction:
             top = tuple(rng.randint(0, 1) for _ in range(ncols))
             g = GridSpec(rows, window, bottom, top)
             assert partition_function(g) == partition_function_brute(g)
+
+    def test_dp_equals_brute_truncated(self):
+        # Ell(-a) and Lstar rows stacked both ways, as commutation_check
+        # builds them, with the Ell(-a) right boundary also flipped to 1
+        x, y = V(xv(1)), V(yv(1))
+        dual = GridRow(model_Lstar(), y)
+        nonzero = 0
+        for right in (None, 1):
+            ell = GridRow(model_Ell(-1), x, right=right)
+            for rows in ((ell, dual), (dual, ell)):
+                for bottom in itertools.product((0, 1), repeat=3):
+                    for top in itertools.product((0, 1), repeat=3):
+                        for T in (1, 3):
+                            g = GridSpec(rows, (-1, 1), bottom, top, trunc=T)
+                            z = partition_function(g)
+                            assert z == partition_function_brute(g).truncate(T)
+                            assert z.total_degree() <= T
+                            nonzero += not z.is_zero()
+        assert nonzero > 80
 
 
 class TestEdgeSchurLattice:
@@ -254,6 +294,12 @@ class TestCommutation:
     def test_flipped_right_boundary_fails(self):
         ok, wit = commutation_check((2, 2), (-2, 5), 6, flip_t_right=True)
         assert not ok and wit is not None
+
+    def test_flipped_witness_pinned(self):
+        ok, wit = commutation_check((1, 1), (-1, 2), 4, flip_t_right=True)
+        assert not ok
+        assert wit == (Partition.of((0,)), Partition.of((1,)), FLIPPED_LHS,
+                       FLIPPED_RHS)
 
 
 class TestCauchy:

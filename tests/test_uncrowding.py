@@ -121,6 +121,9 @@ class TestBijection:
                   Partition.of((2,)), (-1, 2), 1)
         with pytest.raises(MalformedPair):
             crowd(RSKPair(((2, 2),), ()), Partition.of((1, 1)), (-2, 1), 2)
+        # rows of P growing downwards
+        with pytest.raises(MalformedPair):
+            crowd(RSKPair(((1,), (1, 2)), ()), Partition.of((2, 1)), (-2, 2), 2)
         # the worked example's pair with one recording cell too many
         pair = uncrowd(example_tableau)
         for extra in (((1, 0), 1), ((1, 40), 6)):
