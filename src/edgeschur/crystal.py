@@ -190,12 +190,6 @@ def e_elt(t: EdgeLabeledTableau, i: int) -> Optional[EdgeLabeledTableau]:
     return out
 
 
-def eps_phi_wt(t: EdgeLabeledTableau, i: int, n: int):
-    letters = _word_letters(t)
-    eps, phi = eps_phi(letters, i)
-    return eps, phi, t.content_vector(n)
-
-
 def is_highest_weight(t: EdgeLabeledTableau, n: int) -> bool:
     letters = _word_letters(t)
     return all(eps_phi(letters, i)[0] == 0 for i in range(1, n))

@@ -36,7 +36,6 @@ VERTEX_ROLES: dict[str, Config] = {
     "c1": (0, 1, 1, 0),
     "c2": (1, 0, 0, 1),
 }
-_ROLE_OF: dict[Config, str] = {cfg: role for role, cfg in VERTEX_ROLES.items()}
 
 
 @dataclass(frozen=True)
@@ -44,19 +43,24 @@ class VertexModel:
     """A named Boltzmann weight table.
 
     weights maps a role name to a function (row_param, col_param) -> poly;
-    missing roles and non-conserving configurations weigh zero.
+    missing roles and non-conserving configurations weigh zero.  table()
+    is the one evaluation of these functions.
     """
     name: str
     weights: dict
     left: int   # default left boundary of a transfer row
     right: int  # default right boundary
 
-    def weight(self, w: int, s: int, e: int, n: int,
-               x: MultiPoly, a: MultiPoly) -> MultiPoly:
-        if w + s != e + n:
-            return _ZERO
-        fn = self.weights.get(_ROLE_OF.get((w, s, e, n)))
-        return fn(x, a) if fn else _ZERO
+    def table(self, x: MultiPoly, a: MultiPoly) -> dict[Config, MultiPoly]:
+        """{(w, s, e, n): weight} at row parameter x and column parameter a.
+
+        Only nonzero weights are keys, so every key conserves particles."""
+        table = {}
+        for role, fn in self.weights.items():
+            wt = fn(x, a)
+            if not wt.is_zero():
+                table[VERTEX_ROLES[role]] = wt
+        return table
 
     def perturbed(self, role: str, mode: str = "one") -> "VertexModel":
         """Replace one weight: mode 'one' sets it to 1, 'double' scales by 2."""
@@ -203,13 +207,9 @@ class GridSpec:
 
 def _weight_table(row: GridRow, a: MultiPoly,
                   trunc: Optional[int]) -> dict[Config, MultiPoly]:
-    """{(w, s, e, n): weight} of one vertex, zeros left out; 1 is _ONE."""
+    """The row's table cut to trunc (zeros were left out before); 1 is _ONE."""
     table = {}
-    for role, cfg in VERTEX_ROLES.items():
-        fn = row.model.weights.get(role)
-        wt = fn(row.param, a) if fn else _ZERO
-        if wt.is_zero():
-            continue
+    for cfg, wt in row.model.table(row.param, a).items():
         if trunc is not None and (wt.trunc is None or wt.trunc > trunc):
             wt = wt.truncate(trunc)  # a tighter cutoff of its own stays
         unit = wt.terms == _ONE.terms and wt.trunc in (None, trunc)
@@ -255,7 +255,8 @@ def partition_function(g: GridSpec) -> MultiPoly:
 def partition_function_brute(g: GridSpec) -> MultiPoly:
     """State enumeration over all internal edge assignments (test oracle)."""
     ncols = g.window[1] - g.window[0] + 1
-    col_params = [g.col_param(d) for d in g.columns()]
+    tables = [[row.model.table(row.param, g.col_param(d)) for d in g.columns()]
+              for row in g.rows]
     total = _ZERO
 
     def rec_row(r: int, vbits: tuple[int, ...], acc: MultiPoly):
@@ -274,11 +275,9 @@ def partition_function_brute(g: GridSpec) -> MultiPoly:
                 return
             for e in (0, 1):
                 for n_ in (0, 1):
-                    wv = row.model.weight(h, vbits[c], e, n_, row.param,
-                                          col_params[c])
-                    if wv.is_zero():
-                        continue
-                    rec_col(c + 1, e, tops + (n_,), wgt * wv)
+                    wv = tables[r][c].get((h, vbits[c], e, n_))
+                    if wv is not None:
+                        rec_col(c + 1, e, tops + (n_,), wgt * wv)
 
         rec_col(0, left, (), acc)
 
@@ -302,8 +301,6 @@ def edge_schur_lattice(shape: SkewShape, p: EdgeSchurParams,
     """
     lam = shape.outer.with_extent(p.extent)
     mu = shape.inner.with_extent(p.extent)
-    if not lam.contains(mu):
-        return MultiPoly.zero(p.trunc)
     n = p.num_vars
     if form == "T":
         rows = tuple(GridRow(model_L(), MultiPoly.var(xv(i)))
@@ -342,53 +339,32 @@ def factorial_schur_lattice(shape: SkewShape, n: int, kappa: int) -> MultiPoly:
 # -- Yang-Baxter checks ----------------------------------------------------
 
 
-def _three_line_sides(cross: dict, v1: VertexModel, p1: MultiPoly,
-                      v2: VertexModel, p2: MultiPoly, a: MultiPoly,
+def _three_line_sides(cross: dict, t1: dict[Config, MultiPoly],
+                      t2: dict[Config, MultiPoly],
                       alpha: tuple[int, int, int], beta: tuple[int, int, int]
                       ) -> tuple[MultiPoly, MultiPoly]:
     """Partition functions of both sides of the three-line diagram.
 
-    Line 1 crosses the column first after the crossing (operator order
-    V2_{jk} V1_{ik} CROSS_{ij}); boundaries alpha = (in1, in2, in_col),
-    beta = (out1, out2, out_col).
+    Line 1 (weight table t1) crosses the column first after the crossing
+    (operator order V2_{jk} V1_{ik} CROSS_{ij}); boundaries alpha = (in1,
+    in2, in_col), beta = (out1, out2, out_col).  Both sides sum over their
+    internal edges; a non-conserving configuration is never a table key.
     """
     a1, a2, ak = alpha
     b1, b2, bk = beta
-    lhs = _ZERO
-    for (ins, (m1, m2)), cw in cross.items():
-        if ins != (a1, a2):
-            continue
-        mk = m1 + ak - b1
-        if mk not in (0, 1):
-            continue
-        w1 = v1.weight(m1, ak, b1, mk, p1, a)
-        if w1.is_zero():
-            continue
-        if m2 + mk - b2 != bk:
-            continue
-        w2 = v2.weight(m2, mk, b2, bk, p2, a)
-        if w2.is_zero():
-            continue
-        lhs = lhs + cw * w1 * w2
-    rhs = _ZERO
-    for m2 in (0, 1):
-        mk = a2 + ak - m2
-        if mk not in (0, 1):
-            continue
-        w2 = v2.weight(a2, ak, m2, mk, p2, a)
-        if w2.is_zero():
-            continue
-        for m1 in (0, 1):
-            nk = a1 + mk - m1
-            if nk not in (0, 1) or nk != bk:
-                continue
-            w1 = v1.weight(a1, mk, m1, nk, p1, a)
-            if w1.is_zero():
-                continue
+    lhs = rhs = _ZERO
+    for mk in (0, 1):  # the column edge between the two vertices
+        for (ins, (m1, m2)), cw in cross.items():
+            w1 = t1.get((m1, ak, b1, mk))
+            w2 = t2.get((m2, mk, b2, bk))
+            if ins == (a1, a2) and w1 is not None and w2 is not None:
+                lhs = lhs + cw * w1 * w2
+        for m1, m2 in itertools.product((0, 1), repeat=2):
+            w2 = t2.get((a2, ak, m2, mk))
+            w1 = t1.get((a1, mk, m1, bk))
             cw = cross.get(((m1, m2), (b1, b2)))
-            if cw is None:
-                continue
-            rhs = rhs + w2 * w1 * cw
+            if w1 is not None and w2 is not None and cw is not None:
+                rhs = rhs + w2 * w1 * cw
     return lhs, rhs
 
 
@@ -425,11 +401,12 @@ def yang_baxter_check(kind: str, perturb: Optional[str] = None,
         # a one-sided perturbation: even degenerations to other integrable
         # tables (a1 -> 1) then fail to balance against the clean line.
         v1 = v1.perturbed(perturb, perturb_mode)
+    t1, t2 = v1.table(p1, a), v2.table(p2, a)
     ok = True
     witness = None
     for alpha in itertools.product((0, 1), repeat=3):
         for beta in itertools.product((0, 1), repeat=3):
-            lhs, rhs = _three_line_sides(cross, v1, p1, v2, p2, a, alpha, beta)
+            lhs, rhs = _three_line_sides(cross, t1, t2, alpha, beta)
             if lhs != rhs:
                 ok = False
                 if witness is None:
@@ -567,11 +544,10 @@ def cauchy_check(mu: Partition, eta: Partition, n: int, m: int,
 
 def free_fermion_check(model: VertexModel) -> bool:
     """a1*a2 + b1*b2 = c1*c2 with symbolic row and column parameters."""
-    x, a = MultiPoly.var(xv(1)), MultiPoly.var(av(0))
+    table = model.table(MultiPoly.var(xv(1)), MultiPoly.var(av(0)))
 
     def w(role: str) -> MultiPoly:
-        fn = model.weights.get(role)
-        return fn(x, a) if fn else _ZERO
+        return table.get(VERTEX_ROLES[role], _ZERO)
 
     return w("a1") * w("a2") + w("b1") * w("b2") == w("c1") * w("c2")
 

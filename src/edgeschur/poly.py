@@ -36,10 +36,6 @@ class NotInvertible(ValueError):
     """Constant term is not a unit, so no series inverse exists."""
 
 
-class DivergenceRisk(ValueError):
-    """Substitution of a series with nonzero constant term needs a truncation."""
-
-
 class ParseError(ValueError):
     pass
 
@@ -261,33 +257,6 @@ def series_inverse(p: MultiPoly, T: int) -> MultiPoly:
             break
         acc = acc + pw
     return acc * c0
-
-
-def substitute(p: MultiPoly, v: VarKey, expr: MultiPoly,
-               T: Optional[int] = None) -> MultiPoly:
-    """Replace every occurrence of v in p by expr, truncating at T."""
-    if expr.constant_term() != 0 and T is None and p.trunc is None:
-        # Unbounded powers of a unit-term series never settle.
-        for m in p.terms:
-            if any(w == v for w, _ in m):
-                raise DivergenceRisk(
-                    "substituting a series with nonzero constant term "
-                    "requires a truncation")
-    trunc = T if T is not None else p.trunc
-    powers: dict[int, MultiPoly] = {0: MultiPoly.one(trunc)}
-
-    def power(e: int) -> MultiPoly:
-        if e not in powers:
-            powers[e] = power(e - 1) * expr.truncate(trunc)
-        return powers[e]
-
-    out = MultiPoly.zero(trunc)
-    for m, c in p.terms.items():
-        rest = tuple((w, e) for w, e in m if w != v)
-        ev = dict(m).get(v, 0)
-        term = MultiPoly.monomial(rest, c, trunc)
-        out = out + (term * power(ev) if ev else term)
-    return out
 
 
 def map_vars(p: MultiPoly, fn: Callable[[VarKey], MultiPoly],

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .poly import (MultiPoly, av, family, group_by_x, map_vars,
                    series_inverse, x_exponent_vector, xv, yv)
-from .shapes import (Partition, SkewShape, WindowError, deformed_diagonals,
+from .shapes import (Partition, SkewShape, deformed_diagonals,
                      is_horizontal_strip, horizontal_strips_between,
                      strip_chains)
 from .tableaux import enumerate_elt, enumerate_ssyt
@@ -58,14 +58,8 @@ def schur(shape: SkewShape, n: int, var_kind: str = "x") -> MultiPoly:
 
 
 def factorial_schur(shape: SkewShape, n: int, sign: int = 1,
-                    window: Optional[tuple[int, int]] = None,
-                    zero_outside: bool = False,
                     index_shift: int = 0) -> MultiPoly:
-    """Sum over SSYT of prod (x_v - sign*a_{v + content + index_shift}).
-
-    With a window given, parameter indices falling outside raise
-    WindowError unless zero_outside declares them to vanish.
-    """
+    """Sum over SSYT of prod (x_v - sign*a_{v + content + index_shift})."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     out = MultiPoly.zero()
@@ -73,14 +67,7 @@ def factorial_schur(shape: SkewShape, n: int, sign: int = 1,
         term = MultiPoly.one()
         for (i, j), v in t.entries:
             idx = v + j - i + index_shift
-            if window is not None and not window[0] <= idx <= window[1]:
-                if not zero_outside:
-                    raise WindowError(
-                        f"a-index {idx} outside window {window}")
-                factor = MultiPoly.var(xv(v))
-            else:
-                factor = MultiPoly.var(xv(v)) - MultiPoly.var(av(idx)) * sign
-            term = term * factor
+            term = term * (MultiPoly.var(xv(v)) - MultiPoly.var(av(idx)) * sign)
         out = out + term
     return out
 
@@ -103,8 +90,6 @@ def edge_schur(shape: SkewShape, p: EdgeSchurParams, var_kind: str = "x",
     """Edge Schur function via the branching rule's closed row form."""
     lam = shape.outer.with_extent(p.extent)
     mu = shape.inner.with_extent(p.extent)
-    if not lam.contains(mu):
-        return MultiPoly.zero(p.trunc)
     out = MultiPoly.zero(p.trunc)
     for chain in strip_chains(SkewShape(lam, mu), p.num_vars):
         term = MultiPoly.one(p.trunc)
@@ -116,22 +101,8 @@ def edge_schur(shape: SkewShape, p: EdgeSchurParams, var_kind: str = "x",
     return out
 
 
-def edge_schur_pair(lam: Partition, mu: Partition,
-                    p: EdgeSchurParams, **kw) -> MultiPoly:
-    """edge_schur extended by the convention E = 0 when mu is not inside lam."""
-    if not lam.contains(mu):
-        return MultiPoly.zero(p.trunc)
-    ext = max(lam.extent, mu.extent)
-    return edge_schur(SkewShape(lam.with_extent(ext), mu.with_extent(ext)),
-                      p, **kw)
-
-
 def edge_schur_brute(shape: SkewShape, p: EdgeSchurParams) -> MultiPoly:
     """Independent oracle: enumerate all ELTs and sum their weights."""
-    lam = shape.outer.with_extent(p.extent)
-    mu = shape.inner.with_extent(p.extent)
-    if not lam.contains(mu):
-        return MultiPoly.zero(p.trunc)
     out = MultiPoly.zero(p.trunc)
     for t in enumerate_elt(shape, p.num_vars, p.window, p.extent):
         out = out + t.weight()

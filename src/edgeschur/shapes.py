@@ -1,4 +1,4 @@
-"""Partitions with explicit trailing-zero extent, skew shapes, Maya windows.
+"""Partitions with explicit trailing-zero extent, skew shapes, Maya bits.
 
 Trailing zeros are significant here: two partitions are equal only when both
 the positive parts and the declared extent agree, because the generating
@@ -16,10 +16,6 @@ from typing import Iterator, Optional
 
 
 class WindowError(ValueError):
-    pass
-
-
-class MalformedMaya(ValueError):
     pass
 
 
@@ -160,50 +156,6 @@ def maya_bits(lam: Partition, window: tuple[int, int],
     """Shifted Maya bits: bit at column p is maya_bit(lam, p - shift)."""
     return tuple(maya_bit(lam, p - shift) for p in
                  range(window[0], window[1] + 1))
-
-
-@dataclass(frozen=True)
-class MayaWindow:
-    lo: int
-    hi: int
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.bits) != self.hi - self.lo + 1:
-            raise MalformedMaya("bit count does not match window size")
-
-    def bit(self, pos: int) -> int:
-        return self.bits[pos - self.lo]
-
-
-def to_maya(lam: Partition, lo: int, hi: int) -> MayaWindow:
-    if lo > -lam.extent:
-        raise WindowError(f"window lo={lo} must be <= -extent={-lam.extent}")
-    if hi < lam.first():
-        raise WindowError(f"window hi={hi} must be >= lambda_1={lam.first()}")
-    return MayaWindow(lo, hi, maya_bits(lam, (lo, hi)))
-
-
-def from_maya(m: MayaWindow, extent: int) -> Partition:
-    ones = [p for p in range(m.lo, m.hi + 1) if m.bit(p)]
-    if len(ones) != -m.lo:
-        raise MalformedMaya(
-            f"window [{m.lo},{m.hi}] must contain exactly {-m.lo} particles, "
-            f"found {len(ones)}")
-    ones.sort(reverse=True)
-    parts = []
-    for k, p in enumerate(ones, start=1):
-        v = p + k
-        if v < 0:
-            raise MalformedMaya(f"particle at {p} gives negative part {v}")
-        parts.append(v)
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise MalformedMaya("particle positions not strictly decreasing")
-    if any(v > 0 for v in parts[extent:]):
-        raise MalformedMaya(f"positive part beyond declared extent {extent}")
-    if len(parts) < extent:
-        raise MalformedMaya(f"window too small for extent {extent}")
-    return Partition(tuple(parts[:extent]))
 
 
 def is_horizontal_strip(outer: Partition, inner: Partition) -> bool:

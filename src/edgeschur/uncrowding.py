@@ -311,29 +311,3 @@ def check_crystal_commute(lam: Partition, window: tuple[int, int],
             if fpair.Q != pair.Q:
                 return False
     return True
-
-
-def hook_tableau_census(lam: Partition, window: tuple[int, int],
-                        extent: int, n: int):
-    """EXPERIMENTAL: group recording fillings by insertion weight.
-
-    Returns {nu: {Q-key: count}} where nu is the content of the insertion
-    tableau of a highest weight element; makes no assertion about hooks.
-    """
-    from .crystal import is_highest_weight
-    from .tableaux import enumerate_elt
-    shape = SkewShape.of(lam.parts, (), extent=extent)
-    census: dict[Partition, dict] = {}
-    for t in enumerate_elt(shape, n, window, extent):
-        if not is_highest_weight(t, n):
-            continue
-        pair = uncrowd(t)
-        counts = [0] * n
-        for row in pair.P:
-            for v in row:
-                counts[v - 1] += 1
-        nu = Partition(tuple(counts))
-        census.setdefault(nu, {})
-        key = pair.Q
-        census[nu][key] = census[nu].get(key, 0) + 1
-    return census

@@ -50,7 +50,8 @@ class TestExpand:
         assert code == 0
         assert out == "y1^2*y2 + y1*y2^2 + a0*y1^2*y2^2 + a1*y1^2*y2^2"
 
-    @pytest.mark.parametrize("flag,value", [("--n", "-1"), ("--m", "0")])
+    @pytest.mark.parametrize("flag,value", [("--n", "-1"), ("--m", "0"),
+                                            ("--trunc", "-1")])
     def test_rejects_nonpositive_count(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "expand", "--family", "edge", "--lambda", "1",
@@ -89,6 +90,12 @@ class TestVerify:
         code, _ = run(capsys, "verify", "cauchy", "--n", "1", "--m", "1",
                       "--window", "-2:3", "--trunc", "4")
         assert code == 0
+
+    def test_commutation_trunc_zero(self, capsys):
+        # --trunc 0 is a cutoff of its own, not a request for the default
+        code, out = run(capsys, "verify", "commutation", "--box", "1:1",
+                        "--window", "-1:2", "--trunc", "0")
+        assert code == 0 and out == "commutation relation holds"
 
     def test_symmetry_small(self, capsys):
         code, _ = run(capsys, "verify", "symmetry", "--box", "2:2",

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from edgeschur.crystal import (component_decomposition, crystal_graph,
-                               dot_export, e_elt, eps_phi, eps_phi_wt, f_elt,
+                               dot_export, e_elt, eps_phi, f_elt,
                                f_position, graphs_isomorphic, highest_weights,
                                is_highest_weight, schur_expansion_crystal,
                                ssyt_crystal_graph, tensor_e, tensor_f)
@@ -89,7 +89,8 @@ class TestEltOperators:
         shape = SkewShape.of((2, 1), (), extent=2)
         for t in enumerate_elt(shape, 3, (-2, 2), 2):
             for i in (1, 2):
-                eps, phi, wt = eps_phi_wt(t, i, 3)
+                eps, phi = eps_phi([v for v, _ in reading_word(t)], i)
+                wt = t.content_vector(3)
                 assert phi - eps == wt[i - 1] - wt[i]
 
     def test_f_preserves_a_monomial(self):

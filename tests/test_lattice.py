@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -36,17 +37,38 @@ FLIPPED_RHS = (
     " + a0*a1*x1*y1 + a0*a2*x1*y1 + a1^2*x1*y1 + 3*a1*a2*x1*y1 + a2^2*x1*y1"
     " + a(-1)*a1*a2*y1 + a0*a1*a2*y1 + a1^2*a2*y1 + a1*a2^2*y1")
 
+# the roles each Yang-Baxter kind can perturb, and the SHA-256 of the sorted
+# ((kind, role, mode), (ok, witness)) items of every perturbed check
+YB_ROLES = {"RLL_L": ["a1", "b1", "b2", "c1", "c2"],
+            "RLL_Lstar": ["a1", "a2", "b2", "c1", "c2"],
+            "rll_Ell": ["a1", "a2", "b2", "c1", "c2"],
+            "frakRLell": ["a1", "a2", "b2", "c1", "c2"]}
+YB_WITNESS_SHA256 = \
+    "a6b62036729df9ec0150b7e162347f7a6f670a1ef3f5109f3fb88006090b31cc"
+
+
+@pytest.fixture(scope="module")
+def perturbed_yb():
+    return {(kind, role, mode): yang_baxter_check(kind, perturb=role,
+                                                  perturb_mode=mode)
+            for kind, roles in YB_ROLES.items() for role in roles
+            for mode in ("one", "double")}
+
+
+def witness_digest(results: dict) -> str:
+    return hashlib.sha256(repr(sorted(results.items())).encode()).hexdigest()
+
 
 class TestConservation:
     def test_nonconserving_is_zero(self):
+        # a table holds only nonzero weights, all of conserving configurations
         x, a = V(xv(1)), V(av(0))
-        for model in (model_L(), model_Lstar(), model_Ell()):
-            for w in (0, 1):
-                for s in (0, 1):
-                    for e in (0, 1):
-                        for n in (0, 1):
-                            if w + s != e + n:
-                                assert model.weight(w, s, e, n, x, a).is_zero()
+        for model in (model_L(), model_Lstar(), model_Ell(), model_Ell(-1),
+                      model_EllSubst(4)):
+            table = model.table(x, a)
+            assert len(table) == 5
+            for (w, s, e, n), wt in table.items():
+                assert w + s == e + n and not wt.is_zero()
 
 
 class TestTransferRows:
@@ -256,22 +278,18 @@ class TestYangBaxter:
         ok, wit = yang_baxter_check(kind)
         assert ok, wit
 
-    def test_a1_to_one_breaks_L(self):
-        ok, wit = yang_baxter_check("RLL_L", perturb="a1")
+    def test_a1_to_one_breaks_L(self, perturbed_yb):
+        ok, wit = perturbed_yb["RLL_L", "a1", "one"]
         assert not ok and wit is not None
+        assert witness_digest(perturbed_yb) == YB_WITNESS_SHA256
 
-    @pytest.mark.parametrize("kind,roles", [
-        ("RLL_L", ["a1", "b1", "b2", "c1", "c2"]),
-        ("RLL_Lstar", ["a1", "a2", "b2", "c1", "c2"]),
-        ("rll_Ell", ["a1", "a2", "b2", "c1", "c2"]),
-        ("frakRLell", ["a1", "a2", "b2", "c1", "c2"]),
-    ])
-    def test_every_doubling_breaks(self, kind, roles):
+    @pytest.mark.parametrize("kind,roles", list(YB_ROLES.items()))
+    def test_every_doubling_breaks(self, kind, roles, perturbed_yb):
         for role in roles:
-            ok, wit = yang_baxter_check(kind, perturb=role,
-                                        perturb_mode="double")
+            ok, wit = perturbed_yb[kind, role, "double"]
             assert not ok, (kind, role)
             assert wit is not None
+        assert witness_digest(perturbed_yb) == YB_WITNESS_SHA256
 
 
 class TestCommutation:

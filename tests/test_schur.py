@@ -8,7 +8,7 @@ from edgeschur.schur import (EdgeSchurParams, NotSymmetric, UnsupportedSkew,
                              dual_schur, dual_schur_alpha, edge_schur,
                              edge_schur_brute, factorial_schur, schur,
                              schur_expand, schur_substituted, variation)
-from edgeschur.shapes import Partition, SkewShape, WindowError, partitions_in_box
+from edgeschur.shapes import Partition, SkewShape, partitions_in_box
 
 
 def V(v):
@@ -49,14 +49,6 @@ class TestFactorialSchur:
         assert factorial_schur(SkewShape.of((1,)), 1) == \
             V(xv(1)) - V(av(1))
 
-    def test_window_guard(self):
-        with pytest.raises(WindowError):
-            factorial_schur(SkewShape.of((2,)), 2, window=(1, 2))
-        # declared zero outside: factor degenerates to x
-        p = factorial_schur(SkewShape.of((1,)), 1, window=(2, 3),
-                            zero_outside=True)
-        assert p == V(xv(1))
-
     def test_homogeneous(self):
         p = factorial_schur(SkewShape.of((2, 1)), 2)
         degs = {sum(e for _, e in m) for m in p.terms}
@@ -86,12 +78,13 @@ class TestEdgeSchur:
         p = EdgeSchurParams(2, (-2, 2), 2)
         assert kill_a(edge_schur(shape, p)) == schur(shape, 2)
 
-    def test_not_contained_is_zero(self):
-        from edgeschur.schur import edge_schur_pair
-        p = EdgeSchurParams(1, (-2, 2), 2)
-        out = edge_schur_pair(Partition.of((1,), extent=2),
-                              Partition.of((2,), extent=2), p)
-        assert out.is_zero()
+    def test_not_contained_refused(self):
+        # no edge Schur function is asked for mu outside lam: the shape
+        # refuses the pair, and with_extent keeps a contained pair contained
+        with pytest.raises(ValueError, match="not contained"):
+            SkewShape(Partition.of((1,), extent=2), Partition.of((2,), extent=2))
+        shape = SkewShape.of((2, 1), (1,), extent=2)
+        assert shape.outer.with_extent(4).contains(shape.inner.with_extent(4))
 
     def test_brute_oracle_random(self):
         rng = random.Random(17)

@@ -5,7 +5,7 @@ import pytest
 from edgeschur.shapes import Partition, SkewShape, partitions_in_box
 from edgeschur.tableaux import EdgeLabeledTableau, enumerate_elt
 from edgeschur.uncrowding import (MalformedPair, RSKPair, crowd,
-                                  check_crystal_commute, hook_tableau_census,
+                                  check_crystal_commute,
                                   rows_shape, rsk_insert, rsk_remove, uncrowd)
 
 
@@ -138,25 +138,3 @@ class TestCrystalCommute:
 
     def test_single_box(self):
         assert check_crystal_commute(Partition.of((1,)), (-1, 1), 1, 2)
-
-
-class TestCensus:
-    def test_20_census(self):
-        census = hook_tableau_census(Partition.of((2,)), (-2, 1), 2, 2)
-        assert Partition.of((2, 0)) in census
-        # counts equal Schur-expansion coefficients at a = 1
-        from edgeschur.crystal import schur_expansion_crystal
-        from edgeschur.poly import MultiPoly, map_vars
-        from edgeschur.schur import EdgeSchurParams
-        coeffs = schur_expansion_crystal(Partition.of((2,)),
-                                         EdgeSchurParams(2, (-2, 1), 2), 2, 4)
-        for nu, qs in census.items():
-            ones = map_vars(coeffs[nu],
-                            lambda v: MultiPoly.one())
-            assert sum(qs.values()) == ones.constant_term()
-
-    def test_no_label_scope(self):
-        census = hook_tableau_census(Partition.of((1,)), (0, 0), 1, 1)
-        assert list(census) == [Partition.of((1,))]
-        [(qkey, cnt)] = list(census[Partition.of((1,))].items())
-        assert qkey == () and cnt == 1
