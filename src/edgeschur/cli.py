@@ -18,7 +18,7 @@ from .schur import (EdgeSchurParams, dual_schur, dual_schur_alpha,
                     edge_schur, edge_schur_brute, factorial_schur,
                     schur_expand, variation)
 from .schur import schur as schur_fn
-from .shapes import Partition, SkewShape, partitions_in_box
+from .shapes import Partition, SkewShape, WindowError, partitions_in_box
 from .tableaux import EdgeLabeledTableau, enumerate_elt, enumerate_ssyt
 
 
@@ -54,6 +54,9 @@ def _params(args, lam: Partition) -> EdgeSchurParams:
         window = parse_window(args.window)
     else:
         window = (-extent, lam.first())
+    if window[0] > -extent:
+        raise WindowError(f"--window {window[0]}:{window[1]} does not cover "
+                          f"the vacuum: its low end must be <= {-extent}")
     return EdgeSchurParams(args.n, window, extent, args.trunc)
 
 

@@ -221,6 +221,20 @@ def _profile(bits: tuple[int, ...]) -> int:
     return sum(b << c for c, b in enumerate(bits))
 
 
+def _merge(parts: list[tuple[MultiPoly, MultiPoly]],
+           trunc: Optional[int]) -> MultiPoly:
+    """sum of wt * acc over the parts; a lone unit weight passes acc on."""
+    if len(parts) == 1 and parts[0][0] is _ONE:
+        return parts[0][1]
+    out = MultiPoly.zero(trunc)
+    for wt, acc in parts:
+        if wt is _ONE:
+            out._accumulate(acc)
+        else:
+            out._accumulate(wt, acc)
+    return out
+
+
 def partition_function(g: GridSpec) -> MultiPoly:
     """Column-sweep profile DP, bottom row first, merged after every vertex.
 
@@ -235,19 +249,17 @@ def partition_function(g: GridSpec) -> MultiPoly:
         states = {(left, prof): acc for prof, acc in frontier.items()}
         for c, d in enumerate(g.columns()):
             table = _weight_table(row, g.col_param(d), g.trunc)
-            nstates: dict[tuple[int, int], MultiPoly] = {}
+            inflow: dict[tuple[int, int], list] = {}
             for (h, prof), acc in states.items():
                 s = prof >> c & 1
                 for e in (0, 1):
                     n_ = h + s - e
                     wt = table.get((h, s, e, n_))
-                    if wt is None:
-                        continue
-                    term = acc if wt is _ONE else wt * acc
-                    key = (e, prof + ((n_ - s) << c))
-                    cur = nstates.get(key)
-                    nstates[key] = term if cur is None else cur + term
-            states = nstates
+                    if wt is not None:
+                        key = (e, prof + ((n_ - s) << c))
+                        inflow.setdefault(key, []).append((wt, acc))
+            states = {key: _merge(parts, g.trunc)
+                      for key, parts in inflow.items()}
         frontier = {prof: z for (h, prof), z in states.items() if h == right}
     return frontier.get(_profile(g.top), _ZERO)
 
@@ -297,8 +309,13 @@ def edge_schur_lattice(shape: SkewShape, p: EdgeSchurParams,
     """Edge Schur function as a lattice partition function.
 
     form 'T' stacks L-rows from mu up to lambda; 'Tstar' runs the dual
-    model downward from lambda to mu.  Both equal edge_schur.
+    model downward from lambda to mu.  Both equal edge_schur when the
+    window covers the vacuum (window[0] <= -extent); otherwise the Maya
+    states lose particles and WindowError is raised.
     """
+    if p.window[0] > -p.extent:
+        raise WindowError(f"window {p.window} does not cover the vacuum "
+                          f"of extent {p.extent}")
     lam = shape.outer.with_extent(p.extent)
     mu = shape.inner.with_extent(p.extent)
     n = p.num_vars
@@ -508,7 +525,7 @@ def cauchy_check(mu: Partition, eta: Partition, n: int, m: int,
         e_part = edge_schur(SkewShape(lam, eta.with_extent(ext_lam)),
                             EdgeSchurParams(m, (m0 - n, M0 - n), ext_lam, T),
                             var_kind="y", index_shift=n)
-        sum_a = sum_a + s_part * e_part
+        sum_a._accumulate(s_part, e_part)
     report["sum_a"] = sum_a == grid_a
 
     ext_kap = -m0
@@ -526,7 +543,7 @@ def cauchy_check(mu: Partition, eta: Partition, n: int, m: int,
                                       kap.with_extent(ext_kap)),
                             EdgeSchurParams(m, (m0, M0), ext_kap, T),
                             var_kind="y")
-        sum_b = sum_b + s_part * e_part
+        sum_b._accumulate(s_part, e_part)
     report["sum_b"] = sum_b == grid_b
 
     inv_kernel = series_inverse(kernel, T)

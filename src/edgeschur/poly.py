@@ -3,20 +3,37 @@
 Variables come in four families: x1, x2, ... and y1, y2, ... (indexed from 1),
 a single symbol alpha, and a two-sided family a_d indexed by any integer d
 (the deformation parameters attached to diagonals; negative indices are
-routine).  A monomial is a sorted tuple of ((family_rank, index), exponent)
-pairs; a polynomial maps monomials to nonzero Python ints, so all arithmetic
-is exact at arbitrary precision.
+routine).  A variable is a VarKey (family_rank, index); a polynomial maps
+monomials to nonzero Python ints, so all arithmetic is exact at arbitrary
+precision.
+
+A monomial is one packed Python int.  A module-level registry gives each
+VarKey a FIELD_BITS-wide bit field the first time the variable is used, in
+order of first use (negative a_d included), and the lowest field holds the
+total degree.  So a product of monomials is int addition and the total
+degree is one mask.  Whatever reads or writes exponents (printing, parsing,
+the x-part views, ELT weights) goes through the registry, so no result
+depends on the order in which variables were first used.  The registry
+only grows, and a variable's field never moves.  Exponents are
+nonnegative, so bounding the total degree by MAX_DEGREE =
+2**(FIELD_BITS - 1) - 1 bounds every exponent, and the sum of two stored
+degrees never carries out of its field.  A product term above MAX_DEGREE
+raises OverflowError, found by the one compare per term that truncation
+makes anyway; a truncation above MAX_DEGREE does not lift it.
 
 A polynomial may carry an optional total-degree truncation T.  Truncated
 arithmetic drops every monomial of total degree > T, which is how the
 completed ring (power series in the a-parameters) is modelled.  Operations
-on two truncated operands keep the tighter bound.
+on two truncated operands keep the tighter bound.  Sums and products go
+through one in-place accumulator, MultiPoly._accumulate; it mutates only
+the polynomial it is called on, which must be one the calling loop built.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Optional
+import sys
+from typing import Callable, Iterable, Optional
 
 # Family ranks fix the global variable order x1 < x2 < ... < y1 < ... < alpha < a_d < ...
 _RANK_X = 0
@@ -27,9 +44,17 @@ _RANK_A = 3
 _RANK_NAMES = {_RANK_X: "x", _RANK_Y: "y", _RANK_ALPHA: "alpha", _RANK_A: "a"}
 
 VarKey = tuple[int, int]
-Monomial = tuple[tuple[VarKey, int], ...]
+Monomial = int
 
-UNIT_MONOMIAL: Monomial = ()
+UNIT_MONOMIAL: Monomial = 0
+
+FIELD_BITS = 16  # one 16-bit machine word ("H") per field
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1  # also the mask of the degree field
+
+# the registry: _VARS[k] owns the field at bit (k + 1) * FIELD_BITS
+_SHIFT: dict[VarKey, int] = {}
+_VARS: list[VarKey] = []
 
 
 class NotInvertible(ValueError):
@@ -73,6 +98,40 @@ def var_name(v: VarKey) -> str:
     return f"{_RANK_NAMES[rank]}{idx}"
 
 
+# -- the monomial encoding -----------------------------------------------
+
+
+def _register(v: VarKey) -> int:
+    """Give v the next free field; return its bit offset (never 0)."""
+    _VARS.append(v)
+    s = _SHIFT[v] = len(_VARS) * FIELD_BITS
+    return s
+
+
+def _encode(pairs: Iterable[tuple[VarKey, int]]) -> Monomial:
+    """The monomial prod v^e over (v, e) pairs; a variable may repeat."""
+    m = deg = 0
+    for v, e in pairs:
+        if e < 0:
+            raise ValueError(f"negative exponent {e} of {var_name(v)}")
+        m += e << (_SHIFT.get(v) or _register(v))
+        deg += e
+    if deg > MAX_DEGREE:
+        raise OverflowError(f"monomial degree {deg} exceeds {MAX_DEGREE}")
+    return m | deg
+
+
+def _words(m: Monomial, nbytes: int = 0) -> memoryview:
+    """m's fields as 16-bit words, the degree field first."""
+    nbytes = nbytes or 2 * -(-m.bit_length() // FIELD_BITS)
+    return memoryview(m.to_bytes(nbytes, sys.byteorder)).cast("H")
+
+
+def _decode(m: Monomial) -> list[tuple[VarKey, int]]:
+    """(v, e) pairs with e > 0, in registry order."""
+    return [(_VARS[k], e) for k, e in enumerate(_words(m)[1:]) if e]
+
+
 def _merge_trunc(t1: Optional[int], t2: Optional[int]) -> Optional[int]:
     if t1 is None:
         return t2
@@ -82,18 +141,7 @@ def _merge_trunc(t1: Optional[int], t2: Optional[int]) -> Optional[int]:
 
 
 def monomial_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
+    return m & _FIELD_MASK
 
 
 class MultiPoly:
@@ -124,7 +172,8 @@ class MultiPoly:
 
     @staticmethod
     def var(v: VarKey, trunc: Optional[int] = None) -> "MultiPoly":
-        return MultiPoly({((v, 1),): 1}, trunc)
+        return MultiPoly({(1 << (_SHIFT.get(v) or _register(v))) | 1: 1},
+                         trunc)
 
     @staticmethod
     def monomial(m: Monomial, coeff: int = 1,
@@ -145,16 +194,16 @@ class MultiPoly:
         """Max total degree of a stored monomial; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(monomial_degree(m) for m in self.terms)
+        return max(m & _FIELD_MASK for m in self.terms)
 
     def coeff(self, m: Monomial) -> int:
         return self.terms.get(m, 0)
 
     def variables(self) -> set[VarKey]:
-        vs: set[VarKey] = set()
+        seen = 0
         for m in self.terms:
-            vs.update(v for v, _ in m)
-        return vs
+            seen |= m
+        return {v for v, _ in _decode(seen)}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
@@ -176,23 +225,55 @@ class MultiPoly:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _truncated(self, terms: dict[Monomial, int],
-                   trunc: Optional[int]) -> "MultiPoly":
-        if trunc is not None:
-            terms = {m: c for m, c in terms.items()
-                     if monomial_degree(m) <= trunc}
-        return MultiPoly(terms, trunc)
+    def _accumulate(self, p: "MultiPoly",
+                    q: Optional["MultiPoly"] = None) -> None:
+        """self += p, or self += p * q, in place, under the merged truncation.
+
+        Only for a polynomial the calling loop built and has not handed
+        out: never a shared constant, an argument or a stored result."""
+        trunc = _merge_trunc(self.trunc, p.trunc)
+        if q is not None:
+            trunc = _merge_trunc(trunc, q.trunc)
+        if trunc != self.trunc:
+            self.terms, self.trunc = self.truncate(trunc).terms, trunc
+        terms = self.terms
+        # one compare per term both truncates and guards the degree field
+        over = trunc is None or trunc > MAX_DEGREE
+        cap = MAX_DEGREE if over else trunc
+        mask = _FIELD_MASK
+        get = terms.get
+        if q is None:
+            if not terms and trunc is None:
+                self.terms = dict(p.terms)
+                return
+            for m, c in p.terms.items():
+                if m & mask > cap:
+                    continue  # stored terms never pass MAX_DEGREE
+                nc = get(m, 0) + c
+                if nc:
+                    terms[m] = nc
+                else:
+                    del terms[m]
+            return
+        q_items = q.terms.items()
+        for m1, c1 in p.terms.items():
+            for m2, c2 in q_items:
+                m = m1 + m2
+                if m & mask > cap:
+                    if over:
+                        raise OverflowError(
+                            f"product degree {m & mask} exceeds {MAX_DEGREE}")
+                    continue
+                nc = get(m, 0) + c1 * c2
+                if nc:
+                    terms[m] = nc
+                else:
+                    del terms[m]
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        trunc = _merge_trunc(self.trunc, other.trunc)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, 0) + c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-        return self._truncated(out, trunc)
+        out = self.truncate(_merge_trunc(self.trunc, other.trunc))
+        out._accumulate(other)
+        return out
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly({m: -c for m, c in self.terms.items()}, self.trunc)
@@ -206,20 +287,9 @@ class MultiPoly:
                 return MultiPoly({}, self.trunc)
             return MultiPoly({m: c * other for m, c in self.terms.items()},
                              self.trunc)
-        trunc = _merge_trunc(self.trunc, other.trunc)
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            d1 = monomial_degree(m1)
-            for m2, c2 in other.terms.items():
-                if trunc is not None and d1 + monomial_degree(m2) > trunc:
-                    continue
-                m = monomial_mul(m1, m2)
-                nc = out.get(m, 0) + c1 * c2
-                if nc:
-                    out[m] = nc
-                else:
-                    del out[m]
-        return MultiPoly(out, trunc)
+        out = MultiPoly({}, _merge_trunc(self.trunc, other.trunc))
+        out._accumulate(self, other)
+        return out
 
     __rmul__ = __mul__
 
@@ -239,7 +309,7 @@ class MultiPoly:
         if T is None:
             return MultiPoly(dict(self.terms), None)
         return MultiPoly({m: c for m, c in self.terms.items()
-                          if monomial_degree(m) <= T}, T)
+                          if m & _FIELD_MASK <= T}, T)
 
 
 def series_inverse(p: MultiPoly, T: int) -> MultiPoly:
@@ -255,7 +325,7 @@ def series_inverse(p: MultiPoly, T: int) -> MultiPoly:
         pw = pw * r
         if pw.is_zero():
             break
-        acc = acc + pw
+        acc._accumulate(pw)
     return acc * c0
 
 
@@ -277,44 +347,42 @@ def map_vars(p: MultiPoly, fn: Callable[[VarKey], MultiPoly],
     out = MultiPoly.zero(trunc)
     for m, c in p.terms.items():
         term = MultiPoly.const(c, trunc)
-        for v, e in m:
+        for v, e in _decode(m):
             term = term * power(v, e)
-        out = out + term
+        out._accumulate(term)
     return out
 
 
 # -- canonical printing and parsing ------------------------------------
 
 
-def _sort_key(m: Monomial, varlist: list[VarKey]):
-    exps = dict(m)
-    return (monomial_degree(m),
-            tuple(-exps.get(v, 0) for v in varlist))
-
-
 def sorted_terms(p: MultiPoly) -> list[tuple[Monomial, int]]:
     """Terms by total degree, then descending-lex on the exponent vector."""
-    varlist = sorted(p.variables())
-    return sorted(p.terms.items(), key=lambda mc: _sort_key(mc[0], varlist))
+    cols = [_SHIFT[v] // FIELD_BITS for v in sorted(p.variables())]
+    nbytes = 2 * (max(cols, default=0) + 1)
+
+    def key(mc):
+        words = _words(mc[0], nbytes)
+        return (words[0], tuple(-words[k] for k in cols))
+
+    return sorted(p.terms.items(), key=key)
 
 
 # Print order inside one monomial: a-parameters first, then alpha, x, y.
 _PRINT_RANK = {_RANK_A: 0, _RANK_ALPHA: 1, _RANK_X: 2, _RANK_Y: 3}
 
 
-def _monomial_string(m: Monomial) -> str:
-    factors = []
-    for v, e in sorted(m, key=lambda ve: (_PRINT_RANK[ve[0][0]], ve[0][1])):
-        factors.append(var_name(v) if e == 1 else f"{var_name(v)}^{e}")
-    return "*".join(factors)
-
-
 def canonical_string(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
+    printed = sorted(p.variables(), key=lambda v: (_PRINT_RANK[v[0]], v[1]))
+    cols = [(_SHIFT[v] // FIELD_BITS, var_name(v)) for v in printed]
+    nbytes = 2 * (max((k for k, _ in cols), default=0) + 1)
     parts: list[str] = []
     for m, c in sorted_terms(p):
-        mono = _monomial_string(m)
+        words = _words(m, nbytes)
+        mono = "*".join(name if words[k] == 1 else f"{name}^{words[k]}"
+                        for k, name in cols if words[k])
         if not mono:
             body = str(abs(c))
         elif abs(c) == 1:
@@ -378,7 +446,7 @@ def parse(s: str, trunc: Optional[int] = None) -> MultiPoly:
                 sign = -sign
             i += 1
         coeff = None
-        mono: dict[VarKey, int] = {}
+        factors: list[tuple[VarKey, int]] = []
         expect_factor = True
         while i < n:
             kind, tok = tokens[i]
@@ -401,7 +469,7 @@ def parse(s: str, trunc: Optional[int] = None) -> MultiPoly:
                         raise ParseError("expected integer exponent after ^")
                     e = int(tokens[i + 2][1])
                     i += 2
-                mono[v] = mono.get(v, 0) + e
+                factors.append((v, e))
                 i += 1
                 expect_factor = False
                 continue
@@ -409,8 +477,7 @@ def parse(s: str, trunc: Optional[int] = None) -> MultiPoly:
         if expect_factor:
             raise ParseError("dangling operator")
         c = sign * (coeff if coeff is not None else 1)
-        m = tuple(sorted((v, e) for v, e in mono.items() if e))
-        out = out + MultiPoly.monomial(m, c, trunc)
+        out._accumulate(MultiPoly.monomial(_encode(factors), c, trunc))
     return out
 
 
@@ -419,9 +486,8 @@ def parse(s: str, trunc: Optional[int] = None) -> MultiPoly:
 
 def split_x_part(m: Monomial) -> tuple[Monomial, Monomial]:
     """Split a monomial into its x-variable part and everything else."""
-    xs = tuple((v, e) for v, e in m if v[0] == _RANK_X)
-    rest = tuple((v, e) for v, e in m if v[0] != _RANK_X)
-    return xs, rest
+    xs = _encode((v, e) for v, e in _decode(m) if v[0] == _RANK_X)
+    return xs, m - xs
 
 
 def group_by_x(p: MultiPoly) -> dict[Monomial, MultiPoly]:
@@ -435,7 +501,7 @@ def group_by_x(p: MultiPoly) -> dict[Monomial, MultiPoly]:
 
 def x_exponent_vector(m: Monomial, n: int) -> tuple[int, ...]:
     exps = [0] * n
-    for (rank, idx), e in m:
+    for (rank, idx), e in _decode(m):
         if rank == _RANK_X:
             if idx > n:
                 raise ValueError(f"x{idx} outside declared range n={n}")

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .poly import (MultiPoly, av, family, group_by_x, map_vars,
-                   series_inverse, x_exponent_vector, xv, yv)
+                   monomial_degree, series_inverse, x_exponent_vector, xv,
+                   yv)
 from .shapes import (Partition, SkewShape, deformed_diagonals,
                      is_horizontal_strip, horizontal_strips_between,
                      strip_chains)
@@ -36,11 +37,6 @@ class EdgeSchurParams:
     extent: int
     trunc: Optional[int] = None
 
-    @staticmethod
-    def default_for(lam: Partition, n: int,
-                    trunc: Optional[int] = None) -> "EdgeSchurParams":
-        return EdgeSchurParams(n, (-lam.extent, lam.first()), lam.extent, trunc)
-
 
 def _var(kind: str, i: int) -> MultiPoly:
     return MultiPoly.var(xv(i) if kind == "x" else yv(i))
@@ -53,7 +49,7 @@ def schur(shape: SkewShape, n: int, var_kind: str = "x") -> MultiPoly:
         term = MultiPoly.one()
         for v in range(1, n + 1):
             term = term * _var(var_kind, v) ** (chain[v].size() - chain[v - 1].size())
-        out = out + term
+        out._accumulate(term)
     return out
 
 
@@ -68,7 +64,7 @@ def factorial_schur(shape: SkewShape, n: int, sign: int = 1,
         for (i, j), v in t.entries:
             idx = v + j - i + index_shift
             term = term * (MultiPoly.var(xv(v)) - MultiPoly.var(av(idx)) * sign)
-        out = out + term
+        out._accumulate(term)
     return out
 
 
@@ -97,7 +93,7 @@ def edge_schur(shape: SkewShape, p: EdgeSchurParams, var_kind: str = "x",
             term = term * row_factor(chain[v], chain[v - 1],
                                      _var(var_kind, v), p.window, sign,
                                      index_shift)
-        out = out + term
+        out._accumulate(term)
     return out
 
 
@@ -105,7 +101,7 @@ def edge_schur_brute(shape: SkewShape, p: EdgeSchurParams) -> MultiPoly:
     """Independent oracle: enumerate all ELTs and sum their weights."""
     out = MultiPoly.zero(p.trunc)
     for t in enumerate_elt(shape, p.num_vars, p.window, p.extent):
-        out = out + t.weight()
+        out._accumulate(t.weight())
     return out
 
 
@@ -216,7 +212,7 @@ def dual_schur(shape: SkewShape, m: int, T: int) -> MultiPoly:
                 corr = corr * (MultiPoly.one(T)
                                - MultiPoly.var(av(mu.part(k) - k)) * MultiPoly.var(yv(nvars)))
                 corr = corr * _geom(nu.part(k) - k, nvars, T)
-            out = out + lower * corr * single(outer, nu, nvars)
+            out._accumulate(lower * corr, single(outer, nu, nvars))
         return out
 
     return rec(lam, m)
@@ -266,7 +262,7 @@ def schur_expand(f: MultiPoly, n: int, max_size: int):
         groups = group_by_x(work)
         best = None
         for xmono in groups:
-            deg = sum(e for _, e in xmono)
+            deg = monomial_degree(xmono)
             if deg > max_size:
                 continue
             vec = x_exponent_vector(xmono, n)
@@ -287,7 +283,7 @@ def schur_expand(f: MultiPoly, n: int, max_size: int):
         if nu in coeffs:
             raise NotSymmetric(f"peeling revisited {nu}; f is not symmetric")
         coeffs[nu] = c
-        if any(sum(e for _, e in xm) <= max_size
+        if any(monomial_degree(xm) <= max_size
                for xm in group_by_x(work) if xm == xmono):
             raise NotSymmetric(f"subtracting s_{nu} did not clear its leading term")
     return coeffs, work

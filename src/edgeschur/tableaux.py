@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .poly import MultiPoly, av, monomial_mul, xv
+from .poly import MultiPoly, _encode, av, xv
 from .shapes import (Partition, SkewShape, deformed_diagonals,
                      is_horizontal_strip, strip_chains)
 
@@ -169,25 +169,16 @@ class EdgeLabeledTableau:
 
     def weight(self) -> MultiPoly:
         """Single monomial: x per entry, x_v * a_{j-i} per label v at (i, j)."""
-        m: tuple = ()
-        for _, v in self.entries:
-            m = monomial_mul(m, ((xv(v), 1),))
+        pairs = [(xv(v), 1) for _, v in self.entries]
         for (i, j), vals in self.edge_sets:
-            for v in vals:
-                m = monomial_mul(m, ((xv(v), 1),))
-            d = j - i
-            if len(vals) == 1:
-                m = monomial_mul(m, ((av(d), 1),))
-            else:
-                m = monomial_mul(m, ((av(d), len(vals)),))
-        return MultiPoly.monomial(m)
+            pairs.extend((xv(v), 1) for v in vals)
+            pairs.append((av(j - i), len(vals)))
+        return MultiPoly.monomial(_encode(pairs))
 
     def a_monomial(self) -> MultiPoly:
         """The a-part of the weight: a_{j-i} per label at (i, j)."""
-        out = MultiPoly.one()
-        for (i, j), vals in self.edge_sets:
-            out = out * MultiPoly.var(av(j - i)) ** len(vals)
-        return out
+        return MultiPoly.monomial(_encode((av(j - i), len(vals))
+                                          for (i, j), vals in self.edge_sets))
 
     def content_vector(self, n: int) -> tuple[int, ...]:
         counts = [0] * n

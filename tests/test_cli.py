@@ -50,6 +50,13 @@ class TestExpand:
         assert code == 0
         assert out == "y1^2*y2 + y1*y2^2 + a0*y1^2*y2^2 + a1*y1^2*y2^2"
 
+    @pytest.mark.parametrize("family", ["edge", "dualfact"])
+    def test_window_must_cover_vacuum(self, capsys, family):
+        code = main(["expand", "--family", family, "--lambda", "3,1",
+                     "--n", "2", "--window", "-1:4"])
+        assert code == 2
+        assert "does not cover the vacuum" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value", [("--n", "-1"), ("--m", "0"),
                                             ("--trunc", "-1")])
     def test_rejects_nonpositive_count(self, capsys, flag, value):

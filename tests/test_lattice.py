@@ -222,6 +222,16 @@ class TestEdgeSchurLattice:
                 z2 = partition_function(GridSpec(rows_yx, window, b, t))
                 assert z1 == z2
 
+    def test_window_must_cover_vacuum(self):
+        # both windows miss the vacuum of extent 2, where the closed form and
+        # the brute sum still agree but the Maya states lose particles
+        shape = SkewShape.of((2, 1), (), extent=2)
+        for window in ((-1, 2), (0, 1)):
+            p = EdgeSchurParams(2, window, 2)
+            for form in ("T", "Tstar"):
+                with pytest.raises(WindowError):
+                    edge_schur_lattice(shape, p, form)
+
     def test_dual_model_same_value(self):
         shape = SkewShape.of((2, 1), (1,), extent=2)
         p = EdgeSchurParams(2, (-2, 2), 2)

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeschur.poly import (ALPHA, MultiPoly, NotInvertible, av,
+from edgeschur import lattice
+from edgeschur.poly import (ALPHA, MAX_DEGREE, MultiPoly, NotInvertible, av,
                             canonical_string, map_vars, parse, series_inverse,
                             xv, yv)
+from edgeschur.schur import EdgeSchurParams, edge_schur_brute
+from edgeschur.shapes import Partition, SkewShape
 
 from conftest import random_poly
 
@@ -143,3 +146,85 @@ def test_map_vars_sign_flip():
     p = parse("x1 + a1*x1 - a(-2)*x1^2")
     flipped = map_vars(p, lambda v: -V(v) if v[0] == 3 else V(v))
     assert flipped == parse("x1 - a1*x1 + a(-2)*x1^2")
+
+
+class TestPackedMonomials:
+    def test_degree_past_the_field_raises(self):
+        x = V(xv(1))
+        top = x ** MAX_DEGREE
+        assert top.total_degree() == MAX_DEGREE
+        with pytest.raises(OverflowError):
+            top * x
+        with pytest.raises(OverflowError):
+            (top + MultiPoly.one()) * (x + V(av(-1)))
+        # a truncation at or below the limit drops the term instead
+        assert (top.truncate(MAX_DEGREE) * x).is_zero()
+        with pytest.raises(OverflowError):
+            parse(f"x1^{MAX_DEGREE} * a(-1)")
+
+    def test_many_variables_roundtrip(self):
+        # 81 a-parameters plus x and y: more fields than a 64-bit word holds
+        p = MultiPoly.one()
+        for d in range(-40, 41):
+            p = p * V(av(d))
+        p = (p * V(xv(1)) * V(yv(2))
+             + parse("a(-40)^3*x2 - 5*a40*y3 + 7")
+             - MultiPoly.const(2) * V(ALPHA) * V(av(-17)) * V(xv(1)))
+        s = canonical_string(p)
+        assert parse(s) == p
+        assert canonical_string(parse(s)) == s
+        assert len(p.variables()) == 81 + 5
+        assert s.startswith("7 - 5*a40*y3 - 2*a(-17)*alpha*x1 + "
+                            "a(-40)^3*x2 + a(-40)*a(-39)*")
+        assert s.endswith("*a39*a40*x1*y2")
+
+    def test_mixed_product_pinned(self):
+        # bytes recorded before monomials were packed into ints
+        p = ((V(xv(1)) + V(av(-2)) * V(yv(2)) - V(ALPHA))
+             * (V(xv(2)) - V(av(1)) * V(xv(1)) + V(ALPHA) * V(yv(1)) * 2)
+             * (MultiPoly.one() + V(av(-2)) * V(xv(1))
+                - V(av(0)) * V(yv(2)) * 3))
+        assert canonical_string(p) == (
+            "x1*x2 - alpha*x2 - a1*x1^2 + 2*alpha*x1*y1 + a1*alpha*x1"
+            " + a(-2)*x2*y2 - 2*alpha^2*y1 + a(-2)*x1^2*x2 - 3*a0*x1*x2*y2"
+            " - a(-2)*alpha*x1*x2 - a(-2)*a1*x1*y2 + 3*a0*alpha*x2*y2"
+            " + 2*a(-2)*alpha*y1*y2 - a(-2)*a1*x1^3"
+            " + 2*a(-2)*alpha*x1^2*y1 + 3*a0*a1*x1^2*y2"
+            " + a(-2)*a1*alpha*x1^2 + a(-2)^2*x1*x2*y2"
+            " - 6*a0*alpha*x1*y1*y2 - 2*a(-2)*alpha^2*x1*y1"
+            " - 3*a0*a1*alpha*x1*y2 - 3*a(-2)*a0*x2*y2^2"
+            " + 6*a0*alpha^2*y1*y2 - a(-2)^2*a1*x1^2*y2"
+            " + 2*a(-2)^2*alpha*x1*y1*y2 + 3*a(-2)*a0*a1*x1*y2^2"
+            " - 6*a(-2)*a0*alpha*y1*y2^2")
+
+
+def _snapshot(p):
+    return dict(p.terms), p.trunc
+
+
+def test_accumulator_leaves_shared_values_alone():
+    # L and L* pass a row's own parameter on as their b2/c2 (a1/c1) weight
+    # and the constant 1 as the unit weights, so an in-place sum that wrote
+    # into a weight would change the caller's parameter or lattice._ONE
+    x1, x2 = V(xv(1)), V(xv(2))
+    guarded = [lattice._ONE, lattice._ZERO, x1, x2]
+    before = [_snapshot(p) for p in guarded]
+    window = (-2, 2)
+    lam, mu = Partition.of((2, 1)), Partition.of((1,), extent=2)
+    for model, bottom, top in ((lattice.model_L(), mu, lam),
+                               (lattice.model_Lstar(), lam, mu)):
+        for trunc in (None, 2):
+            rows = (lattice.GridRow(model, x1), lattice.GridRow(model, x2))
+            z = lattice.partition_function(lattice.GridSpec(
+                rows, window, lattice.maya_bits(bottom, window),
+                lattice.maya_bits(top, window), trunc=trunc))
+            assert not z.is_zero()
+    # an unreachable top state returns lattice._ZERO itself
+    rows = (lattice.GridRow(lattice.model_L(), x1),)
+    z = lattice.partition_function(lattice.GridSpec(
+        rows, window, lattice.maya_bits(lam, window),
+        lattice.maya_bits(mu, window)))
+    assert z is lattice._ZERO
+    edge_schur_brute(SkewShape.of((2, 1), (), extent=2),
+                     EdgeSchurParams(2, window, 2))
+    assert [_snapshot(p) for p in guarded] == before
