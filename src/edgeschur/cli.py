@@ -1,6 +1,7 @@
 """Command line front end: expand, verify, crystal, uncrowd, tableaux.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 a failed check (identity, symmetry, internal
+invariant or uncrowding round trip), 2 usage error.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from . import lattice
 from . import uncrowding
 from .crystal import component_decomposition, crystal_graph, dot_export
 from .poly import canonical_string, swap_x_vars
-from .schur import (EdgeSchurParams, dual_schur, dual_schur_alpha,
-                    edge_schur, edge_schur_brute, factorial_schur,
-                    schur_expand, variation)
+from .schur import (EdgeSchurParams, NotSymmetric, dual_schur,
+                    dual_schur_alpha, edge_schur, edge_schur_brute,
+                    factorial_schur, schur_expand, variation)
 from .schur import schur as schur_fn
 from .shapes import Partition, SkewShape, WindowError, partitions_in_box
 from .tableaux import EdgeLabeledTableau, enumerate_elt, enumerate_ssyt
@@ -227,9 +228,12 @@ def cmd_uncrowd(args) -> int:
         "Q": [[r, c, v] for (r, c), v in pair.Q],
     }, indent=2))
     if args.roundtrip:
-        back = uncrowding.crowd(pair, t.shape.outer, t.window, t.extent)
-        if back.key() != t.key():
-            print("round trip FAILED", file=sys.stderr)
+        try:
+            back = uncrowding.crowd(pair, t.shape.outer, t.window, t.extent)
+            if back.key() != t.key():
+                raise uncrowding.MalformedPair("crowd gave another tableau")
+        except uncrowding.MalformedPair as exc:
+            print(f"round trip FAILED: {exc}", file=sys.stderr)
             return 1
         print("round trip ok")
     return 0
@@ -338,6 +342,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except (NotSymmetric, AssertionError) as exc:
+        print("error: " + (" ".join(str(exc).split()) or type(exc).__name__),
+              file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,9 +16,8 @@ diagonals of step v that carry a label v.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .poly import MultiPoly, _encode, av, xv
 from .shapes import (Partition, SkewShape, deformed_diagonals,
@@ -46,13 +45,13 @@ class SemistandardTableau:
     def entry_map(self) -> dict[Cell, int]:
         return dict(self.entries)
 
-    def entry(self, i: int, j: int) -> Optional[int]:
-        return self.entry_map().get((i, j))
-
     def validate(self) -> None:
         em = self.entry_map()
-        cells = set(self.shape.cells())
-        if set(em) != cells:
+        # as many distinct cells as the shape has, each within its row's bounds
+        hi = self.shape.outer.parts
+        lo = self.shape.inner.parts + (0,) * len(hi)
+        if len(em) != self.shape.size() or not all(
+                0 < i <= len(hi) and lo[i - 1] < j <= hi[i - 1] for i, j in em):
             raise ValidationError("entries do not cover the shape")
         for (i, j), v in em.items():
             if v < 1:
@@ -120,9 +119,6 @@ class EdgeLabeledTableau:
 
     def edge_map(self) -> dict[Cell, tuple[int, ...]]:
         return dict(self.edge_sets)
-
-    def entry(self, i: int, j: int) -> Optional[int]:
-        return self.entry_map().get((i, j))
 
     # -- validity ------------------------------------------------------
 
@@ -212,11 +208,20 @@ class EdgeLabeledTableau:
             raise ValidationError(f"malformed tableau JSON: {exc!r}") from exc
 
     def key(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
+        """json.dumps(self.to_json(), sort_keys=True), built directly: every
+        value is an int or a list of ints, whose repr is their JSON."""
+        edges = [[i, j, list(vals)] for (i, j), vals in self.edge_sets]
+        entries = [[i, j, v] for (i, j), v in self.entries]
+        return (f'{{"edges": {edges}, "entries": {entries}, '
+                f'"extent": {self.extent}, "shape": {{"inner": '
+                f'{_partition_key(self.shape.inner)}, "outer": '
+                f'{_partition_key(self.shape.outer)}}}, '
+                f'"window": {list(self.window)}}}')
 
     def render(self) -> str:
         """Plain-text grid; edge sets print inside braces above their cell."""
-        em = self.edge_map()
+        em = self.entry_map()
+        edges = self.edge_map()
         width = max([j for (_, j), _ in self.entries] +
                     [j for (_, j), _ in self.edge_sets] + [1])
         lines = []
@@ -224,9 +229,9 @@ class EdgeLabeledTableau:
             sets_row = []
             cells_row = []
             for j in range(1, width + 1):
-                s = em.get((i, j))
+                s = edges.get((i, j))
                 sets_row.append("{" + ",".join(map(str, s)) + "}" if s else "")
-                v = self.entry(i, j)
+                v = em.get((i, j))
                 if v is not None:
                     cells_row.append(str(v))
                 elif self.shape.inner.part(i) >= j:
@@ -240,6 +245,11 @@ class EdgeLabeledTableau:
         return "\n".join(lines)
 
 
+def _partition_key(p: Partition) -> str:
+    """json.dumps(p.to_json(), sort_keys=True)."""
+    return f'{{"extent": {p.extent}, "parts": {[q for q in p.parts if q > 0]}}}'
+
+
 def weight_elt(t: EdgeLabeledTableau) -> MultiPoly:
     t.validate()
     return t.weight()
@@ -247,8 +257,17 @@ def weight_elt(t: EdgeLabeledTableau) -> MultiPoly:
 
 # -- reading words -----------------------------------------------------
 
-BoxLocator = tuple[str, int, int]          # ("box", i, j)
-EdgeLocator = tuple[str, int, int, int]    # ("edge", i, j, value)
+def _reading_order(t) -> list[tuple]:
+    """Every letter as (diagonal, -row, 0 for a label or 1 for the entry,
+    -letter, (letter, locator)), sorted: the diagonal reading order.  Row and
+    diagonal are those of the attachment cell: a box's own, or for a label on
+    edge (i, j) the cell (i - 1, j) above it."""
+    items = [(j - i, -i, 1, -v, (v, ("box", i, j))) for (i, j), v in t.entries]
+    if isinstance(t, EdgeLabeledTableau):
+        items += [(j - i + 1, 1 - i, 0, -v, (v, ("edge", i, j, v)))
+                  for (i, j), vals in t.edge_sets for v in vals]
+    items.sort()
+    return items
 
 
 def reading_word(t) -> list[tuple[int, tuple]]:
@@ -259,31 +278,7 @@ def reading_word(t) -> list[tuple[int, tuple]]:
     attachment cell (r, c) first emits the labels of the edge below it
     (edge position (r+1, c)) in decreasing order, then its entry.
     """
-    if isinstance(t, SemistandardTableau):
-        em = t.entry_map()
-        edges: dict[Cell, tuple[int, ...]] = {}
-    else:
-        em = t.entry_map()
-        edges = t.edge_map()
-    attach: dict[Cell, tuple[Optional[int], tuple[int, ...]]] = {}
-    for (i, j), v in em.items():
-        attach[(i, j)] = (v, ())
-    for (i, j), vals in edges.items():
-        cell = (i - 1, j)
-        ent = attach.get(cell, (None, ()))[0]
-        attach[cell] = (ent, vals)
-    by_diag: dict[int, list[Cell]] = {}
-    for (r, c) in attach:
-        by_diag.setdefault(c - r, []).append((r, c))
-    word: list[tuple[int, tuple]] = []
-    for d in sorted(by_diag):
-        for (r, c) in sorted(by_diag[d], key=lambda rc: -rc[0]):
-            ent, vals = attach[(r, c)]
-            for v in reversed(vals):
-                word.append((v, ("edge", r + 1, c, v)))
-            if ent is not None:
-                word.append((ent, ("box", r, c)))
-    return word
+    return [item[4] for item in _reading_order(t)]
 
 
 # -- chain form --------------------------------------------------------

@@ -2,12 +2,16 @@
 
 Uncrowding proceeds along diagonals from the lower left, RSK-inserting each
 diagonal's reading word (which is strictly decreasing, so every insertion
-path adds one cell per row, strictly descending).  The recording filling Q
-tracks where the insertion shape outgrows the column-justified part of the
-original shape.  Q is held as one list per column, top to bottom: old
-entries keep their column and sink to the bottom of the insertion shape's
-column, and each step puts copies of the current diagonal index above them.
-Q becomes cells only for the result and the trace.
+path adds one cell per row, strictly descending), cut from the one reading
+order of `tableaux.reading_word`.  P is held as lists of rows; an insertion
+finds each bump by bisection and adds one to P's column height where its
+path ends, so nothing is recounted.  The recording filling Q tracks where
+the insertion shape outgrows the column-justified part of the original
+shape.  Q is held as one list per column, top to bottom: each new cell of
+P puts the current diagonal index on top of its column, and each cell of
+the original shape on the current diagonal (which joins the
+column-justified part) takes one back; older entries sink to the bottom of
+P's column.  Q becomes cells only for the result and the trace.
 
 The inverse recovers one diagonal at a time by reverse bumping, bottom row
 first, dropping that diagonal's index from Q's columns, then redistributes
@@ -20,11 +24,12 @@ unless uncrowding its result gives the pair back.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 from .shapes import Partition, SkewShape
-from .tableaux import EdgeLabeledTableau, SemistandardTableau, reading_word
+from .tableaux import EdgeLabeledTableau, SemistandardTableau, _reading_order
 
 
 class MalformedPair(ValueError):
@@ -34,50 +39,47 @@ class MalformedPair(ValueError):
 Rows = tuple[tuple[int, ...], ...]
 
 
+def _row_insert(rows: list[list[int]], x: int) -> int:
+    """Row-insert x in place; returns the column (from 0) of the new cell."""
+    for row in rows:
+        k = bisect_right(row, x)
+        if k == len(row):
+            row.append(x)
+            return k
+        row[k], x = x, row[k]
+    rows.append([x])
+    return 0
+
+
+def _reverse_bump(rows: list[list[int]], r: int) -> int:
+    """Remove the last cell of row r (from 0) in place and reverse-bump
+    upwards; returns the letter bumped out.  An emptied row stays."""
+    x = rows[r].pop()
+    for k in range(r - 1, -1, -1):
+        row = rows[k]
+        pos = bisect_left(row, x) - 1
+        if pos < 0:
+            raise MalformedPair("reverse bump found no smaller entry")
+        row[pos], x = x, row[pos]
+    return x
+
+
 def rsk_insert(rows: Rows, word) -> Rows:
     """Standard row insertion of the word, left to right."""
     out = [list(r) for r in rows]
     for x in word:
-        cur = x
-        r = 0
-        while True:
-            if r == len(out):
-                out.append([cur])
-                break
-            row = out[r]
-            pos = None
-            for k, v in enumerate(row):
-                if v > cur:
-                    pos = k
-                    break
-            if pos is None:
-                row.append(cur)
-                break
-            row[pos], cur = cur, row[pos]
-            r += 1
-    return tuple(tuple(r) for r in out)
+        _row_insert(out, x)
+    return tuple(map(tuple, out))
 
 
 def rsk_remove(rows: Rows, cell: tuple[int, int]) -> tuple[Rows, int]:
     """Reverse-bump the outer corner cell (1-indexed); returns the letter."""
     r, c = cell
     out = [list(x) for x in rows]
-    if len(out[r - 1]) != c:
+    if len(out[r - 1]) != c or (r < len(out) and len(out[r]) >= c):
         raise MalformedPair(f"cell {cell} is not an outer corner")
-    cur = out[r - 1].pop()
-    if not out[r - 1]:
-        out.pop()
-    for rr in range(r - 2, -1, -1):
-        row = out[rr]
-        pos = None
-        for k in range(len(row) - 1, -1, -1):
-            if row[k] < cur:
-                pos = k
-                break
-        if pos is None:
-            raise MalformedPair("reverse bump found no smaller entry")
-        row[pos], cur = cur, row[pos]
-    return tuple(tuple(x) for x in out), cur
+    letter = _reverse_bump(out, r - 1)
+    return tuple(tuple(x) for x in out if x), letter
 
 
 def rows_shape(rows: Rows) -> Partition:
@@ -91,30 +93,20 @@ def rows_to_ssyt(rows: Rows) -> SemistandardTableau:
                 for j, v in enumerate(r)})
 
 
-def _slid_heights(lam_cols: tuple[int, ...], c: int, width: int) -> list[int]:
-    """Column heights of lam's cells of content <= c, top-justified, padded
-    to width: column j keeps rows max(1, j - c) .. lam'_j."""
-    heights = [max(0, h - max(1, j - c) + 1)
-               for j, h in enumerate(lam_cols, start=1)]
-    return heights + [0] * (width - len(heights))
+def _diagonal_cells(lam: Partition) -> dict[int, list[tuple[int, int]]]:
+    """Cells (r, c) of lam by content c - r, bottom to top."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    for r in range(len(lam.parts), 0, -1):
+        for c in range(1, lam.parts[r - 1] + 1):
+            out.setdefault(c - r, []).append((r, c))
+    return out
 
 
-def _q_cells(q_cols: list[list[int]], p_cols: tuple[int, ...]) -> dict:
+def _q_cells(q_cols: list[list[int]], p_cols: list[int]) -> dict:
     """Recording cells: column j's entries fill the bottom of P's column j."""
     return {(h - len(col) + k, j): v
             for j, (col, h) in enumerate(zip(q_cols, p_cols), start=1)
             for k, v in enumerate(col, start=1)}
-
-
-def _diagonal_words(t: EdgeLabeledTableau) -> dict[int, list]:
-    by_c: dict[int, list] = {}
-    for v, loc in reading_word(t):
-        if loc[0] == "box":
-            c = loc[2] - loc[1]
-        else:
-            c = loc[2] - (loc[1] - 1)  # attachment cell sits above the edge
-        by_c.setdefault(c, []).append((v, loc))
-    return by_c
 
 
 @dataclass(frozen=True)
@@ -131,32 +123,39 @@ def uncrowd(t: EdgeLabeledTableau, with_trace: bool = False):
     lam = t.shape.outer
     if t.shape.inner.size() > 0:
         raise MalformedPair("uncrowding is defined for straight shapes")
-    words = _diagonal_words(t)
+    words: dict[int, list[int]] = {}      # diagonal -> its reading word
+    for item in _reading_order(t):
+        words.setdefault(item[0], []).append(item[4][0])
     c_min = 1 - lam.length()
     c_max = max(list(words) + [lam.first() - 1]) if (words or lam.parts) else 0
-    lam_cols = lam.conjugate().parts
-    rows: Rows = ()
-    p_cols: tuple[int, ...] = ()          # column heights of P
+    diag_cells = _diagonal_cells(lam)
+    rows: list[list[int]] = []
+    p_cols: list[int] = []                # column heights of P
     q_cols: list[list[int]] = []          # Q by column, top to bottom
     trace = []
     for i, c in enumerate(range(c_min, c_max + 1), start=1):
-        word = [v for v, _ in words.get(c, [])]
+        word = words.get(c, [])
         if any(word[k] <= word[k + 1] for k in range(len(word) - 1)):
             raise AssertionError(f"diagonal word {word} is not decreasing")
-        rows = rsk_insert(rows, word)
-        p_cols = tuple(len([r for r in rows if len(r) > j])
-                       for j in range(len(rows[0]) if rows else 0))
-        width = max(len(p_cols), len(lam_cols))
-        q_cols += [[] for _ in range(width - len(q_cols))]
-        for col, hi, lo in zip(q_cols, p_cols + (0,) * width,
-                               _slid_heights(lam_cols, c, width)):
-            gap = hi - lo - len(col)
-            if gap < 0:
-                raise AssertionError("recording column shrank below its entries")
-            col[:0] = [i] * gap
+        # a new cell of P puts an i on top of its column of Q; a cell of lam
+        # on diagonal c joins the column-justified part and takes one back
+        for x in word:
+            j = _row_insert(rows, x)
+            if j < len(p_cols):
+                p_cols[j] += 1
+                q_cols[j].insert(0, i)
+            else:
+                p_cols.append(1)
+                q_cols.append([i])
+        for _, j in diag_cells.get(c, ()):
+            if j > len(q_cols) or q_cols[j - 1][:1] != [i]:
+                raise AssertionError(
+                    "recording column shrank below its entries")
+            del q_cols[j - 1][0]
         if with_trace:
-            trace.append((rows, _q_cells(q_cols, p_cols)))
-    pair = RSKPair(rows, tuple(sorted(_q_cells(q_cols, p_cols).items())))
+            trace.append((tuple(map(tuple, rows)), _q_cells(q_cols, p_cols)))
+    pair = RSKPair(tuple(map(tuple, rows)),
+                   tuple(sorted(_q_cells(q_cols, p_cols).items())))
     if with_trace:
         return pair, trace
     return pair
@@ -189,42 +188,41 @@ def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
     i_max = max([0, lam.first() - c_min] + list(q.values()))
     # Q columns top to bottom; a cell beyond them is caught by the last check
     width = lam.first() + len(q) + 1
-    lam_cols = lam.conjugate().parts
-    q_cols = [[v for (r, cc), v in sorted(q.items()) if cc == j]
-              for j in range(1, width + 1)]
+    q_cols: list[list[int]] = [[] for _ in range(width)]
+    for (r, cc), v in sorted(q.items()):
+        if 1 <= cc <= width:
+            q_cols[cc - 1].append(v)
 
     # reconstruct the per-diagonal words by reverse bumping, top diagonal first
-    rows = pair.P
+    rows = [list(r) for r in pair.P]
+    cur = [len(r) for r in rows]          # row lengths of P, kept by unwinding
     words: dict[int, list[int]] = {}
+    diag_cells = _diagonal_cells(lam)
+    # column heights of lam's cells of content below the current diagonal
+    slid = list(lam.conjugate().parts) + [0] * (width - lam.first())
     for i in range(i_max, 0, -1):
-        q_cols = [[v for v in col if v != i] for col in q_cols]
-        heights = [h + len(col) for h, col in
-                   zip(_slid_heights(lam_cols, c_min + i - 2, width), q_cols)]
+        for _, j in diag_cells.get(c_min + i - 1, ()):
+            slid[j - 1] -= 1
+        for col in q_cols:
+            if i in col:
+                col[:] = [v for v in col if v != i]
+        heights = [h + len(col) for h, col in zip(slid, q_cols)]
         # row lengths before diagonal i; P loses one cell in each longer row
         prev = [len([h for h in heights if h >= r])
                 for r in range(1, max(heights, default=0) + 1)]
-        cur = rows_shape(rows).parts
         if len(prev) > len(cur) or any(p > h for p, h in zip(prev, cur)):
             raise MalformedPair("recording data inconsistent with P")
         grow = [h - p for h, p in zip(cur, prev + [0] * len(cur))]
         if any(g > 1 for g in grow):
             raise MalformedPair("diagonal strip removes two cells in a row")
-        letters = []
-        for r in range(len(cur), 0, -1):
-            if grow[r - 1]:
-                rows, letter = rsk_remove(rows, (r, cur[r - 1]))
-                letters.append(letter)
-        words[i] = letters[::-1]
-    if rows_shape(rows).size() != 0 or any(q_cols):
+        words[i] = [_reverse_bump(rows, r)
+                    for r in range(len(cur) - 1, -1, -1) if grow[r]][::-1]
+        cur = prev
+    if any(rows) or any(q_cols):
         raise MalformedPair("leftover cells after unwinding all diagonals")
 
     # redistribute each diagonal word over boxes and edges, with backtracking
-    diag_cells: dict[int, list[tuple[int, int]]] = {}
-    for (r, c) in SkewShape.of(lam.parts, (), extent=extent).cells():
-        diag_cells.setdefault(c - r, []).append((r, c))
-    for c in diag_cells:
-        diag_cells[c].sort(key=lambda rc: -rc[0])  # bottom to top
-
+    shape = SkewShape.of(lam.parts, (), extent=extent)
     em: dict[tuple[int, int], int] = {}
     edges: dict[tuple[int, int], tuple[int, ...]] = {}
     solutions = []
@@ -281,8 +279,7 @@ def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
         raise MalformedPair(
             f"{len(solutions)} reconstructions; pair is not in the image")
     em, edges = solutions[0]
-    t = EdgeLabeledTableau.of(SkewShape.of(lam.parts, (), extent=extent),
-                              extent, window, em, edges)
+    t = EdgeLabeledTableau.of(shape, extent, window, em, edges)
     if uncrowd(t) != RSKPair(pair.P, tuple(sorted(pair.Q))):
         raise MalformedPair("uncrowding the reconstruction does not give "
                             "the pair back; pair is not in the image")

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from edgeschur import lattice
+from edgeschur import cli, lattice, uncrowding
 from edgeschur.cli import main, parse_partition, parse_window
 from edgeschur.poly import MultiPoly
+from edgeschur.schur import NotSymmetric
 
 
 def run(capsys, *argv):
@@ -166,3 +167,49 @@ class TestCrystalAndUncrowd:
                         "--limit", "0")
         assert code == 0
         assert out.startswith("12 edge labeled tableaux")
+
+
+class TestExitCodes:
+    """A failed check exits 1 with one line on stderr; usage errors exit 2."""
+
+    @pytest.mark.parametrize("target, exc, code, message", [
+        ("schur_expand", NotSymmetric("peeling revisited (2); f is not "
+                                      "symmetric"), 1,
+         "error: peeling revisited (2); f is not symmetric"),
+        ("edge_schur", AssertionError("frontier\nlost a state"), 1,
+         "error: frontier lost a state"),
+        ("edge_schur", AssertionError(), 1, "error: AssertionError"),
+        ("edge_schur", ValueError("bad input"), 2, "error: bad input"),
+    ], ids=["not-symmetric", "assertion", "bare-assertion", "usage"])
+    def test_failure_classes(self, capsys, monkeypatch, target, exc, code,
+                             message):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, target, fail)
+        got = main(["expand", "--family", "edge", "--lambda", "1",
+                    "--schur-expand", "2"])
+        err = capsys.readouterr().err
+        assert got == code
+        assert err == message + "\n"
+
+    def test_roundtrip_malformed_pair(self, capsys, monkeypatch, tmp_path):
+        blob = {
+            "shape": {"outer": {"parts": [2], "extent": 1},
+                      "inner": {"parts": [], "extent": 1}},
+            "extent": 1, "window": [-1, 2],
+            "entries": [[1, 1, 1], [1, 2, 1]],
+            "edges": [[2, 1, [2]]],
+        }
+        f = tmp_path / "t.json"
+        f.write_text(json.dumps(blob))
+
+        def refuse(*args, **kwargs):
+            raise uncrowding.MalformedPair("0 reconstructions; pair is not "
+                                           "in the image")
+        monkeypatch.setattr(uncrowding, "crowd", refuse)
+        code = main(["uncrowd", "--in", str(f), "--roundtrip"])
+        out = capsys.readouterr()
+        assert code == 1
+        assert json.loads(out.out)["P"] == [[1, 1], [2]]
+        assert out.err == ("round trip FAILED: 0 reconstructions; pair is "
+                           "not in the image\n")

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -68,6 +69,73 @@ class TestWeight:
             # label not below the entry underneath it
             elt((1, 1), (), 2, (-2, 1), {(1, 1): 1, (2, 1): 2},
                 {(2, 1): (2,)})
+
+
+def raw_elt(outer, inner, window, entries, edges=()):
+    """An ELT built without `of`, so that validate() sees the fields as given."""
+    return EdgeLabeledTableau(SkewShape.of(outer, inner, extent=2), 2, window,
+                              tuple(sorted(entries.items())), tuple(edges))
+
+
+FILLED_21 = {(1, 1): 1, (1, 2): 1, (2, 1): 2}
+
+
+class TestValidation:
+    """Every filling validate() refuses; cells outside the shape replace one
+    of its cells, so the count of entries still matches the shape's size."""
+
+    @pytest.mark.parametrize("outer, inner, entries, match", [
+        ((2, 1), (), {(1, 1): 1, (1, 2): 1}, "do not cover"),
+        ((2, 1), (), {(1, 1): 1, (1, 2): 1, (0, 1): 2}, "do not cover"),
+        ((2, 1), (), {(1, 1): 1, (1, 2): 1, (2, 0): 2}, "do not cover"),
+        ((2, 1), (), {(1, 1): 1, (1, 2): 1, (1, 3): 2}, "do not cover"),
+        ((2, 1), (1,), {(1, 1): 1, (2, 1): 2}, "do not cover"),
+        ((2, 1), (), {(1, 1): 0, (1, 2): 1, (2, 1): 2}, "below 1"),
+        ((2, 1), (), {(1, 1): 1, (1, 2): 1, (2, 1): 1}, "column violation"),
+    ], ids=["missing-cell", "row-0", "column-0", "beyond-outer",
+            "inside-inner", "below-1", "column"])
+    def test_entries(self, outer, inner, entries, match):
+        with pytest.raises(ValidationError, match=match):
+            raw_elt(outer, inner, (-2, 2), entries).validate()
+
+    @pytest.mark.parametrize("window, edges, match", [
+        ((-2, 2), (((2, 2), ()),), "empty edge set"),
+        ((-2, 2), (((2, 2), (3, 2)),), "not strictly sorted"),
+        ((-2, 2), (((2, 2), (2, 2)),), "not strictly sorted"),
+        ((-2, 2), (((3, 2), (3,)),), r"illegal edge position \(3, 2\)"),
+        ((-2, 1), (((1, 3), (1,)),), r"illegal edge position \(1, 3\)"),
+    ], ids=["empty", "unsorted", "repeated", "not-adjacent",
+            "outside-window"])
+    def test_edges(self, window, edges, match):
+        with pytest.raises(ValidationError, match=match):
+            raw_elt((2, 1), (), window, FILLED_21, edges).validate()
+
+    def test_accepts_the_base_cases(self):
+        raw_elt((2, 1), (), (-2, 2), FILLED_21).validate()
+        raw_elt((2, 1), (1,), (-2, 2), {(1, 2): 1, (2, 1): 2}).validate()
+        # the row-0 edge refused above under the window (-2, 1)
+        raw_elt((2, 1), (), (-2, 2), FILLED_21, (((1, 3), (1,)),)).validate()
+
+
+class TestKey:
+    def test_key_is_sorted_json(self):
+        """key() writes the text of json.dumps(to_json(), sort_keys=True)
+        itself; the bench digests and the crystal graphs hash it."""
+        count = trailing = lowest = row0 = 0
+        for lam in partitions_in_box(3, 3):
+            shape = SkewShape.of(lam.parts, (), extent=3)
+            for window in ((-3, 3), (-4, 1)):
+                for t in enumerate_elt(shape, 3, window, 3):
+                    assert t.key() == json.dumps(t.to_json(), sort_keys=True)
+                    count += 1
+                    trailing += lam.length() < 3
+                    lowest += any(j - i == -2 for (i, j), _ in t.edge_sets)
+                    row0 += any(i == 1 for (i, _), _ in t.edge_sets)
+        assert count > 40000
+        # both windows reach the vacuum (low end <= -3); covered are extents
+        # with trailing zeros, labels on diagonal -2 (the lowest a label can
+        # take, as the third particle always crosses -3) and row-0 edges
+        assert min(trailing, lowest, row0) > 1000
 
 
 class TestReadingWord:

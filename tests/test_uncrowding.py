@@ -43,6 +43,30 @@ class TestRSK:
             if moved is not None:
                 assert rsk_insert((), moved) == rsk_insert((), base)
 
+    def test_schensted(self):
+        """Schensted's theorem: the first row is as long as the longest weakly
+        increasing subsequence, and the rows number the longest strictly
+        decreasing one (a strict bump would shorten the first row)."""
+        def longest(word, related):
+            best = []
+            for k, x in enumerate(word):
+                best.append(1 + max((best[m] for m in range(k)
+                                     if related(word[m], x)), default=0))
+            return max(best, default=0)
+
+        rng = random.Random(59)
+        for _ in range(400):
+            word = [rng.randint(1, 4) for _ in range(rng.randint(0, 12))]
+            P = rsk_insert((), word)
+            assert (len(P[0]) if P else 0) == longest(word,
+                                                      lambda a, b: a <= b)
+            assert len(P) == longest(word, lambda a, b: a > b)
+
+    def test_remove_refuses_inner_cell(self):
+        # (1, 1) ends its row but has (2, 1) below it
+        with pytest.raises(MalformedPair, match="not an outer corner"):
+            rsk_remove(((1,), (2,)), (1, 1))
+
     def test_remove_inverts_insert(self):
         rng = random.Random(53)
         for _ in range(50):
