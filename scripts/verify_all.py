@@ -26,6 +26,7 @@ def verify_lines(seed: int, count: int) -> list[str]:
         "commutation --box 2:2 --window -2:5 --trunc 6",
         "cauchy --n 1 --m 1 --window -2:4 --trunc 4",
         "cauchy --mu 1 --n 2 --m 1 --window -2:5 --trunc 4",
+        "cauchy --mu 1 --eta 1 --n 3 --m 2 --window -2:7 --trunc 6",
     ]
 
 

@@ -489,6 +489,11 @@ def cauchy_check(mu: Partition, eta: Partition, n: int, m: int,
     alphabet entry with index p - m0 + 1 and the upper edge rows as the
     diagonal-p parameter.  The two E-alphabets differ by a shift of n, a
     reindexing of one alphabet.
+
+    s_{A/B} is homogeneous of degree |A/B| and E^{A/B} has no term below
+    that degree, so the sums skip, before computing them, the terms that
+    truncation at T cuts: lam with 2|lam| - |mu| - |eta| > T and kap with
+    |mu| + |eta| - 2|kap| > T.
     """
     m0, M0 = window
     if m0 > -mu.extent or m0 > -eta.extent:
@@ -516,7 +521,8 @@ def cauchy_check(mu: Partition, eta: Partition, n: int, m: int,
     ext_lam = n - m0
     sum_a = MultiPoly.zero(T)
     for lam in partitions_in_box(ext_lam, M0 - n + 1):
-        if not lam.contains(mu) or not lam.contains(eta):
+        if (not lam.contains(mu) or not lam.contains(eta)
+                or 2 * lam.size() - mu.size() - eta.size() > T):
             continue
         s_part = factorial_schur(SkewShape(lam, mu.with_extent(ext_lam)), n,
                                  sign=-1, index_shift=-1).truncate(T)
@@ -531,7 +537,8 @@ def cauchy_check(mu: Partition, eta: Partition, n: int, m: int,
     ext_kap = -m0
     sum_b = MultiPoly.zero(T)
     for kap in partitions_in_box(ext_kap, max(mu.first(), eta.first())):
-        if not (mu.contains(kap) and eta.contains(kap)):
+        if (not (mu.contains(kap) and eta.contains(kap))
+                or mu.size() + eta.size() - 2 * kap.size() > T):
             continue
         ext_eta = max(ext_kap, eta.extent)
         s_part = factorial_schur(SkewShape(eta.with_extent(ext_eta),

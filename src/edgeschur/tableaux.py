@@ -199,12 +199,16 @@ class EdgeLabeledTableau:
     @staticmethod
     def from_json(d: dict) -> "EdgeLabeledTableau":
         try:
+            sides = [v for p in d["shape"].values() for v in p.values()]
+            if not _ints([d["extent"], d["window"], d["entries"], d["edges"],
+                          sides]):
+                raise ValidationError("tableau JSON value is not an int")
             return EdgeLabeledTableau.of(
                 SkewShape.from_json(d["shape"]), d["extent"],
                 tuple(d["window"]),
                 {(i, j): v for i, j, v in d["entries"]},
                 {(i, j): tuple(vals) for i, j, vals in d["edges"]})
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:
             raise ValidationError(f"malformed tableau JSON: {exc!r}") from exc
 
     def key(self) -> str:
@@ -248,6 +252,12 @@ class EdgeLabeledTableau:
 def _partition_key(p: Partition) -> str:
     """json.dumps(p.to_json(), sort_keys=True)."""
     return f'{{"extent": {p.extent}, "parts": {[q for q in p.parts if q > 0]}}}'
+
+
+def _ints(value) -> bool:
+    """An int or nested lists of ints; bool and float are not ints here."""
+    return type(value) is int or (type(value) is list
+                                  and all(map(_ints, value)))
 
 
 def weight_elt(t: EdgeLabeledTableau) -> MultiPoly:

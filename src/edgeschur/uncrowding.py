@@ -82,10 +82,6 @@ def rsk_remove(rows: Rows, cell: tuple[int, int]) -> tuple[Rows, int]:
     return tuple(tuple(x) for x in out if x), letter
 
 
-def rows_shape(rows: Rows) -> Partition:
-    return Partition(tuple(len(r) for r in rows))
-
-
 def rows_to_ssyt(rows: Rows) -> SemistandardTableau:
     shape = SkewShape.of([len(r) for r in rows])
     return SemistandardTableau.of(
@@ -182,6 +178,9 @@ def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
     """Inverse of uncrowd; unique on its image, error off it."""
     if any(len(lo) > len(hi) for hi, lo in zip(pair.P, pair.P[1:])):
         raise MalformedPair("rows of P do not weakly shrink downwards")
+    for r, row in enumerate(pair.P, 1):
+        if any(a > b for a, b in zip(row, row[1:])):
+            raise MalformedPair(f"row {r} of P does not weakly increase: {row}")
     extent = extent if extent is not None else lam.extent
     q = pair.q_map()
     c_min = 1 - lam.length()

@@ -161,6 +161,19 @@ class TestCrystalAndUncrowd:
         code, _ = run(capsys, "uncrowd", "--in", str(f))
         assert code == 2
 
+    def test_uncrowd_non_int_json(self, capsys, tmp_path):
+        blob = {
+            "shape": {"outer": {"parts": [2], "extent": 1},
+                      "inner": {"parts": [], "extent": 1}},
+            "extent": 1, "window": [-1, 2],
+            "entries": [[1, 1, True], [1, 2, 1]],
+            "edges": [[2, 1, [2]]],
+        }
+        f = tmp_path / "t.json"
+        f.write_text(json.dumps(blob))
+        code, out = run(capsys, "uncrowd", "--in", str(f), "--roundtrip")
+        assert code == 2 and out == ""
+
     def test_tableaux_count(self, capsys):
         code, out = run(capsys, "tableaux", "--lambda", "2,0", "--extent",
                         "2", "--n", "2", "--window", "-2:1", "--edges",

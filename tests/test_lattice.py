@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from edgeschur import lattice
 from edgeschur.lattice import (GridRow, GridSpec, VERTEX_ROLES, VertexModel,
                                cauchy_check, commutation_check,
                                deformed_diagonals, edge_schur_lattice,
@@ -344,6 +345,36 @@ class TestCauchy:
         rep = cauchy_check(Partition.of((1,)), Partition.of((1,)), 0, 1,
                            (-2, 2), 4)
         assert rep["ok"], rep
+
+    @pytest.mark.parametrize("T", range(7))
+    @pytest.mark.parametrize("mu, eta", [((), ()), ((2, 1), (1,))],
+                             ids=["empty", "21-over-1"])
+    def test_every_truncation(self, mu, eta, T):
+        rep = cauchy_check(Partition.of(mu), Partition.of(eta), 2, 2,
+                           (-2, 5), T)
+        assert rep["ok"], rep
+
+    def test_skips_terms_truncation_cuts(self, monkeypatch):
+        """No factorial Schur polynomial is computed for a term of degree
+        above T: s_{lam/mu} * E^{lam/eta} has degree >= 2|lam| - |mu| - |eta|,
+        s_{eta/kap} * E^{mu/kap} degree >= |mu| + |eta| - 2|kap|."""
+        shapes = []
+
+        def recording(shape, *args, **kwargs):
+            shapes.append(shape)
+            return factorial_schur(shape, *args, **kwargs)
+
+        monkeypatch.setattr(lattice, "factorial_schur", recording)
+        mu, eta, T = Partition.of((2, 1)), Partition.of((1,)), 2
+        assert cauchy_check(mu, eta, 2, 2, (-2, 5), T)["ok"]
+        # sum_a's shapes are lam/mu, sum_b's eta/kap with kap inside eta
+        in_a = [s for s in shapes if s.inner.size() == mu.size()]
+        in_b = [s for s in shapes if s.outer.size() == eta.size()]
+        assert in_a and in_b and len(in_a) + len(in_b) == len(shapes)
+        assert all(2 * s.outer.size() - mu.size() - eta.size() <= T
+                   for s in in_a)
+        assert all(mu.size() + eta.size() - 2 * s.inner.size() <= T
+                   for s in in_b)
 
 
 class TestFreeFermion:

@@ -235,3 +235,30 @@ def test_json_roundtrip(skew_example):
     blob = json.dumps(skew_example.to_json())
     back = EdgeLabeledTableau.from_json(json.loads(blob))
     assert back.key() == skew_example.key()
+
+
+@pytest.mark.parametrize("path, value", [
+    (("entries", 0, 2), True),
+    (("entries", 1, 2), 1.0),
+    (("edges", 0, 2, 0), 2.0),
+    (("entries", 0, 0), "1"),
+    (("extent",), True),
+    (("window", 1), 2.0),
+    (("shape", "outer", "parts", 0), 2.0),
+    (("shape", "inner", "extent"), False),
+], ids=["bool-entry", "float-entry", "float-label", "str-row", "bool-extent",
+        "float-window", "float-part", "bool-part-extent"])
+def test_from_json_refuses_non_ints(path, value):
+    """bool and float pass == and hashing as ints, but key() would write
+    them as true/1.0, so the same tableau would get another key."""
+    blob = {"shape": {"outer": {"parts": [2], "extent": 1},
+                      "inner": {"parts": [], "extent": 1}},
+            "extent": 1, "window": [-1, 2],
+            "entries": [[1, 1, 1], [1, 2, 1]], "edges": [[2, 1, [2]]]}
+    EdgeLabeledTableau.from_json(blob)
+    target = blob
+    for k in path[:-1]:
+        target = target[k]
+    target[path[-1]] = value
+    with pytest.raises(ValidationError, match="not an int"):
+        EdgeLabeledTableau.from_json(blob)

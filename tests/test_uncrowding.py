@@ -6,7 +6,7 @@ from edgeschur.shapes import Partition, SkewShape, partitions_in_box
 from edgeschur.tableaux import EdgeLabeledTableau, enumerate_elt
 from edgeschur.uncrowding import (MalformedPair, RSKPair, crowd,
                                   check_crystal_commute,
-                                  rows_shape, rsk_insert, rsk_remove, uncrowd)
+                                  rsk_insert, rsk_remove, uncrowd)
 
 
 @pytest.fixture
@@ -73,10 +73,10 @@ class TestRSK:
             word = [rng.randint(1, 5) for _ in range(6)]
             P0 = rsk_insert((), word[:-1])
             P1 = rsk_insert(P0, [word[-1]])
-            s0, s1 = rows_shape(P0), rows_shape(P1)
-            cell = next((r + 1, s1.part(r + 1))
-                        for r in range(s1.extent)
-                        if s1.part(r + 1) != s0.part(r + 1))
+            s0 = [len(r) for r in P0] + [0]
+            s1 = [len(r) for r in P1]
+            cell = next((r + 1, s1[r]) for r in range(len(s1))
+                        if s1[r] != s0[r])
             back, letter = rsk_remove(P1, cell)
             assert back == P0 and letter == word[-1]
 
@@ -148,6 +148,9 @@ class TestBijection:
         # rows of P growing downwards
         with pytest.raises(MalformedPair):
             crowd(RSKPair(((1,), (1, 2)), ()), Partition.of((2, 1)), (-2, 2), 2)
+        # a row of P that does not weakly increase is refused by name
+        with pytest.raises(MalformedPair, match="row 1 of P does not weakly"):
+            crowd(RSKPair(((2, 1),), ()), Partition.of((2,)), (-1, 2), 1)
         # the worked example's pair with one recording cell too many
         pair = uncrowd(example_tableau)
         for extra in (((1, 0), 1), ((1, 40), 6)):
