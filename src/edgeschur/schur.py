@@ -1,25 +1,34 @@
-"""Schur, factorial Schur, edge Schur functions and their variations.
+"""Schur, factorial Schur, edge Schur and dual Schur functions, variations.
 
-All families are returned as exact MultiPoly values.  The edge Schur
-function depends on the declared diagonal window [m, M] and on the number
-of trailing zeros of the shape; both are explicit parameters here, never
-defaults hidden in the computation.  Series-valued variations (inverses of
-products (1 - a_k y_j)) carry a mandatory total-degree truncation.
+All families are exact MultiPoly values.  The four closed forms are one
+branching rule, E_{lam/mu}(x_1..x_n) = sum_nu E_{nu/mu}(x_1..x_{n-1}) *
+R(lam/nu, x_n), summed by one memoized engine, _branch.  Each family gives
+only its row weight R for a horizontal strip filled with the letter v:
+x_v^|strip| (schur); prod over strip cells of (x_v - sign*a_{v+content+shift})
+(factorial_schur); x_v^|strip| prod over deformed diagonals d of
+(1 + sign*a_{d+shift} x_v) (edge_schur); prod over strip cells of
+y_v/(1 - a_content y_v) times a telescoped mu-correction (dual_schur).
+The engine enumerates no tableau or chain and runs no lattice, so the
+brute ELT sum, the lattice partition functions and the closed forms stay
+three independent routes.
+
+The edge Schur function depends on the declared diagonal window [m, M] and
+on the number of trailing zeros of the shape; both are explicit parameters.
+Series-valued variations carry a mandatory total-degree truncation.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
-from .poly import (MultiPoly, av, family, group_by_x, map_vars,
+from .poly import (ALPHA, MultiPoly, av, family, group_by_x, map_vars,
                    monomial_degree, series_inverse, x_exponent_vector, xv,
                    yv)
-from .shapes import (Partition, SkewShape, deformed_diagonals,
-                     is_horizontal_strip, horizontal_strips_between,
-                     strip_chains)
-from .tableaux import enumerate_elt, enumerate_ssyt
+from .shapes import Partition, SkewShape, deformed_diagonals
+from .tableaux import enumerate_elt
 
 
 class NotSymmetric(ValueError):
@@ -37,6 +46,45 @@ class EdgeSchurParams:
     extent: int
     trunc: Optional[int] = None
 
+    def __post_init__(self):
+        m, M = self.window
+        if self.num_vars < 1 or (self.trunc or 0) < 0 or M < m - 1:
+            raise ValueError(f"invalid {self}: need num_vars >= 1, trunc >= 0"
+                             f" and a window m:M with M >= m - 1")
+
+
+def _branch(shape: SkewShape, n: int,
+            row: Callable[[Partition, Partition, int], MultiPoly],
+            trunc: Optional[int] = None) -> MultiPoly:
+    """Sum over chains mu = nu^0 <= ... <= nu^n = lam of horizontal strips
+    of prod_v row(nu^v, nu^(v-1), v), mod total degree trunc.
+
+    lower(nu, v) sums the chains of v strips from mu up to nu.  Its step
+    visits every nu' with nu'_k in [max(mu_k, nu_{k+1}), nu_k], which is
+    exactly mu <= nu' <= nu with nu/nu' a horizontal strip.
+    """
+    if n < 0:
+        raise ValueError(f"number of steps must be >= 0, got {n}")
+    ext = shape.extent
+    lam = shape.outer.with_extent(ext)
+    mu = shape.inner.with_extent(ext)
+
+    @functools.lru_cache(maxsize=None)
+    def lower(nu: Partition, v: int) -> MultiPoly:
+        if v == 0:
+            return MultiPoly.one(trunc) if nu == mu else MultiPoly.zero(trunc)
+        out = MultiPoly.zero(trunc)
+        for parts in itertools.product(*(
+                range(max(mu.part(k), nu.part(k + 1)), nu.part(k) + 1)
+                for k in range(1, ext + 1))):
+            below = Partition(parts)
+            prev = lower(below, v - 1)
+            if prev:
+                out._accumulate(prev, row(nu, below, v))
+        return out
+
+    return lower(lam, n)
+
 
 def _var(kind: str, i: int) -> MultiPoly:
     return MultiPoly.var(xv(i) if kind == "x" else yv(i))
@@ -44,13 +92,10 @@ def _var(kind: str, i: int) -> MultiPoly:
 
 def schur(shape: SkewShape, n: int, var_kind: str = "x") -> MultiPoly:
     """Skew Schur polynomial as the tableau generating series."""
-    out = MultiPoly.zero()
-    for chain in strip_chains(shape, n):
-        term = MultiPoly.one()
-        for v in range(1, n + 1):
-            term = term * _var(var_kind, v) ** (chain[v].size() - chain[v - 1].size())
-        out._accumulate(term)
-    return out
+    def row(top: Partition, bottom: Partition, v: int) -> MultiPoly:
+        return _var(var_kind, v) ** (top.size() - bottom.size())
+
+    return _branch(shape, n, row)
 
 
 def factorial_schur(shape: SkewShape, n: int, sign: int = 1,
@@ -58,43 +103,32 @@ def factorial_schur(shape: SkewShape, n: int, sign: int = 1,
     """Sum over SSYT of prod (x_v - sign*a_{v + content + index_shift})."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    out = MultiPoly.zero()
-    for t in enumerate_ssyt(shape, n):
-        term = MultiPoly.one()
-        for (i, j), v in t.entries:
-            idx = v + j - i + index_shift
-            term = term * (MultiPoly.var(xv(v)) - MultiPoly.var(av(idx)) * sign)
-        out._accumulate(term)
-    return out
 
+    def row(top: Partition, bottom: Partition, v: int) -> MultiPoly:
+        out = MultiPoly.one()
+        for i in range(1, top.extent + 1):
+            for j in range(bottom.part(i) + 1, top.part(i) + 1):
+                out = out * (MultiPoly.var(xv(v))
+                             - MultiPoly.var(av(v + j - i + index_shift)) * sign)
+        return out
 
-def row_factor(top: Partition, bottom: Partition, var: MultiPoly,
-               window: tuple[int, int], sign: int = 1,
-               index_shift: int = 0) -> MultiPoly:
-    """One-row edge transfer weight: x^|strip| prod (1 + sign*a_d x)."""
-    if not is_horizontal_strip(top, bottom):
-        return MultiPoly.zero()
-    out = var ** (top.size() - bottom.size())
-    for d in sorted(deformed_diagonals(top, bottom, window)):
-        out = out * (MultiPoly.one()
-                     + MultiPoly.var(av(d + index_shift)) * var * sign)
-    return out
+    return _branch(shape, n, row)
 
 
 def edge_schur(shape: SkewShape, p: EdgeSchurParams, var_kind: str = "x",
                sign: int = 1, index_shift: int = 0) -> MultiPoly:
     """Edge Schur function via the branching rule's closed row form."""
-    lam = shape.outer.with_extent(p.extent)
-    mu = shape.inner.with_extent(p.extent)
-    out = MultiPoly.zero(p.trunc)
-    for chain in strip_chains(SkewShape(lam, mu), p.num_vars):
-        term = MultiPoly.one(p.trunc)
-        for v in range(1, p.num_vars + 1):
-            term = term * row_factor(chain[v], chain[v - 1],
-                                     _var(var_kind, v), p.window, sign,
-                                     index_shift)
-        out._accumulate(term)
-    return out
+    def row(top: Partition, bottom: Partition, v: int) -> MultiPoly:
+        x = _var(var_kind, v)
+        out = x ** (top.size() - bottom.size())
+        for d in deformed_diagonals(top, bottom, p.window):
+            out = out * (MultiPoly.one()
+                         + MultiPoly.var(av(d + index_shift)) * x * sign)
+        return out
+
+    return _branch(SkewShape(shape.outer.with_extent(p.extent),
+                             shape.inner.with_extent(p.extent)),
+                   p.num_vars, row, p.trunc)
 
 
 def edge_schur_brute(shape: SkewShape, p: EdgeSchurParams) -> MultiPoly:
@@ -143,7 +177,8 @@ def variation(kind: str, shape: SkewShape, p: EdgeSchurParams,
                                     + MultiPoly.var(av(k)) * MultiPoly.var(yv(j)))
         return out.truncate(p.trunc)
     if kind == "DualFact":
-        q = EdgeSchurParams(p.num_vars, (m, min(M, -1)), p.extent, p.trunc)
+        q = EdgeSchurParams(p.num_vars, (m, max(min(M, -1), m - 1)), p.extent,
+                            p.trunc)
         return edge_schur(shape, q, var_kind="y")
     if kind in ("ScriptE", "HatScriptE"):
         if T is None:
@@ -177,63 +212,33 @@ def _geom(c_index: int, yj: int, T: int) -> MultiPoly:
 
 def dual_schur(shape: SkewShape, m: int, T: int) -> MultiPoly:
     """Dual Schur polynomial via the branching rule, mod degree T."""
-    ext = shape.extent
-    lam = shape.outer.with_extent(ext)
-    mu = shape.inner.with_extent(ext)
+    mu = shape.inner.with_extent(shape.extent)
 
-    @functools.lru_cache(maxsize=None)
-    def single(outer: Partition, inner: Partition, yj: int) -> MultiPoly:
-        if not is_horizontal_strip(outer, inner):
-            return MultiPoly.zero(T)
+    def row(top: Partition, bottom: Partition, v: int) -> MultiPoly:
+        y = MultiPoly.var(yv(v))
         out = MultiPoly.one(T)
-        for i in range(1, outer.extent + 1):
-            for j in range(inner.part(i) + 1, outer.part(i) + 1):
-                out = out * MultiPoly.var(yv(yj)) * _geom(j - i, yj, T)
+        for i in range(1, top.extent + 1):
+            for j in range(bottom.part(i) + 1, top.part(i) + 1):
+                out = out * y * _geom(j - i, v, T)
+        # telescoped correction prod_k (1-a_{mu_k-k} y)/(1-a_{bottom_k-k} y)
+        for k in range(1, top.extent + 1):
+            if mu.part(k) != bottom.part(k):
+                out = out * (MultiPoly.one(T)
+                             - MultiPoly.var(av(mu.part(k) - k)) * y)
+                out = out * _geom(bottom.part(k) - k, v, T)
         return out
 
-    @functools.lru_cache(maxsize=None)
-    def rec(outer: Partition, nvars: int) -> MultiPoly:
-        if nvars == 0:
-            return MultiPoly.one(T) if outer == mu else MultiPoly.zero(T)
-        if nvars == 1:
-            return single(outer, mu, 1)
-        out = MultiPoly.zero(T)
-        for nu in horizontal_strips_between(mu, outer):
-            if not is_horizontal_strip(outer, nu):
-                continue
-            lower = rec(nu, nvars - 1)
-            if lower.is_zero():
-                continue
-            # telescoped correction prod_k (1-a_{mu_k-k} y)/(1-a_{nu_k-k} y)
-            corr = MultiPoly.one(T)
-            for k in range(1, ext + 1):
-                if mu.part(k) == nu.part(k):
-                    continue
-                corr = corr * (MultiPoly.one(T)
-                               - MultiPoly.var(av(mu.part(k) - k)) * MultiPoly.var(yv(nvars)))
-                corr = corr * _geom(nu.part(k) - k, nvars, T)
-            out._accumulate(lower * corr, single(outer, nu, nvars))
-        return out
-
-    return rec(lam, m)
+    return _branch(shape, m, row, T)
 
 
 def dual_schur_alpha(shape: SkewShape, m: int, T: int) -> MultiPoly:
     """dual_schur with every a_d specialized to the single symbol alpha."""
-    from .poly import ALPHA
-    sym = dual_schur(shape, m, T)
-
-    def fn(v):
-        if family(v) == "a":
-            return MultiPoly.var(ALPHA)
-        return MultiPoly.var(v)
-
-    return map_vars(sym, fn, T)
+    return map_vars(dual_schur(shape, m, T),
+                    lambda v: MultiPoly.var(ALPHA if family(v) == "a" else v), T)
 
 
 def schur_substituted(lam: Partition, m: int, T: int) -> MultiPoly:
     """s_lambda(y_m) under y_j -> y_j / (1 - alpha y_j), mod degree T."""
-    from .poly import ALPHA
     s = schur(SkewShape.of(lam.parts, (), extent=lam.extent), m, var_kind="y")
 
     def fn(v):

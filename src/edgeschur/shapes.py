@@ -170,31 +170,25 @@ def is_horizontal_strip(outer: Partition, inner: Partition) -> bool:
 
 
 def horizontal_strips_between(inner: Partition, outer: Partition) -> Iterator[Partition]:
-    """All nu with inner <= nu <= outer and nu/inner a horizontal strip."""
+    """All nu with inner <= nu <= outer and nu/inner a horizontal strip.
+
+    nu_k runs over [inner_k, min(outer_k, inner_{k-1})]; any choice is a
+    partition, since nu_{k+1} <= inner_k <= nu_k."""
     n = max(outer.extent, inner.extent)
-    ranges = []
-    for k in range(1, n + 1):
-        lo = inner.part(k)
-        hi = min(outer.part(k), inner.part(k - 1)) if k > 1 else outer.part(k)
-        ranges.append(range(lo, hi + 1))
-    for combo in itertools.product(*ranges):
-        ok = all(combo[i] >= combo[i + 1] for i in range(len(combo) - 1))
-        if ok and all(combo[i] >= inner.part(i + 1) for i in range(len(combo))):
-            nu = Partition(tuple(combo))
-            if is_horizontal_strip(nu, inner):
-                yield nu
+    his = (outer.part(k) if k == 1 else min(outer.part(k), inner.part(k - 1))
+           for k in range(1, n + 1))
+    for combo in itertools.product(*(range(inner.part(k), hi + 1)
+                                     for k, hi in enumerate(his, start=1))):
+        yield Partition(combo)
 
 
 def strip_chains(shape: SkewShape, n: int) -> list[tuple[Partition, ...]]:
     """All chains mu = nu^0 <= ... <= nu^n = lambda of horizontal strips."""
     if n < 0:
         raise ValueError(f"number of steps must be >= 0, got {n}")
-    lam, mu = shape.outer, shape.inner
-    if not lam.contains(mu):
-        return []
     ext = shape.extent
-    lam = lam.with_extent(ext)
-    mu = mu.with_extent(ext)
+    lam = shape.outer.with_extent(ext)
+    mu = shape.inner.with_extent(ext)
     chains: list[tuple[Partition, ...]] = []
 
     def go(prefix: tuple[Partition, ...], steps_left: int):
@@ -206,8 +200,6 @@ def strip_chains(shape: SkewShape, n: int) -> list[tuple[Partition, ...]]:
         for nu in horizontal_strips_between(cur, lam):
             go(prefix + (nu,), steps_left - 1)
 
-    if n == 0:
-        return [ (mu,) ] if mu == lam else []
     go((mu,), n)
     return chains
 

@@ -44,6 +44,11 @@ class TestExpand:
                         "1", "--m", "1", "--trunc", "5")
         assert code == 0 and out == "y1 + a0*y1^2 + a0^2*y1^3"
 
+    def test_dualschur_three_vars(self, capsys):
+        code, out = run(capsys, "expand", "--family", "dualschur", "--lambda",
+                        "1,1", "--m", "3", "--trunc", "3")
+        assert code == 0 and out == "y1*y2 + y1*y3 + y2*y3"
+
     def test_ebar_truncated(self, capsys):
         code, out = run(capsys, "expand", "--family", "ebar", "--lambda",
                         "2,1", "--extent", "2", "--n", "2", "--window",
@@ -204,6 +209,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert got == code
         assert err == message + "\n"
+
+    def test_reversed_window(self, capsys):
+        # the window covers the vacuum but ends before it starts
+        code = main(["expand", "--family", "edge", "--lambda", "1", "--n", "2",
+                     "--window", "-1:-3"])
+        assert code == 2
+        assert "invalid EdgeSchurParams" in capsys.readouterr().err
 
     def test_roundtrip_malformed_pair(self, capsys, monkeypatch, tmp_path):
         blob = {

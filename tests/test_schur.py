@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from edgeschur.schur import (EdgeSchurParams, NotSymmetric, UnsupportedSkew,
                              edge_schur_brute, factorial_schur, schur,
                              schur_expand, schur_substituted, variation)
 from edgeschur.shapes import Partition, SkewShape, partitions_in_box
+from edgeschur.tableaux import enumerate_ssyt
 
 
 def V(v):
@@ -188,23 +190,99 @@ class TestDualSchur:
         assert dual_schur(SkewShape.of((1,)), 1, 5) == \
             parse("y1 + a0*y1^2 + a0^2*y1^3")
 
+    # from m = 3 on, the chains pass through nu with nu/mu no horizontal strip
     def test_equals_hatscripte_2x2(self):
-        for parts in [(1,), (2,), (1, 1), (2, 1), (2, 2)]:
-            lam = Partition.of(parts)
-            shape = SkewShape.of(parts, (), extent=lam.length())
-            N = max(lam.first(), 2)
-            p = EdgeSchurParams(2, (-lam.length(), N), lam.length(), 6)
-            assert dual_schur(shape, 2, 6) == variation("HatScriptE", shape, p, 6)
+        for m in (1, 2, 3):
+            for parts in [(1,), (2,), (1, 1), (2, 1), (2, 2), (1, 1, 1), (3, 1)]:
+                lam = Partition.of(parts)
+                shape = SkewShape.of(parts, (), extent=lam.length())
+                N = max(lam.first(), 2)
+                p = EdgeSchurParams(m, (-lam.length(), N), lam.length(), 6)
+                assert dual_schur(shape, m, 6) == \
+                    variation("HatScriptE", shape, p, 6), (m, parts)
 
     def test_alpha_substitution(self):
-        for parts in [(1,), (2,), (1, 1), (2, 1)]:
-            lam = Partition.of(parts)
-            shape = SkewShape.of(parts, (), extent=lam.length())
-            assert dual_schur_alpha(shape, 2, 6) == schur_substituted(lam, 2, 6)
+        for m in (1, 2, 3):
+            for parts in [(1,), (2,), (1, 1), (2, 1)]:
+                lam = Partition.of(parts)
+                shape = SkewShape.of(parts, (), extent=lam.length())
+                assert dual_schur_alpha(shape, m, 6) == \
+                    schur_substituted(lam, m, 6), (m, parts)
 
     def test_skew_strip_only(self):
         # single variable: zero unless the skew shape is a horizontal strip
         assert dual_schur(SkewShape.of((2, 2), (1,)), 1, 4).is_zero()
+
+
+def _ssyt_box_cases():
+    """Every skew shape in the 2x3 box at extent 2, with n = 0..3."""
+    box = partitions_in_box(2, 3)
+    return [(SkewShape(lam, mu), n) for lam in box for mu in box
+            if lam.contains(mu) for n in range(4)]
+
+
+class TestTableauReference:
+    """The closed forms against sums over enumerate_ssyt, skew shapes
+    included (elsewhere only cauchy_check reaches skew factorial Schur)."""
+
+    def test_schur(self):
+        for shape, n in _ssyt_box_cases():
+            total = MultiPoly.zero()
+            for t in enumerate_ssyt(shape, n):
+                term = MultiPoly.one()
+                for _, v in t.entries:
+                    term = term * V(xv(v))
+                total = total + term
+            assert schur(shape, n) == total, (shape, n)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_factorial_schur(self, sign, shift):
+        for shape, n in _ssyt_box_cases():
+            total = MultiPoly.zero()
+            for t in enumerate_ssyt(shape, n):
+                term = MultiPoly.one()
+                for (i, j), v in t.entries:
+                    term = term * (V(xv(v)) - V(av(v + j - i + shift)) * sign)
+                total = total + term
+            assert factorial_schur(shape, n, sign, shift) == total, (shape, n)
+
+
+def test_closed_forms_use_no_other_route(monkeypatch):
+    """The closed forms enumerate no tableau or chain and run no lattice,
+    so brute, lattice and closed form stay three independent routes."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed form reached another route")
+
+    for mod in [m for name, m in sys.modules.items()
+                if name.split(".")[0] == "edgeschur"]:
+        for name in ("enumerate_elt", "enumerate_ssyt", "strip_chains",
+                     "partition_function"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    shape = SkewShape.of((2, 1), (1,), extent=2)
+    p = EdgeSchurParams(2, (-2, 2), 2, 4)
+    assert not schur(shape, 2).is_zero()
+    assert not factorial_schur(shape, 2, -1, 1).is_zero()
+    assert not edge_schur(shape, p).is_zero()
+    assert not dual_schur(shape, 2, 4).is_zero()
+    assert not variation("ScriptE", shape, p).is_zero()
+
+
+class TestParams:
+    @pytest.mark.parametrize("args", [(0, (-1, 1), 1), (2, (-1, 1), 1, -1),
+                                      (2, (-1, -3), 1)],
+                             ids=["no-vars", "negative-trunc", "reversed-window"])
+    def test_refuses(self, args):
+        with pytest.raises(ValueError, match="invalid EdgeSchurParams"):
+            EdgeSchurParams(*args)
+
+    def test_empty_window_is_legal(self):
+        assert EdgeSchurParams(2, (0, -1), 0).window == (0, -1)
+        assert EdgeSchurParams(1, (-1, 1), 1, 0).trunc == 0
+        # DualFact cuts a window that starts above -1 down to the empty one
+        p = EdgeSchurParams(2, (1, 3), 1)
+        assert variation("DualFact", SkewShape.of((1,)), p) == parse("y1 + y2")
 
 
 class TestSchurExpand:
