@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--perturb-mode", default="one", choices=["one", "double"])
     pv.add_argument("--box", default="2:2", metavar="R:C")
     pv.add_argument("--eta", default="", metavar="PARTS")
-    pv.add_argument("--count", type=int, default=30)
+    pv.add_argument("--count", type=positive_int, default=30)
     pv.add_argument("--seed", type=int, default=20240805)
     pv.add_argument("--witness", action="store_true")
     pv.set_defaults(fn=cmd_verify)
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--edges", action="store_true",
                     help="edge labeled tableaux instead of plain SSYT")
     pt.add_argument("--format", choices=["text", "json"], default="text")
-    pt.add_argument("--limit", type=int, default=20)
+    pt.add_argument("--limit", type=nonnegative_int, default=20)
     pt.set_defaults(fn=cmd_tableaux)
     return ap
 

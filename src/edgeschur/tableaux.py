@@ -150,26 +150,38 @@ class EdgeLabeledTableau:
                 raise ValidationError(f"empty edge set at {(i, j)}")
             if list(vals) != sorted(set(vals)):
                 raise ValidationError(f"edge set at {(i, j)} not strictly sorted")
-            if not self.legal_edge_position(i, j):
-                raise ValidationError(f"illegal edge position {(i, j)}")
-            above = em.get((i - 1, j))
-            below = em.get((i, j))
-            if above is not None and vals[0] <= above:
-                raise ValidationError(
-                    f"label {vals[0]} at edge {(i, j)} not above entry {above}")
-            if below is not None and vals[-1] >= below:
-                raise ValidationError(
-                    f"label {vals[-1]} at edge {(i, j)} not below entry {below}")
+            self._check_edge(em, i, j, vals[0], vals[-1])
+
+    def _check_edge(self, em: dict[Cell, int], i: int, j: int,
+                    low: int, high: int) -> None:
+        """The rule for labels low..high on edge (i, j): a legal position,
+        low above the entry over the edge, high below the entry under it."""
+        if not self.legal_edge_position(i, j):
+            raise ValidationError(f"illegal edge position {(i, j)}")
+        above = em.get((i - 1, j))
+        below = em.get((i, j))
+        if above is not None and low <= above:
+            raise ValidationError(
+                f"label {low} at edge {(i, j)} not above entry {above}")
+        if below is not None and high >= below:
+            raise ValidationError(
+                f"label {high} at edge {(i, j)} not below entry {below}")
 
     # -- weights ---------------------------------------------------------
 
     def weight(self) -> MultiPoly:
         """Single monomial: x per entry, x_v * a_{j-i} per label v at (i, j)."""
-        pairs = [(xv(v), 1) for _, v in self.entries]
+        x_exp: dict[int, int] = {}
+        for _, v in self.entries:
+            x_exp[v] = x_exp.get(v, 0) + 1
+        a_exp: dict[int, int] = {}
         for (i, j), vals in self.edge_sets:
-            pairs.extend((xv(v), 1) for v in vals)
-            pairs.append((av(j - i), len(vals)))
-        return MultiPoly.monomial(_encode(pairs))
+            for v in vals:
+                x_exp[v] = x_exp.get(v, 0) + 1
+            a_exp[j - i] = a_exp.get(j - i, 0) + len(vals)
+        return MultiPoly.monomial(_encode(
+            [*((xv(v), e) for v, e in x_exp.items()),
+             *((av(d), e) for d, e in a_exp.items())]))
 
     def a_monomial(self) -> MultiPoly:
         """The a-part of the weight: a_{j-i} per label at (i, j)."""
@@ -356,11 +368,23 @@ def enumerate_elt(shape: SkewShape, n: int, window: tuple[int, int],
     mu = shape.inner.with_extent(extent)
     sh = SkewShape(lam, mu)
     for chain in strip_chains(sh, n):
+        # Every rule of validate is local to one edge, and its tests on an
+        # edge's least and greatest label hold iff they hold for each label,
+        # so the chain's tableaux are checked once: the entries (no labels)
+        # and each candidate (edge, letter) alone.  Distinct diagonals of a
+        # step land on distinct edges and steps come in increasing order, so
+        # each edge set built below is non-empty and strictly increasing, as
+        # `of` would make it.
         em = _chain_entries(chain)
+        bare = EdgeLabeledTableau(sh, extent, window, tuple(sorted(em.items())),
+                                  ())
+        bare.validate()
         subsets = []
         for v in range(1, n + 1):
             spots = [_label_edge(chain[v], d) for d in
                      sorted(deformed_diagonals(chain[v], chain[v - 1], window))]
+            for i, j in spots:
+                bare._check_edge(em, i, j, v, v)
             subsets.append([[spots[b] for b in range(len(spots)) if mask >> b & 1]
                             for mask in range(1 << len(spots))])
         for choice in itertools.product(*subsets):
@@ -368,4 +392,6 @@ def enumerate_elt(shape: SkewShape, n: int, window: tuple[int, int],
             for v, spots in enumerate(choice, start=1):
                 for pos in spots:
                     edges.setdefault(pos, []).append(v)
-            yield EdgeLabeledTableau.of(sh, extent, window, em, edges)
+            yield EdgeLabeledTableau(
+                sh, extent, window, bare.entries,
+                tuple(sorted((pos, tuple(vals)) for pos, vals in edges.items())))

@@ -217,6 +217,22 @@ class TestExitCodes:
         assert code == 2
         assert "invalid EdgeSchurParams" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "equivalence", "--count", "-3"],
+         "argument --count: must be >= 1, got -3"),
+        (["verify", "equivalence", "--count", "0"],
+         "argument --count: must be >= 1, got 0"),
+        (["tableaux", "--lambda", "2", "--edges", "--limit", "-1"],
+         "argument --limit: must be >= 0, got -1"),
+    ], ids=["negative-count", "zero-count", "negative-limit"])
+    def test_count_options_refuse_negatives(self, capsys, argv, message):
+        # unchecked, --count -3 reports "-3 random instances agree" and
+        # --limit -1 silently drops the last tableau
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_roundtrip_malformed_pair(self, capsys, monkeypatch, tmp_path):
         blob = {
             "shape": {"outer": {"parts": [2], "extent": 1},

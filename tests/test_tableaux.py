@@ -1,10 +1,14 @@
+import hashlib
 import json
 import random
 
 import pytest
 
+from edgeschur import tableaux
 from edgeschur.poly import canonical_string, parse
-from edgeschur.shapes import Partition, SkewShape, partitions_in_box
+from edgeschur.schur import EdgeSchurParams, edge_schur_brute
+from edgeschur.shapes import (Partition, SkewShape, partitions_in_box,
+                              strip_chains)
 from edgeschur.tableaux import (ChainForm, EdgeLabeledTableau,
                                 SemistandardTableau, ValidationError,
                                 chain_to_positional, enumerate_elt,
@@ -189,6 +193,87 @@ class TestEnumerateELT:
     def test_all_valid(self):
         for t in enumerate_elt(SkewShape.of((2, 1)), 3, (-2, 2), 2):
             t.validate()
+
+    def test_sweep_is_pinned(self):
+        """Every skew shape in the 2x3 box at extent 2, n = 0..3, and three
+        windows, (-1, 1) not covering the vacuum: each ELT is valid, and its
+        key and weight hash to a recorded digest."""
+        box = partitions_in_box(2, 3)
+        digest = hashlib.sha256()
+        count = 0
+        for lam in box:
+            for mu in box:
+                if not lam.contains(mu):
+                    continue
+                for n in range(4):
+                    for window in [(-2, 2), (-2, 0), (-1, 1)]:
+                        for t in enumerate_elt(SkewShape(lam, mu), n, window,
+                                               2):
+                            t.validate()
+                            digest.update(f"{t.key()}\t"
+                                          f"{canonical_string(t.weight())}\n"
+                                          .encode())
+                            count += 1
+        assert count == 48397
+        assert digest.hexdigest() == ("f959eb957c45b423e57d7456db729912"
+                                      "c22cc23542399e367e5ca771c59ed8e5")
+
+
+def refusal(t: EdgeLabeledTableau) -> str:
+    with pytest.raises(ValidationError) as exc:
+        t.validate()
+    return str(exc.value)
+
+
+class TestEnumerationChecks:
+    """enumerate_elt checks each strip chain once with validate's rules: the
+    entries, then every candidate (edge, letter) on its own."""
+
+    SHAPE = SkewShape.of((1,))          # one chain: () -> (1), entry 1
+
+    def single_label(self, edge):
+        return EdgeLabeledTableau(self.SHAPE, 1, (-1, 1), (((1, 1), 1),),
+                                  ((edge, (1,)),))
+
+    def test_label_inside_the_shape(self, monkeypatch):
+        expected = refusal(self.single_label((1, 1)))
+        assert expected == "label 1 at edge (1, 1) not below entry 1"
+        monkeypatch.setattr(tableaux, "_label_edge", lambda nu, d: (1, 1))
+        with pytest.raises(ValidationError) as exc:
+            list(enumerate_elt(self.SHAPE, 1, (-1, 1), 1))
+        assert str(exc.value) == expected
+
+    @pytest.mark.parametrize("d, edge", [(0, (1, 1)), (2, (1, 3))],
+                             ids=["crossed-by-the-strip", "right-of-window"])
+    def test_diagonal_not_deformed(self, monkeypatch, d, edge):
+        expected = refusal(self.single_label(edge))
+        real = tableaux.deformed_diagonals
+        monkeypatch.setattr(tableaux, "deformed_diagonals",
+                            lambda top, bottom, window:
+                            real(top, bottom, window) | {d})
+        with pytest.raises(ValidationError) as exc:
+            list(enumerate_elt(self.SHAPE, 1, (-1, 1), 1))
+        assert str(exc.value) == expected
+
+    def test_bad_entries_refused(self, monkeypatch):
+        # an entry map off by one row: validate's coverage message
+        monkeypatch.setattr(tableaux, "_chain_entries",
+                            lambda chain: {(2, 1): 1})
+        with pytest.raises(ValidationError, match="do not cover the shape"):
+            list(enumerate_elt(self.SHAPE, 1, (-1, 1), 1))
+
+    def test_validate_runs_once_per_chain(self, monkeypatch):
+        calls = []
+        real = EdgeLabeledTableau.validate
+
+        def counting(t):
+            calls.append(t)
+            real(t)
+        monkeypatch.setattr(EdgeLabeledTableau, "validate", counting)
+        shape = SkewShape.of((2, 1))
+        total = edge_schur_brute(shape, EdgeSchurParams(2, (-2, 2), 2))
+        # more distinct weights than chains: a check per tableau would show
+        assert len(calls) == len(strip_chains(shape, 2)) < len(total.terms)
 
 
 class TestChainForm:
