@@ -249,7 +249,8 @@ def cmd_tableaux(args) -> int:
         tabs = list(enumerate_elt(shape, args.n, window, shape.extent))
         print(f"{len(tabs)} edge labeled tableaux")
         if args.format == "json":
-            print(json.dumps([t.to_json() for t in tabs], indent=1))
+            print(json.dumps([t.to_json() for t in tabs[:args.limit]],
+                             indent=1))
         else:
             for t in tabs[:args.limit]:
                 print(t.render())

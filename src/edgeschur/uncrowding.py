@@ -14,12 +14,20 @@ column-justified part) takes one back; older entries sink to the bottom of
 P's column.  Q becomes cells only for the result and the trace.
 
 The inverse recovers one diagonal at a time by reverse bumping, bottom row
-first, dropping that diagonal's index from Q's columns, then redistributes
-the extracted strictly-decreasing word into box entries and edge sets.  The
-redistribution may be locally ambiguous, so it is resolved by a small
-backtracking search; exactly one global solution exists on the image of the
-forward map.  A pair off the image is refused: crowd raises MalformedPair
-unless uncrowding its result gives the pair back.
+first, dropping that diagonal's index from Q's columns.  It then splits the
+words over boxes and edges with no search, lowest diagonal first.  Diagonal
+c's word reads, bottom to top, the labels under each cell and then its
+entry, and last the labels on the row-0 edge (1, c).  A cell (r, j) with
+j > 1 has its left neighbour (r, j - 1), on diagonal c - 1, already filled,
+say with z.  Rows weakly increase, so the cell's entry, and the labels under
+it, are >= z; the letters read next (the labels on the edge above (r, j - 1),
+else the entry above it) are < z.  So the cell takes the longest run of the
+remaining letters that are >= z, its entry last; a cell in column 1 takes
+every remaining letter, and what the top cell leaves goes to edge (1, c).
+On the image this split is the true one.  Off it, crowd raises
+MalformedPair when P and Q do not unwind, when a cell's run is empty, when
+the result is not a valid tableau, or when uncrowding it does not give the
+pair back.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .shapes import Partition, SkewShape
-from .tableaux import EdgeLabeledTableau, SemistandardTableau, _reading_order
+from .tableaux import (EdgeLabeledTableau, SemistandardTableau,
+                       ValidationError, _reading_order)
 
 
 class MalformedPair(ValueError):
@@ -110,9 +119,6 @@ class RSKPair:
     P: Rows
     Q: tuple[tuple[tuple[int, int], int], ...]   # ((row, col), diagonal index)
 
-    def q_map(self) -> dict[tuple[int, int], int]:
-        return dict(self.Q)
-
 
 def uncrowd(t: EdgeLabeledTableau, with_trace: bool = False):
     """Insertion tableau and recording filling of an edge labeled tableau."""
@@ -157,32 +163,17 @@ def uncrowd(t: EdgeLabeledTableau, with_trace: bool = False):
     return pair
 
 
-def _blocks(word: list[int], k: int):
-    """All splits of the word into k nonempty consecutive blocks."""
-    if k == 0:
-        if not word:
-            yield []
-        return
-    if len(word) < k:
-        return
-    if k == 1:
-        yield [word]
-        return
-    for first_len in range(1, len(word) - k + 2):
-        for rest in _blocks(word[first_len:], k - 1):
-            yield [word[:first_len]] + rest
-
-
 def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
           extent: Optional[int] = None) -> EdgeLabeledTableau:
-    """Inverse of uncrowd; unique on its image, error off it."""
+    """The edge labeled tableau of shape lam, window and extent that uncrowds
+    to the pair, split by the module docstring's rule; else MalformedPair."""
     if any(len(lo) > len(hi) for hi, lo in zip(pair.P, pair.P[1:])):
         raise MalformedPair("rows of P do not weakly shrink downwards")
     for r, row in enumerate(pair.P, 1):
         if any(a > b for a, b in zip(row, row[1:])):
             raise MalformedPair(f"row {r} of P does not weakly increase: {row}")
     extent = extent if extent is not None else lam.extent
-    q = pair.q_map()
+    q = dict(pair.Q)
     c_min = 1 - lam.length()
     i_max = max([0, lam.first() - c_min] + list(q.values()))
     # Q columns top to bottom; a cell beyond them is caught by the last check
@@ -220,65 +211,29 @@ def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
     if any(rows) or any(q_cols):
         raise MalformedPair("leftover cells after unwinding all diagonals")
 
-    # redistribute each diagonal word over boxes and edges, with backtracking
+    # split each diagonal word over boxes and edges, lowest diagonal first
     shape = SkewShape.of(lam.parts, (), extent=extent)
     em: dict[tuple[int, int], int] = {}
-    edges: dict[tuple[int, int], tuple[int, ...]] = {}
-    solutions = []
-
-    def place(i: int, em, edges):
-        if i == 0:
-            solutions.append((dict(em), dict(edges)))
-            return len(solutions) > 1
+    edges: dict[tuple[int, int], list[int]] = {}
+    for i in range(1, i_max + 1):
         c = c_min + i - 1
         word = words.get(i, [])
-        cells = diag_cells.get(c, [])
-        # the diagonal may end with labels on the row-0 edge (1, c): above the
-        # top cell when c <= lam_1, or on the free zeroth row beyond it
-        trailing_ok = c >= 1 and window[0] <= c - 1 <= window[1]
-        max_trail = len(word) - len(cells) if trailing_ok else 0
-        for s in range(max_trail + 1):
-            body = word[:len(word) - s] if s else word
-            trail = word[len(word) - s:] if s else []
-            for split in _blocks(body, len(cells)):
-                new_em = dict(em)
-                new_edges = dict(edges)
-                ok = True
-                for (r, cc), block in zip(cells, split):
-                    entry = block[-1]
-                    labels = block[:-1]
-                    up = new_em.get((r - 1, cc))
-                    right = new_em.get((r, cc + 1))
-                    above_set = new_edges.get((r, cc), ())
-                    if up is not None and entry <= up:
-                        ok = False
-                        break
-                    if right is not None and entry > right:
-                        ok = False
-                        break
-                    if above_set and entry <= max(above_set):
-                        ok = False
-                        break
-                    new_em[(r, cc)] = entry
-                    if labels:
-                        d = cc - r - 1
-                        if not window[0] <= d <= window[1]:
-                            ok = False
-                            break
-                        new_edges[(r + 1, cc)] = tuple(sorted(labels))
-                if ok and trail:
-                    new_edges[(1, c)] = tuple(sorted(trail))
-                if ok:
-                    if place(i - 1, new_em, new_edges):
-                        return True
-        return False
-
-    place(i_max, em, edges)
-    if len(solutions) != 1:
-        raise MalformedPair(
-            f"{len(solutions)} reconstructions; pair is not in the image")
-    em, edges = solutions[0]
-    t = EdgeLabeledTableau.of(shape, extent, window, em, edges)
+        k = 0
+        for r, j in diag_cells.get(c, ()):
+            z = em.get((r, j - 1))      # None in column 1: take every letter
+            end = k
+            while end < len(word) and (z is None or word[end] >= z):
+                end += 1
+            if end == k:
+                raise MalformedPair(f"no letters left for cell {(r, j)}")
+            em[(r, j)] = word[end - 1]
+            edges[(r + 1, j)] = word[k:end - 1]     # `of` drops empty sets
+            k = end
+        edges[(1, c)] = word[k:]
+    try:
+        t = EdgeLabeledTableau.of(shape, extent, window, em, edges)
+    except ValidationError as exc:
+        raise MalformedPair(f"reconstruction is not a tableau: {exc}") from exc
     if uncrowd(t) != RSKPair(pair.P, tuple(sorted(pair.Q))):
         raise MalformedPair("uncrowding the reconstruction does not give "
                             "the pair back; pair is not in the image")

@@ -186,6 +186,13 @@ class TestCrystalAndUncrowd:
         assert code == 0
         assert out.startswith("12 edge labeled tableaux")
 
+    def test_tableaux_json_limit(self, capsys):
+        code, out = run(capsys, "tableaux", "--lambda", "1", "--n", "2",
+                        "--edges", "--format", "json", "--limit", "1")
+        head, body = out.split("\n", 1)
+        assert code == 0 and head == "16 edge labeled tableaux"
+        assert len(json.loads(body)) == 1
+
 
 class TestExitCodes:
     """A failed check exits 1 with one line on stderr; usage errors exit 2."""

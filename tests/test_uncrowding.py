@@ -151,6 +151,15 @@ class TestBijection:
         # a row of P that does not weakly increase is refused by name
         with pytest.raises(MalformedPair, match="row 1 of P does not weakly"):
             crowd(RSKPair(((2, 1),), ()), Partition.of((2,)), (-1, 2), 1)
+        # no letters left for cell (1, 2) once (1, 1) has taken its run
+        with pytest.raises(MalformedPair, match="no letters left for cell"):
+            crowd(RSKPair(((2,), (3,)), ()), Partition.of((2,)), (-2, 3), 1)
+        # the split puts label 3 on the edge over entry 3; validation's
+        # refusal is raised as MalformedPair
+        with pytest.raises(MalformedPair, match="reconstruction is not a "
+                           "tableau: label 3 at edge"):
+            crowd(RSKPair(((1, 3, 3), (2,)), (((1, 1), 3), ((1, 2), 2))),
+                  Partition.of((2,)), (-1, 3), 1)
         # the worked example's pair with one recording cell too many
         pair = uncrowd(example_tableau)
         for extra in (((1, 0), 1), ((1, 40), 6)):
