@@ -14,7 +14,7 @@ import sys
 from . import lattice
 from . import uncrowding
 from .crystal import component_decomposition, crystal_graph, dot_export
-from .poly import canonical_string, swap_x_vars
+from .poly import MultiPoly, canonical_string, sorted_terms, swap_x_vars
 from .schur import (EdgeSchurParams, NotSymmetric, dual_schur,
                     dual_schur_alpha, edge_schur, edge_schur_brute,
                     factorial_schur, schur_expand, variation)
@@ -152,8 +152,13 @@ def _verify_equivalence(args) -> tuple[bool, str]:
                   "Tstar": lattice.edge_schur_lattice(shape, p, "Tstar")}
         bad = next((r for r, z in routes.items() if z != closed), None)
         if bad is not None:
+            m = sorted_terms(routes[bad] - closed)[0][0]
             return False, (f"case {case}: {lam}/{mu} n={n} window={window}: "
-                           f"{bad} disagrees with the closed form")
+                           f"the lowest-degree difference is at "
+                           f"{canonical_string(MultiPoly.monomial(m))}, where "
+                           f"{bad} has {routes[bad].coeff(m)} and the closed "
+                           f"form {closed.coeff(m)}, so {bad} disagrees with "
+                           f"the closed form")
     return True, f"{args.count} random instances agree on all four routes"
 
 

@@ -28,7 +28,7 @@ from .poly import (ALPHA, MultiPoly, av, family, group_by_x, map_vars,
                    monomial_degree, series_inverse, x_exponent_vector, xv,
                    yv)
 from .shapes import Partition, SkewShape, deformed_diagonals
-from .tableaux import enumerate_elt
+from .tableaux import _weighted_elts
 
 
 class NotSymmetric(ValueError):
@@ -133,9 +133,11 @@ def edge_schur(shape: SkewShape, p: EdgeSchurParams, var_kind: str = "x",
 
 def edge_schur_brute(shape: SkewShape, p: EdgeSchurParams) -> MultiPoly:
     """Independent oracle: enumerate all ELTs and sum their weights."""
+    counts: dict[int, int] = {}
+    for _, code in _weighted_elts(shape, p.num_vars, p.window, p.extent):
+        counts[code] = counts.get(code, 0) + 1
     out = MultiPoly.zero(p.trunc)
-    for t in enumerate_elt(shape, p.num_vars, p.window, p.extent):
-        out._accumulate(t.weight())
+    out._accumulate(MultiPoly(counts))
     return out
 
 

@@ -215,11 +215,16 @@ class EdgeLabeledTableau:
             if not _ints([d["extent"], d["window"], d["entries"], d["edges"],
                           sides]):
                 raise ValidationError("tableau JSON value is not an int")
-            return EdgeLabeledTableau.of(
+            # built as written, not through `of`, whose sorting and
+            # de-duplication of edge sets would hide a malformed one
+            t = EdgeLabeledTableau(
                 SkewShape.from_json(d["shape"]), d["extent"],
                 tuple(d["window"]),
-                {(i, j): v for i, j, v in d["entries"]},
-                {(i, j): tuple(vals) for i, j, vals in d["edges"]})
+                tuple(sorted({(i, j): v for i, j, v in d["entries"]}.items())),
+                tuple(sorted({(i, j): tuple(vals)
+                              for i, j, vals in d["edges"]}.items())))
+            t.validate()
+            return t
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValidationError(f"malformed tableau JSON: {exc!r}") from exc
 
@@ -270,11 +275,6 @@ def _ints(value) -> bool:
     """An int or nested lists of ints; bool and float are not ints here."""
     return type(value) is int or (type(value) is list
                                   and all(map(_ints, value)))
-
-
-def weight_elt(t: EdgeLabeledTableau) -> MultiPoly:
-    t.validate()
-    return t.weight()
 
 
 # -- reading words -----------------------------------------------------
@@ -364,6 +364,18 @@ def enumerate_elt(shape: SkewShape, n: int, window: tuple[int, int],
     step 1 vary slowest, and subset `mask` of a step holds the deformed
     diagonals (ascending) whose bit is set.
     """
+    yield from (t for t, _ in _weighted_elts(shape, n, window, extent))
+
+
+def _weighted_elts(shape: SkewShape, n: int, window: tuple[int, int],
+                   extent: int) -> Iterator[tuple[EdgeLabeledTableau, int]]:
+    """enumerate_elt's tableaux, each with its packed weight monomial.
+
+    A tableau's weight is its chain's entry monomial times, per step, the
+    product of x_v * a_d over the step's chosen labels.  Packed monomials
+    multiply by int addition, so both factors are summed once per chain and
+    label subset, where weight() recounts them per tableau.
+    """
     lam = shape.outer.with_extent(extent)
     mu = shape.inner.with_extent(extent)
     sh = SkewShape(lam, mu)
@@ -379,19 +391,26 @@ def enumerate_elt(shape: SkewShape, n: int, window: tuple[int, int],
         bare = EdgeLabeledTableau(sh, extent, window, tuple(sorted(em.items())),
                                   ())
         bare.validate()
+        entry_code = _encode((xv(v), 1) for v in em.values())
         subsets = []
         for v in range(1, n + 1):
-            spots = [_label_edge(chain[v], d) for d in
-                     sorted(deformed_diagonals(chain[v], chain[v - 1], window))]
+            diagonals = sorted(deformed_diagonals(chain[v], chain[v - 1], window))
+            spots = [_label_edge(chain[v], d) for d in diagonals]
             for i, j in spots:
                 bare._check_edge(em, i, j, v, v)
-            subsets.append([[spots[b] for b in range(len(spots)) if mask >> b & 1]
-                            for mask in range(1 << len(spots))])
+            codes = [_encode(((xv(v), 1), (av(d), 1))) for d in diagonals]
+            subsets.append([
+                ([spots[b] for b in range(len(spots)) if mask >> b & 1],
+                 sum(codes[b] for b in range(len(spots)) if mask >> b & 1))
+                for mask in range(1 << len(spots))])
         for choice in itertools.product(*subsets):
             edges: dict[Cell, list[int]] = {}
-            for v, spots in enumerate(choice, start=1):
+            code = entry_code
+            for v, (spots, step_code) in enumerate(choice, start=1):
+                code += step_code
                 for pos in spots:
                     edges.setdefault(pos, []).append(v)
             yield EdgeLabeledTableau(
                 sh, extent, window, bare.entries,
-                tuple(sorted((pos, tuple(vals)) for pos, vals in edges.items())))
+                tuple(sorted((pos, tuple(vals)) for pos, vals in edges.items()))
+            ), code

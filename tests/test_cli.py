@@ -4,7 +4,7 @@ import pytest
 
 from edgeschur import cli, lattice, uncrowding
 from edgeschur.cli import main, parse_partition, parse_window
-from edgeschur.poly import MultiPoly
+from edgeschur.poly import MultiPoly, parse
 from edgeschur.schur import NotSymmetric
 
 
@@ -128,6 +128,32 @@ class TestVerify:
         assert code == 1
         assert out.endswith("Tstar disagrees with the closed form")
 
+    @pytest.mark.parametrize("route, wrong, witness", [
+        ("T", lambda z: z * 2, "at 1, where T has 2 and the closed form 1"),
+        ("brute", lambda z: z - parse("a1*x1"),
+         "at a1*x1, where brute has 0 and the closed form 1"),
+    ], ids=["T-doubled", "brute-missing-a-term"])
+    def test_equivalence_witness(self, capsys, monkeypatch, route, wrong,
+                                 witness):
+        # seed 1, case 0 is E^{0/0} for n = 1 on [-2, 1]:
+        # 1 + a0*x1 + a1*x1 + a0*a1*x1^2
+        if route == "brute":
+            real_brute = cli.edge_schur_brute
+            monkeypatch.setattr(cli, "edge_schur_brute",
+                                lambda shape, p: wrong(real_brute(shape, p)))
+        else:
+            real = lattice.edge_schur_lattice
+            monkeypatch.setattr(
+                lattice, "edge_schur_lattice", lambda shape, p, form="T":
+                wrong(real(shape, p, form)) if form == route
+                else real(shape, p, form))
+        code, out = run(capsys, "verify", "equivalence", "--seed", "1",
+                        "--count", "1")
+        assert code == 1
+        assert out == (f"case 0: (0)/(0) n=1 window=(-2, 1): the lowest-degree "
+                       f"difference is {witness}, so {route} disagrees with "
+                       f"the closed form")
+
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "verify", "nonsense")
@@ -178,6 +204,27 @@ class TestCrystalAndUncrowd:
         f.write_text(json.dumps(blob))
         code, out = run(capsys, "uncrowd", "--in", str(f), "--roundtrip")
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("labels, message", [
+        ([2, 2], "error: edge set at (2, 1) not strictly sorted"),
+        ([], "error: empty edge set at (2, 1)"),
+    ], ids=["repeated", "empty"])
+    def test_uncrowd_malformed_edge_set(self, capsys, tmp_path, labels,
+                                        message):
+        # read as {2} and as no edge, these would uncrowd another tableau
+        blob = {
+            "shape": {"outer": {"parts": [2], "extent": 1},
+                      "inner": {"parts": [], "extent": 1}},
+            "extent": 1, "window": [-1, 2],
+            "entries": [[1, 1, 1], [1, 2, 1]],
+            "edges": [[2, 1, labels]],
+        }
+        f = tmp_path / "t.json"
+        f.write_text(json.dumps(blob))
+        code = main(["uncrowd", "--in", str(f), "--roundtrip"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err == message + "\n"
 
     def test_tableaux_count(self, capsys):
         code, out = run(capsys, "tableaux", "--lambda", "2,0", "--extent",

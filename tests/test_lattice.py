@@ -172,6 +172,63 @@ class TestPartitionFunction:
         assert nonzero > 80
 
 
+class TestPruning:
+    """The DP keeps only the states its backward bit pass marks as able to
+    reach the top; partition_function_brute checks every value."""
+
+    def test_pruned_dp_equals_brute(self):
+        rng = random.Random(41)
+        models = [model_L(), model_Lstar(), model_Ell(), model_Ell(-1),
+                  model_EllSubst(3)]
+        nonzero = unreachable = 0
+        for _ in range(120):
+            ncols = rng.randint(1, 4)
+            nrows = rng.randint(1, 3)
+            while ncols * nrows + (ncols - 1) * nrows > 18:
+                ncols -= 1
+            rows = []
+            for i in range(nrows):
+                model = rng.choice(models)
+                # None keeps the model's boundary label; else flip it
+                left = rng.choice([None, 1 - model.left])
+                right = rng.choice([None, 1 - model.right])
+                rows.append(GridRow(model, V(xv(i + 1)), left, right))
+            lo = rng.randint(-2, 0)
+            window = (lo, lo + ncols - 1)
+            bottom = tuple(rng.randint(0, 1) for _ in range(ncols))
+            T = rng.choice([None, 0, 1, 3])
+            # each row adds its left label's particle and drops its right's
+            count = sum(bottom) + sum(l - r for l, r in
+                                      (row.bounds() for row in rows))
+            for top in itertools.product((0, 1), repeat=ncols):
+                g = GridSpec(tuple(rows), window, bottom, top, trunc=T)
+                z = partition_function(g)
+                brute = partition_function_brute(g)
+                assert z == (brute if T is None else brute.truncate(T)), g
+                if sum(top) != count:
+                    assert z.is_zero()
+                    unreachable += 1
+                nonzero += not z.is_zero()
+        assert nonzero > 60 and unreachable > 500
+
+    def test_prunes_dead_states(self, monkeypatch):
+        """One _merge per state the sweep keeps: the T grid of E^{21/1}
+        with n = 2 on [-3, 3] keeps 36 states, where a sweep that keeps
+        every state the bottom reaches keeps 215."""
+        merges = []
+        real = lattice._merge
+
+        def counting(parts, trunc):
+            merges.append(len(parts))
+            return real(parts, trunc)
+
+        monkeypatch.setattr(lattice, "_merge", counting)
+        shape = SkewShape.of((2, 1), (1,), extent=2)
+        p = EdgeSchurParams(2, (-3, 3), 2)
+        assert edge_schur_lattice(shape, p, "T") == edge_schur(shape, p)
+        assert len(merges) == 36
+
+
 class TestEdgeSchurLattice:
     def test_two_row_shape(self):
         shape = SkewShape.of((2,), (), extent=2)

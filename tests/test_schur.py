@@ -269,6 +269,28 @@ def test_closed_forms_use_no_other_route(monkeypatch):
     assert not variation("ScriptE", shape, p).is_zero()
 
 
+def test_brute_oracle_uses_no_other_route(monkeypatch):
+    """The brute ELT sum runs with the branching engine and the lattice DP
+    both refusing, so it checks them from outside."""
+    from edgeschur.tableaux import enumerate_elt
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the brute oracle reached another route")
+
+    shape = SkewShape.of((2, 1), (1,), extent=2)
+    p = EdgeSchurParams(2, (-2, 2), 2, 4)
+    want = MultiPoly.zero()
+    for t in enumerate_elt(shape, p.num_vars, p.window, p.extent):
+        want = want + t.weight()
+    for mod in [m for name, m in sys.modules.items()
+                if name.split(".")[0] == "edgeschur"]:
+        for name in ("_branch", "partition_function"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    assert edge_schur_brute(shape, p) == want.truncate(4)
+    assert not want.truncate(4).is_zero()
+
+
 class TestParams:
     @pytest.mark.parametrize("args", [(0, (-1, 1), 1), (2, (-1, 1), 1, -1),
                                       (2, (-1, -3), 1)],

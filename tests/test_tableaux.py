@@ -5,7 +5,7 @@ import random
 import pytest
 
 from edgeschur import tableaux
-from edgeschur.poly import canonical_string, parse
+from edgeschur.poly import MultiPoly, canonical_string, parse
 from edgeschur.schur import EdgeSchurParams, edge_schur_brute
 from edgeschur.shapes import (Partition, SkewShape, partitions_in_box,
                               strip_chains)
@@ -13,7 +13,13 @@ from edgeschur.tableaux import (ChainForm, EdgeLabeledTableau,
                                 SemistandardTableau, ValidationError,
                                 chain_to_positional, enumerate_elt,
                                 enumerate_ssyt, positional_to_chain,
-                                reading_word, weight_elt)
+                                reading_word)
+
+
+def weight_elt(t: EdgeLabeledTableau) -> MultiPoly:
+    """The weight of a tableau that must first pass validate()."""
+    t.validate()
+    return t.weight()
 
 
 def elt(outer, inner, extent, window, entries, edges):
@@ -219,6 +225,42 @@ class TestEnumerateELT:
                                       "c22cc23542399e367e5ca771c59ed8e5")
 
 
+class TestWeightByChain:
+    """The brute oracle reads each tableau's weight from codes summed once
+    per strip chain and label subset; weight() recounts it per tableau."""
+
+    def test_codes_equal_weight_over_the_sweep(self):
+        # the sweep of test_sweep_is_pinned
+        box = partitions_in_box(2, 3)
+        count = 0
+        for lam in box:
+            for mu in box:
+                if not lam.contains(mu):
+                    continue
+                for n in range(4):
+                    for window in [(-2, 2), (-2, 0), (-1, 1)]:
+                        for t, code in tableaux._weighted_elts(
+                                SkewShape(lam, mu), n, window, 2):
+                            assert t.weight().terms == {code: 1}
+                            count += 1
+        assert count == 48397
+
+    @pytest.mark.parametrize("trunc", [None, 3])
+    def test_brute_sums_tableau_weights(self, trunc):
+        box = partitions_in_box(2, 3)
+        p = EdgeSchurParams(3, (-2, 2), 2, trunc)
+        for lam in box:
+            for mu in box:
+                if not lam.contains(mu):
+                    continue
+                shape = SkewShape(lam, mu)
+                want = MultiPoly.zero()
+                for t in enumerate_elt(shape, p.num_vars, p.window, 2):
+                    want = want + t.weight()
+                assert edge_schur_brute(shape, p) == want.truncate(trunc), \
+                    shape
+
+
 def refusal(t: EdgeLabeledTableau) -> str:
     with pytest.raises(ValidationError) as exc:
         t.validate()
@@ -347,3 +389,21 @@ def test_from_json_refuses_non_ints(path, value):
     target[path[-1]] = value
     with pytest.raises(ValidationError, match="not an int"):
         EdgeLabeledTableau.from_json(blob)
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([2, 2], r"edge set at \(2, 1\) not strictly sorted"),
+    ([3, 2], r"edge set at \(2, 1\) not strictly sorted"),
+    ([], r"empty edge set at \(2, 1\)"),
+], ids=["repeated", "decreasing", "empty"])
+def test_from_json_refuses_malformed_edge_sets(labels, message):
+    """An edge set is read as written: sorting or de-duplicating it would
+    load another tableau than the one in the file."""
+    blob = {"shape": {"outer": {"parts": [2], "extent": 1},
+                      "inner": {"parts": [], "extent": 1}},
+            "extent": 1, "window": [-1, 2],
+            "entries": [[1, 1, 1], [1, 2, 1]], "edges": [[2, 1, labels]]}
+    with pytest.raises(ValidationError, match=message):
+        EdgeLabeledTableau.from_json(blob)
+    blob["edges"] = [[2, 1, sorted(set(labels))]] if labels else []
+    EdgeLabeledTableau.from_json(blob)
