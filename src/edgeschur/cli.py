@@ -121,6 +121,13 @@ def _verify_yb(args) -> tuple[bool, str]:
     return True, "all Yang-Baxter checks behaved as expected"
 
 
+def _first_difference(p: MultiPoly, q: MultiPoly) -> tuple[str, int, int]:
+    """The lowest-degree monomial where p and q differ, and both of its
+    coefficients."""
+    m = sorted_terms(p - q)[0][0]
+    return canonical_string(MultiPoly.monomial(m)), p.coeff(m), q.coeff(m)
+
+
 def _verify_symmetry(args) -> tuple[bool, str]:
     r, c = (int(v) for v in args.box.split(":"))
     window = parse_window(args.window) if args.window else (-r, c)
@@ -128,8 +135,13 @@ def _verify_symmetry(args) -> tuple[bool, str]:
         shape = SkewShape.of(lam.parts, (), extent=r)
         e = edge_schur(shape, EdgeSchurParams(args.n, window, r))
         for i in range(1, args.n):
-            if swap_x_vars(e, i, i + 1) != e:
-                return False, f"E^{lam} not symmetric under x{i} <-> x{i+1}"
+            swapped = swap_x_vars(e, i, i + 1)
+            if swapped != e:
+                at, ours, theirs = _first_difference(e, swapped)
+                return False, (f"E^{lam} not symmetric under x{i} <-> "
+                               f"x{i+1}: the lowest-degree difference is at "
+                               f"{at}, where E has {ours} and its swap "
+                               f"{theirs}")
     return True, f"edge Schur symmetric on the {r}x{c} box"
 
 
@@ -152,13 +164,11 @@ def _verify_equivalence(args) -> tuple[bool, str]:
                   "Tstar": lattice.edge_schur_lattice(shape, p, "Tstar")}
         bad = next((r for r, z in routes.items() if z != closed), None)
         if bad is not None:
-            m = sorted_terms(routes[bad] - closed)[0][0]
+            at, ours, theirs = _first_difference(routes[bad], closed)
             return False, (f"case {case}: {lam}/{mu} n={n} window={window}: "
-                           f"the lowest-degree difference is at "
-                           f"{canonical_string(MultiPoly.monomial(m))}, where "
-                           f"{bad} has {routes[bad].coeff(m)} and the closed "
-                           f"form {closed.coeff(m)}, so {bad} disagrees with "
-                           f"the closed form")
+                           f"the lowest-degree difference is at {at}, where "
+                           f"{bad} has {ours} and the closed form {theirs}, "
+                           f"so {bad} disagrees with the closed form")
     return True, f"{args.count} random instances agree on all four routes"
 
 
@@ -179,6 +189,15 @@ def cmd_verify(args) -> int:
         T = 4 if args.trunc is None else args.trunc
         rep = lattice.cauchy_check(mu, eta, args.n, args.m, window, T)
         ok = rep["ok"]
+        # the grids are exact only below degree 2(M0+1) - (eta1 + n) - mu1:
+        # a failure at or past it is a window too narrow for T
+        firsts = eta.first() + args.n + mu.first()
+        if not ok and 2 * (window[1] + 1) - firsts <= T:
+            print(f"error: --window {window[0]}:{window[1]} is too narrow "
+                  f"for --trunc {T}: the check is exact only below degree "
+                  f"2(M0+1) - (eta1 + n) - mu1, so it needs M0 >= "
+                  f"{(T + firsts) // 2}", file=sys.stderr)
+            return 2
         msg = json.dumps({k: v for k, v in rep.items() if isinstance(v, bool)})
         if not ok and args.witness:
             msg += "\n" + json.dumps({k: v for k, v in rep.items()

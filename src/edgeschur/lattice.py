@@ -10,11 +10,14 @@ The partition function is computed by a column-sweep profile dynamic
 program, one vertex at a time with states merged after every vertex, and
 independently by brute-force state enumeration (the oracle used in tests).
 
-The sweep carries polynomials only for states that can still reach the top
-boundary.  Before it starts, a backward pass over bits alone (no weights)
-runs from the top profile down through the rows and right to left through
-the columns, and marks each (h, profile) state that some chain of table
-keys connects to the top; the forward sweep drops every unmarked state.
+One sweep serves a set of top profiles: from one bottom profile it returns
+Z for each top of the set it reaches, with weight tables the caller builds
+(partition_function once per call, commutation_check once per check).  It
+carries polynomials only for states that can still reach one of those
+tops.  Before it starts, a backward pass over bits alone (no weights)
+runs from the tops down through the rows and right to left through the
+columns, and marks each (h, profile) state that some chain of table keys
+connects to a top; the forward sweep drops every unmarked state.
 This is the forward-backward trimming of a transfer-matrix DP, here over
 the row transfer matrices of Brubaker-Bump-Friedberg, "Schur polynomials
 and the Yang-Baxter equation" (CMP 2011).
@@ -254,10 +257,11 @@ def _merge(parts: list[tuple[MultiPoly, MultiPoly]],
     return out
 
 
-def _live_states(g: GridSpec,
-                 tables: list[list[dict[Config, MultiPoly]]]) -> list[list[set]]:
+def _live_states(rows: tuple[GridRow, ...],
+                 tables: list[list[dict[Config, MultiPoly]]],
+                 tops: set[int]) -> list[list[set]]:
     """live[r][c]: the (h, profile) states leaving column c of row r from
-    which a path still reaches the top profile.
+    which a path still reaches one of the top profiles.
 
     A pass over bits only, top row first and right to left: the states
     leaving a row's last column are its right boundary label over a profile
@@ -266,8 +270,8 @@ def _live_states(g: GridSpec,
     (h, s, e, n) whose n is bit c of prof.  A weight the truncation cut to
     zero stays a key, so no state that reaches the top goes unmarked."""
     live = []
-    after = {_profile(g.top)}
-    for row, row_tables in zip(reversed(g.rows), reversed(tables)):
+    after = tops
+    for row, row_tables in zip(reversed(rows), reversed(tables)):
         left, right = row.bounds()
         states = {(right, prof) for prof in after}
         marks = []
@@ -281,21 +285,19 @@ def _live_states(g: GridSpec,
     return live[::-1]
 
 
-def partition_function(g: GridSpec) -> MultiPoly:
-    """Column-sweep profile DP, bottom row first, merged after every vertex.
+def _sweep(rows: tuple[GridRow, ...],
+           tables: list[list[dict[Config, MultiPoly]]], bottom: int,
+           tops: set[int], trunc: Optional[int]) -> dict[int, MultiPoly]:
+    """{top: Z} for every profile in tops that the bottom profile reaches.
 
+    A column-sweep profile DP, bottom row first, merged after every vertex.
     Entering column c a state is (h, profile): the horizontal label, and the
-    emitted top bits below bit c over the bottom bits not yet consumed.  The
-    weight tables are built once, up front, and the sweep keeps only the
-    states _live_states marks."""
-    ncols = g.window[1] - g.window[0] + 1
-    if len(g.bottom) != ncols or len(g.top) != ncols:
-        raise ValueError("boundary bit count does not match the window")
-    tables = [[_weight_table(row, g.col_param(d), g.trunc)
-               for d in g.columns()] for row in g.rows]
-    live = _live_states(g, tables)
-    frontier = {_profile(g.bottom): MultiPoly.one(g.trunc)}
-    for row, row_tables, row_live in zip(g.rows, tables, live):
+    emitted top bits below bit c over the bottom bits not yet consumed.
+    tables[r][c] is row r's weight table at column c, built by the caller,
+    and the sweep keeps only the states _live_states marks from tops."""
+    live = _live_states(rows, tables, tops)
+    frontier = {bottom: MultiPoly.one(trunc)}
+    for row, row_tables, row_live in zip(rows, tables, live):
         left, right = row.bounds()
         states = {(left, prof): acc for prof, acc in frontier.items()}
         for c, (table, marked) in enumerate(zip(row_tables, row_live)):
@@ -309,10 +311,23 @@ def partition_function(g: GridSpec) -> MultiPoly:
                         key = (e, prof + ((n_ - s) << c))
                         if key in marked:
                             inflow.setdefault(key, []).append((wt, acc))
-            states = {key: _merge(parts, g.trunc)
+            states = {key: _merge(parts, trunc)
                       for key, parts in inflow.items()}
         frontier = {prof: z for (h, prof), z in states.items() if h == right}
-    return frontier.get(_profile(g.top), _ZERO)
+    return {prof: z for prof, z in frontier.items() if prof in tops}
+
+
+def partition_function(g: GridSpec) -> MultiPoly:
+    """Z of the grid: one _sweep to the single top profile g.top, with each
+    (row, column) weight table built once, up front."""
+    ncols = g.window[1] - g.window[0] + 1
+    if len(g.bottom) != ncols or len(g.top) != ncols:
+        raise ValueError("boundary bit count does not match the window")
+    tables = [[_weight_table(row, g.col_param(d), g.trunc)
+               for d in g.columns()] for row in g.rows]
+    top = _profile(g.top)
+    return _sweep(g.rows, tables, _profile(g.bottom), {top},
+                  g.trunc).get(top, _ZERO)
 
 
 def partition_function_brute(g: GridSpec) -> MultiPoly:
@@ -496,23 +511,31 @@ def commutation_check(box: tuple[int, int], window: tuple[int, int],
     window must satisfy 2*M - 2*box_cols >= T - 1 for a truncation-T check.
     Flipping the t-row right boundary to 1 readmits the escape state and
     breaks the relation.  Both grids are cut at T inside the DP, which is
-    exact: truncation by total degree is a ring map.  Returns (ok, witness).
+    exact: truncation by total degree is a ring map.  The row tables are
+    built once per check; each bottom mu gets one sweep per row order and
+    every lam is read off its frontier (2 * #box sweeps, not 2 * #box^2).
+    Returns (ok, witness), the witness at the first failing (lam, mu) in
+    lam-major order.
     """
     x, y = MultiPoly.var(xv(1)), MultiPoly.var(yv(1))
-    t_row = GridRow(model_Ell(-1), x,
-                    right=1 if flip_t_right else None)
-    tstar_row = GridRow(model_Lstar(), y)
+    rows = (GridRow(model_Ell(-1), x, right=1 if flip_t_right else None),
+            GridRow(model_Lstar(), y))
+    tables = [[_weight_table(row, MultiPoly.var(av(d)), T)
+               for d in range(window[0], window[1] + 1)] for row in rows]
+    shapes = partitions_in_box(*box)
+    # with the escape readmitted the particle count no longer grows
+    tops = [_profile(maya_bits(lam, window, shift=0 if flip_t_right else 1))
+            for lam in shapes]
+    # per mu: {top: Z} with the t-row below the Tstar-row, then above it
+    sweeps = [[_sweep(rows[::k], tables[::k], _profile(maya_bits(mu, window)),
+                      set(tops), T) for k in (1, -1)] for mu in shapes]
+    kernel = _ONE - x * y
     ok = True
     witness = None
-    for lam in partitions_in_box(*box):
-        for mu in partitions_in_box(*box):
-            bottom = maya_bits(mu, window)
-            # with the escape readmitted the particle count no longer grows
-            top = maya_bits(lam, window, shift=0 if flip_t_right else 1)
-            g1 = GridSpec((t_row, tstar_row), window, bottom, top, trunc=T)
-            g2 = GridSpec((tstar_row, t_row), window, bottom, top, trunc=T)
-            lhs = (_ONE - x * y) * partition_function(g1)
-            rhs = partition_function(g2)
+    for lam, top in zip(shapes, tops):
+        for mu, (z1, z2) in zip(shapes, sweeps):
+            lhs = kernel * z1.get(top, _ZERO)
+            rhs = z2.get(top, _ZERO)
             if lhs != rhs:
                 ok = False
                 if witness is None:

@@ -220,9 +220,9 @@ class EdgeLabeledTableau:
             t = EdgeLabeledTableau(
                 SkewShape.from_json(d["shape"]), d["extent"],
                 tuple(d["window"]),
-                tuple(sorted({(i, j): v for i, j, v in d["entries"]}.items())),
-                tuple(sorted({(i, j): tuple(vals)
-                              for i, j, vals in d["edges"]}.items())))
+                tuple(sorted(_by_position(d["entries"], "entry").items())),
+                tuple(sorted((pos, tuple(vals)) for pos, vals in
+                             _by_position(d["edges"], "edge").items())))
             t.validate()
             return t
         except (KeyError, TypeError, AttributeError) as exc:
@@ -275,6 +275,17 @@ def _ints(value) -> bool:
     """An int or nested lists of ints; bool and float are not ints here."""
     return type(value) is int or (type(value) is list
                                   and all(map(_ints, value)))
+
+
+def _by_position(rows: list, what: str) -> dict:
+    """{(i, j): value} of JSON [i, j, value] rows.  A repeated (i, j) is
+    refused: a dict would keep its last value and load another tableau."""
+    out = {}
+    for i, j, value in rows:
+        if (i, j) in out:
+            raise ValidationError(f"repeated {what} position {(i, j)}")
+        out[i, j] = value
+    return out
 
 
 # -- reading words -----------------------------------------------------

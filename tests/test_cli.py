@@ -104,6 +104,30 @@ class TestVerify:
                       "--window", "-2:3", "--trunc", "4")
         assert code == 0
 
+    def test_cauchy_window_too_narrow_for_trunc(self, capsys):
+        # exact only below degree 2(M0+1) - (eta1 + n) - mu1 = 2*5 - 5 = 5
+        argv = ["verify", "cauchy", "--mu", "2", "--eta", "2", "--n", "1",
+                "--m", "1", "--trunc", "6", "--window"]
+        assert main(argv + ["-2:4"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: --window -2:4 is "
+                                                    "too narrow for --trunc 6")
+        assert out.err.endswith("so it needs M0 >= 5\n")
+        code, out = run(capsys, *argv, "-2:5")
+        assert code == 0 and json.loads(out)["ok"]
+
+    def test_cauchy_failure_inside_the_window_is_a_failure(self, capsys,
+                                                           monkeypatch):
+        real = lattice.cauchy_check
+
+        def broken(*args):
+            return dict(real(*args), product=False, ok=False)
+
+        monkeypatch.setattr(lattice, "cauchy_check", broken)
+        code, out = run(capsys, "verify", "cauchy", "--n", "1", "--m", "1",
+                        "--window", "-2:3", "--trunc", "4")
+        assert code == 1 and json.loads(out)["product"] is False
+
     def test_commutation_trunc_zero(self, capsys):
         # --trunc 0 is a cutoff of its own, not a request for the default
         code, out = run(capsys, "verify", "commutation", "--box", "1:1",
@@ -111,9 +135,20 @@ class TestVerify:
         assert code == 0 and out == "commutation relation holds"
 
     def test_symmetry_small(self, capsys):
-        code, _ = run(capsys, "verify", "symmetry", "--box", "2:2",
-                      "--n", "3", "--window", "-2:2")
-        assert code == 0
+        code, out = run(capsys, "verify", "symmetry", "--box", "2:2",
+                        "--n", "3", "--window", "-2:2")
+        assert code == 0 and out == "edge Schur symmetric on the 2x2 box"
+
+    def test_symmetry_witness(self, capsys, monkeypatch):
+        real = cli.edge_schur
+        # 3*x2 more than E: the first shape, (1) in the 1x1 box, fails first
+        monkeypatch.setattr(cli, "edge_schur",
+                            lambda shape, p: real(shape, p) + parse("3*x2"))
+        code, out = run(capsys, "verify", "symmetry", "--box", "1:1",
+                        "--n", "2")
+        assert code == 1
+        assert out == ("E^(1) not symmetric under x1 <-> x2: the lowest-degree "
+                       "difference is at x1, where E has 1 and its swap 4")
 
     def test_equivalence_names_route(self, capsys, monkeypatch):
         real = lattice.edge_schur_lattice
@@ -219,6 +254,30 @@ class TestCrystalAndUncrowd:
             "entries": [[1, 1, 1], [1, 2, 1]],
             "edges": [[2, 1, labels]],
         }
+        f = tmp_path / "t.json"
+        f.write_text(json.dumps(blob))
+        code = main(["uncrowd", "--in", str(f), "--roundtrip"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err == message + "\n"
+
+    @pytest.mark.parametrize("field, rows, message", [
+        ("entries", [[1, 1, 1], [1, 1, 1], [1, 2, 1]],
+         "error: repeated entry position (1, 1)"),
+        ("edges", [[2, 1, [2]], [2, 1, [3]]],
+         "error: repeated edge position (2, 1)"),
+    ], ids=["entry", "edge"])
+    def test_uncrowd_repeated_position(self, capsys, tmp_path, field, rows,
+                                       message):
+        # read into a dict, the last row at a position would win silently
+        blob = {
+            "shape": {"outer": {"parts": [2], "extent": 1},
+                      "inner": {"parts": [], "extent": 1}},
+            "extent": 1, "window": [-1, 3],
+            "entries": [[1, 1, 1], [1, 2, 1]],
+            "edges": [[2, 1, [2]]],
+        }
+        blob[field] = rows
         f = tmp_path / "t.json"
         f.write_text(json.dumps(blob))
         code = main(["uncrowd", "--in", str(f), "--roundtrip"])

@@ -229,6 +229,74 @@ class TestPruning:
         assert len(merges) == 36
 
 
+class TestSweep:
+    """One _sweep from a bottom profile serves a whole set of tops."""
+
+    @staticmethod
+    def tables(g):
+        return [[lattice._weight_table(row, g.col_param(d), g.trunc)
+                 for d in g.columns()] for row in g.rows]
+
+    @pytest.mark.parametrize("kind", ["L", "Lstar", "Ell(-a)", "mixed"])
+    def test_every_top_equals_partition_function_and_brute(self, kind):
+        rng = random.Random(f"sweep {kind}")
+        models = {"L": [model_L()], "Lstar": [model_Lstar()],
+                  "Ell(-a)": [model_Ell(-1)],
+                  "mixed": [model_L(), model_Lstar(), model_Ell(-1),
+                            model_EllSubst(3)]}[kind]
+        nonzero = 0
+        for _ in range(12):
+            ncols, nrows = rng.randint(2, 4), rng.randint(1, 2)
+            rows = tuple(GridRow(rng.choice(models), V(xv(i + 1)),
+                                 right=rng.choice([None, None, 0, 1]))
+                         for i in range(nrows))
+            lo = rng.randint(-2, 0)
+            window = (lo, lo + ncols - 1)
+            bottom = tuple(rng.randint(0, 1) for _ in range(ncols))
+            T = rng.choice([0, 2, 3])
+            # every top with the particle count the rows conserve, and a
+            # few more the sweep cannot reach
+            count = sum(bottom) + sum(l - r for l, r in
+                                      (row.bounds() for row in rows))
+            tops = list(itertools.product((0, 1), repeat=ncols))
+            wanted = [top for top in tops if sum(top) == count]
+            wanted += rng.sample(tops, 2)
+            profiles = {lattice._profile(top): top for top in wanted}
+            g = GridSpec(rows, window, bottom, bottom, trunc=T)
+            frontier = lattice._sweep(rows, self.tables(g),
+                                      lattice._profile(bottom),
+                                      set(profiles), T)
+            assert set(frontier) <= set(profiles)
+            for prof, top in profiles.items():
+                one = GridSpec(rows, window, bottom, top, trunc=T)
+                z = frontier.get(prof, MultiPoly.zero())
+                assert z == partition_function(one)
+                assert z == partition_function_brute(one).truncate(T)
+                nonzero += not z.is_zero()
+        assert nonzero >= 8
+
+    def test_commutation_witness_is_the_first_in_lam_major_order(self):
+        """The reference loop runs one partition_function per (lam, mu)."""
+        box, window, T = (2, 2), (-2, 5), 6
+        x, y = V(xv(1)), V(yv(1))
+        t_row = GridRow(model_Ell(-1), x, right=1)
+        dual = GridRow(model_Lstar(), y)
+        witness = None
+        for lam in partitions_in_box(*box):
+            for mu in partitions_in_box(*box):
+                bottom, top = maya_bits(mu, window), maya_bits(lam, window)
+                lhs = (ONE - x * y) * partition_function(
+                    GridSpec((t_row, dual), window, bottom, top, trunc=T))
+                rhs = partition_function(
+                    GridSpec((dual, t_row), window, bottom, top, trunc=T))
+                if lhs != rhs and witness is None:
+                    witness = (lam, mu, lattice.canonical_string(lhs),
+                               lattice.canonical_string(rhs))
+        assert witness is not None
+        assert commutation_check(box, window, T, flip_t_right=True) == \
+            (False, witness)
+
+
 class TestEdgeSchurLattice:
     def test_two_row_shape(self):
         shape = SkewShape.of((2,), (), extent=2)

@@ -407,3 +407,20 @@ def test_from_json_refuses_malformed_edge_sets(labels, message):
         EdgeLabeledTableau.from_json(blob)
     blob["edges"] = [[2, 1, sorted(set(labels))]] if labels else []
     EdgeLabeledTableau.from_json(blob)
+
+
+@pytest.mark.parametrize("field, rows, message", [
+    ("entries", [[1, 1, 1], [1, 1, 1], [1, 2, 1]],
+     r"repeated entry position \(1, 1\)"),
+    ("edges", [[2, 1, [2]], [2, 1, [3]]], r"repeated edge position \(2, 1\)"),
+], ids=["entry", "edge"])
+def test_from_json_refuses_repeated_positions(field, rows, message):
+    """Read into a dict, a repeated (i, j) would keep only its last value:
+    two cells instead of three rows, one edge set instead of two."""
+    blob = {"shape": {"outer": {"parts": [2], "extent": 1},
+                      "inner": {"parts": [], "extent": 1}},
+            "extent": 1, "window": [-1, 3],
+            "entries": [[1, 1, 1], [1, 2, 1]], "edges": [[2, 1, [2]]]}
+    blob[field] = rows
+    with pytest.raises(ValidationError, match=message):
+        EdgeLabeledTableau.from_json(blob)
