@@ -10,11 +10,13 @@ import argparse
 import json
 import random
 import sys
+from functools import partial
 
 from . import lattice
 from . import uncrowding
 from .crystal import component_decomposition, crystal_graph, dot_export
-from .poly import MultiPoly, canonical_string, sorted_terms, swap_x_vars
+from .poly import (MultiPoly, canonical_string, parse, sorted_terms,
+                   swap_x_vars)
 from .schur import (EdgeSchurParams, NotSymmetric, dual_schur,
                     dual_schur_alpha, edge_schur, edge_schur_brute,
                     factorial_schur, schur_expand, variation)
@@ -84,9 +86,6 @@ def cmd_expand(args) -> int:
             poly = dual_schur_alpha(shape, args.m, args.trunc)
         else:
             poly = dual_schur(shape, args.m, args.trunc)
-    else:
-        print(f"unknown family {fam}", file=sys.stderr)
-        return 2
     if args.schur_expand is not None:
         coeffs, rem = schur_expand(poly, args.n, args.schur_expand)
         out = {str(nu): canonical_string(c) for nu, c in sorted(coeffs.items())}
@@ -172,6 +171,14 @@ def _verify_equivalence(args) -> tuple[bool, str]:
     return True, f"{args.count} random instances agree on all four routes"
 
 
+def _too_narrow(window: tuple[int, int], T: int, exact: str, need: str) -> int:
+    """Report a failed check whose window is too narrow for T; exit 2."""
+    print(f"error: --window {window[0]}:{window[1]} is too narrow for --trunc "
+          f"{T}: the check is exact only {exact}, so it needs {need}",
+          file=sys.stderr)
+    return 2
+
+
 def cmd_verify(args) -> int:
     suite = args.suite
     if suite == "yb":
@@ -181,7 +188,15 @@ def cmd_verify(args) -> int:
         window = parse_window(args.window) if args.window else (-2, 5)
         T = 6 if args.trunc is None else args.trunc
         ok, wit = lattice.commutation_check((r, c), window, T)
-        msg = "commutation relation holds" if ok else f"failed at {wit[:2]}"
+        if not ok and 2 * window[1] - 2 * c < T - 1:
+            return _too_narrow(window, T, "when 2M - 2*box_cols >= T - 1",
+                               f"M >= {c + T // 2}")
+        msg = "commutation relation holds"
+        if not ok:
+            at, lhs, rhs = _first_difference(parse(wit[2]), parse(wit[3]))
+            msg = (f"failed at lam={wit[0]}, mu={wit[1]}: the lowest-degree "
+                   f"difference is at {at}, where (1 - xy) T* t has {lhs} "
+                   f"and t T* has {rhs}")
     elif suite == "cauchy":
         mu = parse_partition(args.mu)
         eta = parse_partition(args.eta)
@@ -193,11 +208,8 @@ def cmd_verify(args) -> int:
         # a failure at or past it is a window too narrow for T
         firsts = eta.first() + args.n + mu.first()
         if not ok and 2 * (window[1] + 1) - firsts <= T:
-            print(f"error: --window {window[0]}:{window[1]} is too narrow "
-                  f"for --trunc {T}: the check is exact only below degree "
-                  f"2(M0+1) - (eta1 + n) - mu1, so it needs M0 >= "
-                  f"{(T + firsts) // 2}", file=sys.stderr)
-            return 2
+            return _too_narrow(window, T, "below degree 2(M0+1) - (eta1 + n)"
+                               " - mu1", f"M0 >= {(T + firsts) // 2}")
         msg = json.dumps({k: v for k, v in rep.items() if isinstance(v, bool)})
         if not ok and args.witness:
             msg += "\n" + json.dumps({k: v for k, v in rep.items()
@@ -213,9 +225,6 @@ def cmd_verify(args) -> int:
         ok, msg = _verify_symmetry(args)
     elif suite == "equivalence":
         ok, msg = _verify_equivalence(args)
-    else:
-        print(f"unknown suite {suite}", file=sys.stderr)
-        return 2
     print(msg)
     return 0 if ok else 1
 
@@ -288,19 +297,26 @@ def cmd_tableaux(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="edgeschur")
-    sub = ap.add_subparsers(dest="command", required=True)
+    # no prefix matching, so that `tableaux --m 2` is not read as `--mu 2`
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
-    def common(p):
-        p.add_argument("--lambda", dest="lam", default="", metavar="PARTS")
-        p.add_argument("--mu", default="", metavar="PARTS")
-        p.add_argument("--extent", type=int, default=None)
-        p.add_argument("--n", type=positive_int, default=2)
-        p.add_argument("--m", type=positive_int, default=1)
-        p.add_argument("--window", default=None, metavar="M:N")
-        p.add_argument("--trunc", type=nonnegative_int, default=None)
+    shared = {"lambda": dict(dest="lam", default="", metavar="PARTS"),
+              "mu": dict(default="", metavar="PARTS"),
+              "extent": dict(type=int, default=None),
+              "n": dict(type=positive_int, default=2),
+              "m": dict(type=positive_int, default=1),
+              "window": dict(default=None, metavar="M:N"),
+              "trunc": dict(type=nonnegative_int, default=None)}
+
+    def common(p, *names):
+        """Register the shared options the subcommand reads, and no more."""
+        for name in names:
+            p.add_argument(f"--{name}", **shared[name])
 
     pe = sub.add_parser("expand", help="print one symmetric function")
-    common(pe)
+    common(pe, *shared)
     pe.add_argument("--family", required=True,
                     choices=["schur", "factorial", "edge", "ebar", "dualfact",
                              "scripte", "hatscripte", "dualschur"])
@@ -312,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(fn=cmd_expand)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    common(pv)
+    common(pv, "mu", "n", "m", "window", "trunc")
     pv.add_argument("suite", choices=["yb", "commutation", "cauchy",
                                       "freefermion", "symmetry", "equivalence"])
     pv.add_argument("--kind", default=None,
@@ -327,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(fn=cmd_verify)
 
     pc = sub.add_parser("crystal", help="crystal graph export")
-    common(pc)
+    common(pc, "lambda", "extent", "n", "window")
     pc.add_argument("--dot", default=None, metavar="FILE")
     pc.set_defaults(fn=cmd_crystal)
 
@@ -337,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     pu.set_defaults(fn=cmd_uncrowd)
 
     pt = sub.add_parser("tableaux", help="enumerate tableaux")
-    common(pt)
+    common(pt, "lambda", "mu", "extent", "n", "window")
     pt.add_argument("--edges", action="store_true",
                     help="edge labeled tableaux instead of plain SSYT")
     pt.add_argument("--format", choices=["text", "json"], default="text")

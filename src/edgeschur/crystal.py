@@ -15,6 +15,7 @@ the left box, which lives on the same weight diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .poly import MultiPoly
@@ -225,20 +226,10 @@ class CrystalGraph:
     index: dict[str, int]     # key -> vertex id
     arcs: dict[tuple[int, int], int]   # (vertex, i) -> vertex
 
-    def component_of(self, v: int, n: int) -> set[int]:
-        seen = {v}
-        stack = [v]
-        back: dict[tuple[int, int], int] = {}
-        for (u, i), w in self.arcs.items():
-            back[(w, i)] = u
-        while stack:
-            u = stack.pop()
-            for i in range(1, n):
-                for nxt in (self.arcs.get((u, i)), back.get((u, i))):
-                    if nxt is not None and nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-        return seen
+    @cached_property
+    def back(self) -> dict[tuple[int, int], int]:
+        """The arcs reversed: (vertex, i) -> the vertex f_i sends there."""
+        return {(w, i): u for (u, i), w in self.arcs.items()}
 
 
 def _graph_from(elements, f_apply, n: int, key) -> CrystalGraph:
@@ -271,17 +262,11 @@ def graphs_isomorphic(g1: CrystalGraph, v1: int, g2: CrystalGraph, v2: int,
     """Rooted edge-labeled isomorphism by deterministic parallel traversal."""
     pairing = {v1: v2}
     stack = [(v1, v2)]
-    back1: dict[tuple[int, int], int] = {}
-    back2: dict[tuple[int, int], int] = {}
-    for (u, i), w in g1.arcs.items():
-        back1[(w, i)] = u
-    for (u, i), w in g2.arcs.items():
-        back2[(w, i)] = u
     while stack:
         a, b = stack.pop()
         for i in range(1, n):
             for  nxt_a, nxt_b in ((g1.arcs.get((a, i)), g2.arcs.get((b, i))),
-                                  (back1.get((a, i)), back2.get((b, i)))):
+                                  (g1.back.get((a, i)), g2.back.get((b, i)))):
                 if (nxt_a is None) != (nxt_b is None):
                     return False
                 if nxt_a is None:
@@ -297,18 +282,23 @@ def graphs_isomorphic(g1: CrystalGraph, v1: int, g2: CrystalGraph, v2: int,
 
 def component_decomposition(graph: CrystalGraph, n: int):
     """Split into components; returns list of (component, hw vertex)."""
-    incoming: set[tuple[int, int]] = set()
-    for (u, i), w in graph.arcs.items():
-        incoming.add((w, i))
     seen: set[int] = set()
     out = []
     for v in range(len(graph.vertices)):
         if v in seen:
             continue
-        comp = graph.component_of(v, n)
+        comp = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for i in range(1, n):
+                for nxt in (graph.arcs.get((u, i)), graph.back.get((u, i))):
+                    if nxt is not None and nxt not in comp:
+                        comp.add(nxt)
+                        stack.append(nxt)
         seen |= comp
         hws = [u for u in comp
-               if all((u, i) not in incoming for i in range(1, n))]
+               if all((u, i) not in graph.back for i in range(1, n))]
         if len(hws) != 1:
             raise AssertionError(
                 f"component has {len(hws)} highest weight elements")

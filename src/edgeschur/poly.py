@@ -210,10 +210,6 @@ class MultiPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __repr__(self) -> str:
         s = canonical_string(self)
         if self.trunc is not None:

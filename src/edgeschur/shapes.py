@@ -87,9 +87,6 @@ class Partition:
         return "(" + ",".join(map(str, self.parts)) + ")"
 
 
-EMPTY = Partition(())
-
-
 @dataclass(frozen=True)
 class SkewShape:
     outer: Partition
@@ -109,13 +106,6 @@ class SkewShape:
     def extent(self) -> int:
         return max(self.outer.extent, self.inner.extent)
 
-    def cells(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(1, self.extent + 1):
-            for j in range(self.inner.part(i) + 1, self.outer.part(i) + 1):
-                out.append((i, j))
-        return out
-
     def size(self) -> int:
         return self.outer.size() - self.inner.size()
 
@@ -132,10 +122,6 @@ class SkewShape:
 
     def __str__(self) -> str:
         return f"{self.outer}/{self.inner}"
-
-
-def content(i: int, j: int) -> int:
-    return j - i
 
 
 def maya_bit(lam: Partition, pos: int) -> int:

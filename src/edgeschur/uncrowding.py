@@ -13,8 +13,11 @@ the original shape on the current diagonal (which joins the
 column-justified part) takes one back; older entries sink to the bottom of
 P's column.  Q becomes cells only for the result and the trace.
 
-The inverse recovers one diagonal at a time by reverse bumping, bottom row
-first, dropping that diagonal's index from Q's columns.  It then splits the
+The inverse undoes these steps one diagonal i at a time, top diagonal
+first: each cell of the original shape on the diagonal gives its i back to
+Q, and each i then on top of a column of Q marks the cell at the bottom of
+that column of P, which must end its row; reverse bumping those rows,
+bottom row first, gives back the diagonal's word.  Then it splits the
 words over boxes and edges with no search, lowest diagonal first.  Diagonal
 c's word reads, bottom to top, the labels under each cell and then its
 entry, and last the labels on the row-0 edge (1, c).  A cell (r, j) with
@@ -183,31 +186,27 @@ def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
         if 1 <= cc <= width:
             q_cols[cc - 1].append(v)
 
-    # reconstruct the per-diagonal words by reverse bumping, top diagonal first
+    # undo uncrowd one diagonal at a time, top diagonal first
     rows = [list(r) for r in pair.P]
-    cur = [len(r) for r in rows]          # row lengths of P, kept by unwinding
+    p_cols = [sum(len(r) > j for r in rows) for j in range(width)]
     words: dict[int, list[int]] = {}
     diag_cells = _diagonal_cells(lam)
-    # column heights of lam's cells of content below the current diagonal
-    slid = list(lam.conjugate().parts) + [0] * (width - lam.first())
     for i in range(i_max, 0, -1):
         for _, j in diag_cells.get(c_min + i - 1, ()):
-            slid[j - 1] -= 1
-        for col in q_cols:
-            if i in col:
-                col[:] = [v for v in col if v != i]
-        heights = [h + len(col) for h, col in zip(slid, q_cols)]
-        # row lengths before diagonal i; P loses one cell in each longer row
-        prev = [len([h for h in heights if h >= r])
-                for r in range(1, max(heights, default=0) + 1)]
-        if len(prev) > len(cur) or any(p > h for p, h in zip(prev, cur)):
-            raise MalformedPair("recording data inconsistent with P")
-        grow = [h - p for h, p in zip(cur, prev + [0] * len(cur))]
-        if any(g > 1 for g in grow):
-            raise MalformedPair("diagonal strip removes two cells in a row")
+            q_cols[j - 1].insert(0, i)
+        added: set[int] = set()               # rows of P that lose a cell
+        for j in range(width - 1, -1, -1):    # a row's last cell first
+            while q_cols[j][:1] == [i]:
+                del q_cols[j][0]
+                p_cols[j] -= 1
+                if p_cols[j] in added:
+                    raise MalformedPair(
+                        "diagonal strip removes two cells in a row")
+                if p_cols[j] < 0 or len(rows[p_cols[j]]) != j + 1:
+                    raise MalformedPair("recording data inconsistent with P")
+                added.add(p_cols[j])
         words[i] = [_reverse_bump(rows, r)
-                    for r in range(len(cur) - 1, -1, -1) if grow[r]][::-1]
-        cur = prev
+                    for r in sorted(added, reverse=True)][::-1]
     if any(rows) or any(q_cols):
         raise MalformedPair("leftover cells after unwinding all diagonals")
 

@@ -134,6 +134,34 @@ class TestVerify:
                         "--window", "-1:2", "--trunc", "0")
         assert code == 0 and out == "commutation relation holds"
 
+    @pytest.mark.parametrize("box, window, trunc, need", [
+        ("2:2", "-2:3", "6", 5), ("1:1", "0:0", "2", 2)])
+    def test_commutation_window_too_narrow_for_trunc(self, capsys, box,
+                                                     window, trunc, need):
+        # exact only while 2M - 2*box_cols >= T - 1; both fail below it
+        code = main(["verify", "commutation", "--box", box, "--window",
+                     window, "--trunc", trunc])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err == (f"error: --window {window} is too narrow for "
+                           f"--trunc {trunc}: the check is exact only when "
+                           f"2M - 2*box_cols >= T - 1, so it needs "
+                           f"M >= {need}\n")
+
+    def test_commutation_failure_inside_the_window_is_a_failure(
+            self, capsys, monkeypatch):
+        # readmitting the escape state breaks the relation on a wide window
+        real = lattice.commutation_check
+        monkeypatch.setattr(lattice, "commutation_check",
+                            lambda box, window, T:
+                            real(box, window, T, flip_t_right=True))
+        code, out = run(capsys, "verify", "commutation", "--box", "1:1",
+                        "--window", "-1:4", "--trunc", "6")
+        assert code == 1
+        assert out == ("failed at lam=(0), mu=(1): the lowest-degree "
+                       "difference is at x1^5*y1, where (1 - xy) T* t has 0 "
+                       "and t T* has 1")
+
     def test_symmetry_small(self, capsys):
         code, out = run(capsys, "verify", "symmetry", "--box", "2:2",
                         "--n", "3", "--window", "-2:2")
@@ -345,6 +373,24 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["crystal", "--lambda", "1", "--mu", "1", "--n", "2"],
+        ["crystal", "--lambda", "1", "--m", "2"],
+        ["crystal", "--lambda", "1", "--trunc", "3"],
+        ["tableaux", "--lambda", "3", "--m", "2"],
+        ["tableaux", "--lambda", "1", "--trunc", "3"],
+        ["verify", "yb", "--lambda", "5,5"],
+        ["verify", "yb", "--extent", "2"],
+    ], ids=["crystal-mu", "crystal-m", "crystal-trunc", "tableaux-m",
+            "tableaux-trunc", "verify-lambda", "verify-extent"])
+    def test_refuses_options_the_subcommand_ignores(self, capsys, argv):
+        # each was accepted and silently ignored (crystal --mu 1 built the
+        # straight shape's crystal), or read by prefix as another option
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_roundtrip_malformed_pair(self, capsys, monkeypatch, tmp_path):
         blob = {

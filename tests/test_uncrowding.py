@@ -151,14 +151,27 @@ class TestBijection:
         # a row of P that does not weakly increase is refused by name
         with pytest.raises(MalformedPair, match="row 1 of P does not weakly"):
             crowd(RSKPair(((2, 1),), ()), Partition.of((2,)), (-1, 2), 1)
-        # no letters left for cell (1, 2) once (1, 1) has taken its run
-        with pytest.raises(MalformedPair, match="no letters left for cell"):
+        # lam and an empty Q account for two cells of P, not three
+        with pytest.raises(MalformedPair, match="inconsistent with P"):
             crowd(RSKPair(((2,), (3,)), ()), Partition.of((2,)), (-2, 3), 1)
+        # diagonal 5's two recording cells both sit in row 1 of P
+        with pytest.raises(MalformedPair, match="two cells in a row"):
+            crowd(RSKPair(((2, 3, 4), (4,)), (((1, 2), 5), ((1, 3), 5))),
+                  Partition.of((1, 1)), (-3, 2), 2)
+        # lam (2) unwinds two cells of P's five
+        with pytest.raises(MalformedPair, match="leftover cells"):
+            crowd(RSKPair(((1, 1), (2,), (3,), (4,)), ()), Partition.of((2,)),
+                  (-2, 3), 1)
+        # P and Q unwind, but no letters are left for cell (1, 1)
+        with pytest.raises(MalformedPair, match="no letters left for cell"):
+            crowd(RSKPair(((1, 1, 3), (2, 4), (4,)),
+                          (((1, 3), 3), ((3, 1), 6))),
+                  Partition.of((2, 2)), (-3, 3), 2)
         # the split puts label 3 on the edge over entry 3; validation's
         # refusal is raised as MalformedPair
         with pytest.raises(MalformedPair, match="reconstruction is not a "
                            "tableau: label 3 at edge"):
-            crowd(RSKPair(((1, 3, 3), (2,)), (((1, 1), 3), ((1, 2), 2))),
+            crowd(RSKPair(((3, 3, 3),), (((1, 3), 3),)),
                   Partition.of((2,)), (-1, 3), 1)
         # the worked example's pair with one recording cell too many
         pair = uncrowd(example_tableau)
