@@ -13,7 +13,7 @@ import io
 import sys
 import time
 
-from edgeschur.cli import main as edgeschur
+from edgeschur.cli import main as edgeschur, positive_int
 
 
 def verify_lines(seed: int, count: int) -> list[str]:
@@ -33,7 +33,7 @@ def verify_lines(seed: int, count: int) -> list[str]:
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=20240808)
-    ap.add_argument("--count", type=int, default=30)
+    ap.add_argument("--count", type=positive_int, default=30)
     args = ap.parse_args()
     results = []
     for line in verify_lines(args.seed, args.count):

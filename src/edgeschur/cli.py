@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 a failed check (identity, symmetry, internal
 invariant or uncrowding round trip), 2 usage error.
+
+The parser is built once per process, on the first `main` call, and a
+subcommand dispatches by name to the module's `cmd_<name>` at call time,
+so a `cmd_*` function rebound after that call is still the one that runs.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ import argparse
 import json
 import random
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import lattice
 from . import uncrowding
@@ -295,7 +299,9 @@ def cmd_tableaux(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call."""
     ap = argparse.ArgumentParser(prog="edgeschur")
     # no prefix matching, so that `tableaux --m 2` is not read as `--mu 2`
     sub = ap.add_subparsers(
@@ -323,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--sign", type=int, default=1, choices=[1, -1])
     pe.add_argument("--alpha", action="store_true",
                     help="specialize every a_d to the single symbol alpha")
-    pe.add_argument("--schur-expand", type=int, default=None, metavar="SIZE")
+    pe.add_argument("--schur-expand", type=nonnegative_int, default=None,
+                    metavar="SIZE")
     pe.add_argument("--format", choices=["text", "json"], default="text")
-    pe.set_defaults(fn=cmd_expand)
 
     pv = sub.add_parser("verify", help="run a verification suite")
     common(pv, "mu", "n", "m", "window", "trunc")
@@ -340,17 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--count", type=positive_int, default=30)
     pv.add_argument("--seed", type=int, default=20240805)
     pv.add_argument("--witness", action="store_true")
-    pv.set_defaults(fn=cmd_verify)
 
     pc = sub.add_parser("crystal", help="crystal graph export")
     common(pc, "lambda", "extent", "n", "window")
     pc.add_argument("--dot", default=None, metavar="FILE")
-    pc.set_defaults(fn=cmd_crystal)
 
     pu = sub.add_parser("uncrowd", help="uncrowding of a JSON tableau")
     pu.add_argument("--in", dest="infile", required=True)
     pu.add_argument("--roundtrip", action="store_true")
-    pu.set_defaults(fn=cmd_uncrowd)
 
     pt = sub.add_parser("tableaux", help="enumerate tableaux")
     common(pt, "lambda", "mu", "extent", "n", "window")
@@ -358,9 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="edge labeled tableaux instead of plain SSYT")
     pt.add_argument("--format", choices=["text", "json"], default="text")
     pt.add_argument("--limit", type=nonnegative_int, default=20)
-    pt.set_defaults(fn=cmd_tableaux)
     return ap
-
 
 
 def _fuse_window(argv: list[str]) -> list[str]:
@@ -382,7 +383,7 @@ def main(argv=None) -> int:
     argv = _fuse_window(list(sys.argv[1:] if argv is None else argv))
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (NotSymmetric, AssertionError) as exc:
         print("error: " + (" ".join(str(exc).split()) or type(exc).__name__),
               file=sys.stderr)

@@ -486,15 +486,6 @@ def split_x_part(m: Monomial) -> tuple[Monomial, Monomial]:
     return xs, m - xs
 
 
-def group_by_x(p: MultiPoly) -> dict[Monomial, MultiPoly]:
-    """Collect p as a map {x-monomial: coefficient polynomial in the rest}."""
-    out: dict[Monomial, dict[Monomial, int]] = {}
-    for m, c in p.terms.items():
-        xs, rest = split_x_part(m)
-        out.setdefault(xs, {})[rest] = c
-    return {xs: MultiPoly(d) for xs, d in out.items()}
-
-
 def x_exponent_vector(m: Monomial, n: int) -> tuple[int, ...]:
     exps = [0] * n
     for (rank, idx), e in _decode(m):

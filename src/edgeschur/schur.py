@@ -24,9 +24,9 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .poly import (ALPHA, MultiPoly, av, family, group_by_x, map_vars,
-                   monomial_degree, series_inverse, x_exponent_vector, xv,
-                   yv)
+from .poly import (ALPHA, Monomial, MultiPoly, av, family, map_vars,
+                   monomial_degree, series_inverse, split_x_part,
+                   x_exponent_vector, xv, yv)
 from .shapes import Partition, SkewShape, deformed_diagonals
 from .tableaux import _weighted_elts
 
@@ -265,8 +265,13 @@ def schur_expand(f: MultiPoly, n: int, max_size: int):
     """
     coeffs: dict[Partition, MultiPoly] = {}
     work = MultiPoly(dict(f.terms))
+    # work's terms as {x-monomial: {rest: coeff}}, split once and then kept
+    # in step with work at the monomials each peel touches
+    groups: dict[Monomial, dict[Monomial, int]] = {}
+    for m, cf in work.terms.items():
+        xs, rest = split_x_part(m)
+        groups.setdefault(xs, {})[rest] = cf
     while True:
-        groups = group_by_x(work)
         best = None
         for xmono in groups:
             deg = monomial_degree(xmono)
@@ -283,14 +288,24 @@ def schur_expand(f: MultiPoly, n: int, max_size: int):
             raise NotSymmetric(
                 f"leading x-monomial exponents {vec} are not a partition")
         nu = Partition(tuple(vec))
-        c = groups[xmono]
+        c = MultiPoly(groups.pop(xmono))
         s = schur(SkewShape.of([p for p in nu.parts if p > 0],
                                (), extent=n), n)
-        work = work - c * s
+        work._accumulate(-c, s)
+        # c holds no x and s only x, so each term of c*s is xs + rest
+        for xs in s.terms:
+            row = groups.setdefault(xs, {})
+            for rest in c.terms:
+                cf = work.terms.get(xs + rest)
+                if cf:
+                    row[rest] = cf
+                else:
+                    row.pop(rest, None)
+            if not row:
+                del groups[xs]
         if nu in coeffs:
             raise NotSymmetric(f"peeling revisited {nu}; f is not symmetric")
         coeffs[nu] = c
-        if any(monomial_degree(xm) <= max_size
-               for xm in group_by_x(work) if xm == xmono):
+        if xmono in groups:
             raise NotSymmetric(f"subtracting s_{nu} did not clear its leading term")
     return coeffs, work

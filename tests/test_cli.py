@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -365,14 +368,43 @@ class TestExitCodes:
          "argument --count: must be >= 1, got 0"),
         (["tableaux", "--lambda", "2", "--edges", "--limit", "-1"],
          "argument --limit: must be >= 0, got -1"),
-    ], ids=["negative-count", "zero-count", "negative-limit"])
+        (["expand", "--family", "edge", "--lambda", "1", "--n", "2",
+          "--schur-expand", "-1"],
+         "argument --schur-expand: must be >= 0, got -1"),
+    ], ids=["negative-count", "zero-count", "negative-limit",
+            "negative-schur-expand"])
     def test_count_options_refuse_negatives(self, capsys, argv, message):
-        # unchecked, --count -3 reports "-3 random instances agree" and
-        # --limit -1 silently drops the last tableau
+        # unchecked, --count -3 reports "-3 random instances agree",
+        # --limit -1 silently drops the last tableau and --schur-expand -1
+        # prints the whole polynomial as the remainder
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_verify_all_checks_count_first(self, capsys, monkeypatch):
+        # with a plain int it ran seven checks, then died inside the eighth
+        path = Path(__file__).parents[1] / "scripts" / "verify_all.py"
+        spec = importlib.util.spec_from_file_location("verify_all", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+
+        def no_check(argv):
+            raise AssertionError(f"ran {argv} before checking --count")
+        monkeypatch.setattr(script, "edgeschur", no_check)
+        monkeypatch.setattr(sys, "argv", ["verify_all.py", "--count", "0"])
+        with pytest.raises(SystemExit) as exc:
+            script.main()
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out.out == ""
+        assert "argument --count: must be >= 1, got 0" in out.err
+
+    def test_schur_expand_zero_is_legal(self, capsys):
+        code, out = run(capsys, "expand", "--family", "edge", "--lambda", "1",
+                        "--n", "2", "--schur-expand", "0")
+        assert code == 0
+        assert out.startswith("remainder: ")
 
     @pytest.mark.parametrize("argv", [
         ["crystal", "--lambda", "1", "--mu", "1", "--n", "2"],
@@ -413,3 +445,50 @@ class TestExitCodes:
         assert json.loads(out.out)["P"] == [[1, 1], [2]]
         assert out.err == ("round trip FAILED: 0 reconstructions; pair is "
                            "not in the image\n")
+
+
+def call(capsys, argv):
+    """Exit code, stdout and stderr of one main call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestParserOnce:
+    """main builds its parser once per process and dispatches by name."""
+
+    def test_usage_error_leaves_no_state(self, capsys):
+        lines = [["expand", "--family", "edge", "--lambda", "2,1", "--n", "2",
+                  "--schur-expand", "-1"],
+                 ["tableaux", "--lambda", "1", "--bogus"],
+                 ["expand", "--family", "edge", "--lambda", "2,1", "--n", "2",
+                  "--window", "-2:2", "--schur-expand", "3"]]
+        alone = []
+        for argv in lines:
+            cli.build_parser.cache_clear()
+            alone.append(call(capsys, argv))
+        assert [code for code, _, _ in alone] == [2, 2, 0]
+        cli.build_parser.cache_clear()
+        assert [call(capsys, argv) for argv in lines] == alone
+
+    def test_dispatch_reads_the_patched_command(self, capsys, monkeypatch):
+        assert run(capsys, "tableaux", "--lambda", "1")[0] == 0
+        seen = []
+
+        def patched(args):
+            seen.append(args.lam)
+            return 7
+        monkeypatch.setattr(cli, "cmd_tableaux", patched)
+        assert main(["tableaux", "--lambda", "2,1"]) == 7
+        assert seen == ["2,1"]
+
+    def test_parser_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        for lam in ("1", "2", "1,1", "2,1"):
+            assert run(capsys, "expand", "--family", "schur",
+                       "--lambda", lam)[0] == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)

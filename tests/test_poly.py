@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeschur import lattice
+from edgeschur import lattice, poly
 from edgeschur.poly import (ALPHA, MAX_DEGREE, MultiPoly, NotInvertible, av,
-                            canonical_string, map_vars, parse, series_inverse,
-                            xv, yv)
+                            canonical_string, map_vars, monomial_degree, parse,
+                            series_inverse, split_x_part, xv, yv)
 from edgeschur.schur import EdgeSchurParams, edge_schur_brute
 from edgeschur.shapes import Partition, SkewShape
 
@@ -196,6 +196,27 @@ class TestPackedMonomials:
             " + 6*a0*alpha^2*y1*y2 - a(-2)^2*a1*x1^2*y2"
             " + 2*a(-2)^2*alpha*x1*y1*y2 + 3*a(-2)*a0*a1*x1*y2^2"
             " - 6*a(-2)*a0*alpha*y1*y2^2")
+
+    def test_split_x_part_with_a_fields_between_x_fields(self):
+        # fresh variables, registered a, x, a, x, y: the x fields are not
+        # one contiguous run of bits
+        order = [av(-917), xv(931), av(919), xv(932), yv(933)]
+        assert not any(v in poly._SHIFT for v in order)
+        for v in order:
+            V(v)
+        shifts = [poly._SHIFT[v] for v in order]
+        assert shifts == sorted(shifts)
+        m = (V(av(-917)) ** 2 * V(xv(931)) * V(av(919)) * V(xv(932)) ** 3
+             * V(yv(933)) * V(ALPHA))
+        (m, _), = m.terms.items()
+        xs, rest = split_x_part(m)
+        assert xs + rest == m
+        assert monomial_degree(xs) == 4 and monomial_degree(rest) == 5
+        assert all(v[0] == poly._RANK_X for v, _ in poly._decode(xs))
+        assert all(v[0] != poly._RANK_X for v, _ in poly._decode(rest))
+        assert poly._decode(xs) == [(xv(931), 1), (xv(932), 3)]
+        assert (canonical_string(MultiPoly.monomial(rest))
+                == "a(-917)^2*a919*alpha*y933")
 
 
 def _snapshot(p):

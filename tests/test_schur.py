@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
-from edgeschur.poly import (MultiPoly, av, map_vars, monomial_degree, parse,
-                            swap_x_vars, xv, yv)
+from edgeschur.poly import (MultiPoly, av, canonical_string, map_vars,
+                            monomial_degree, parse, sorted_terms, split_x_part,
+                            swap_x_vars, x_exponent_vector, xv, yv)
 from edgeschur.schur import (EdgeSchurParams, NotSymmetric, UnsupportedSkew,
                              dual_schur, dual_schur_alpha, edge_schur,
                              edge_schur_brute, factorial_schur, schur,
@@ -325,6 +326,93 @@ class TestSchurExpand:
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetric):
             schur_expand(V(xv(2)), 2, 2)
+
+
+def _group_by_x(p):
+    """p as {x-monomial: coefficient polynomial in the rest}."""
+    out = {}
+    for m, c in p.terms.items():
+        xs, rest = split_x_part(m)
+        out.setdefault(xs, {})[rest] = c
+    return {xs: MultiPoly(d) for xs, d in out.items()}
+
+
+def _schur_expand_reference(f, n, max_size):
+    """The peel that regroups the whole working polynomial on every step."""
+    coeffs = {}
+    work = MultiPoly(dict(f.terms))
+    while True:
+        groups = _group_by_x(work)
+        best = None
+        for xmono in groups:
+            deg = monomial_degree(xmono)
+            if deg > max_size:
+                continue
+            vec = x_exponent_vector(xmono, n)
+            key = (deg, tuple(-e for e in vec))
+            if best is None or key < best[0]:
+                best = (key, xmono, vec)
+        if best is None:
+            break
+        _, xmono, vec = best
+        if any(vec[i] < vec[i + 1] for i in range(n - 1)):
+            raise NotSymmetric(
+                f"leading x-monomial exponents {vec} are not a partition")
+        nu = Partition(tuple(vec))
+        c = groups[xmono]
+        s = schur(SkewShape.of([p for p in nu.parts if p > 0],
+                               (), extent=n), n)
+        work = work - c * s
+        if nu in coeffs:
+            raise NotSymmetric(f"peeling revisited {nu}; f is not symmetric")
+        coeffs[nu] = c
+        if any(monomial_degree(xm) <= max_size
+               for xm in _group_by_x(work) if xm == xmono):
+            raise NotSymmetric(
+                f"subtracting s_{nu} did not clear its leading term")
+    return coeffs, work
+
+
+def _peel_outcome(expand, f, n, max_size):
+    try:
+        coeffs, rem = expand(f, n, max_size)
+    except NotSymmetric as exc:
+        return "NotSymmetric", str(exc)
+    return ({nu: canonical_string(c) for nu, c in coeffs.items()},
+            canonical_string(rem))
+
+
+def _swap_one_term(e):
+    """e with x1 and x2 swapped in its first term where they differ."""
+    m, c = next((m, c) for m, c in sorted_terms(e)
+                if len(set(x_exponent_vector(m, 2))) == 2)
+    term = MultiPoly.monomial(m, c)
+    return e - term + swap_x_vars(term, 1, 2)
+
+
+class TestSchurExpandReference:
+    """schur_expand against the regroup-per-peel loop it replaced."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("window", [(-2, 2), (-3, 1)])
+    @pytest.mark.parametrize("trunc", [None, 4])
+    def test_box(self, n, window, trunc):
+        for lam in partitions_in_box(2, 3):
+            e = edge_schur(SkewShape.of(lam.parts, (), extent=2),
+                           EdgeSchurParams(n, window, 2, trunc))
+            for size in (lam.size(), lam.size() + 2):
+                ours = _peel_outcome(schur_expand, e, n, size)
+                assert ours == _peel_outcome(_schur_expand_reference, e, n,
+                                             size), (lam, size)
+                assert ours[0] != "NotSymmetric"
+
+    def test_not_symmetric(self):
+        e = edge_schur(SkewShape.of((2, 1), (), extent=2),
+                       EdgeSchurParams(2, (-2, 2), 2))
+        for f in (V(xv(2)), parse("x1^2 + x2"), _swap_one_term(e)):
+            ours = _peel_outcome(schur_expand, f, 2, 5)
+            assert ours[0] == "NotSymmetric", f
+            assert ours == _peel_outcome(_schur_expand_reference, f, 2, 5)
 
 
 def test_hatscripte_rejects_skew():
