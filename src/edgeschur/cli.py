@@ -36,15 +36,24 @@ def parse_partition(s: str | None, extent=None) -> Partition:
     return Partition.of(parts, extent=extent)
 
 
+def _int(s: str) -> int:
+    """int(s); argparse would name the type function in its own message."""
+    try:
+        return int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {s!r}") from None
+
+
 def positive_int(s: str) -> int:
-    v = int(s)
+    v = _int(s)
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
     return v
 
 
 def nonnegative_int(s: str) -> int:
-    v = int(s)
+    v = _int(s)
     if v < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {v}")
     return v

@@ -65,11 +65,6 @@ class Partition:
         return all(self.part(k) >= other.part(k)
                    for k in range(1, max(self.extent, other.extent) + 1))
 
-    def conjugate(self) -> "Partition":
-        w = self.first()
-        return Partition(tuple(len([p for p in self.parts if p >= j])
-                               for j in range(1, w + 1)))
-
     def cells(self) -> Iterator[tuple[int, int]]:
         for i, p in enumerate(self.parts, start=1):
             for j in range(1, p + 1):
@@ -142,17 +137,6 @@ def maya_bits(lam: Partition, window: tuple[int, int],
     """Shifted Maya bits: bit at column p is maya_bit(lam, p - shift)."""
     return tuple(maya_bit(lam, p - shift) for p in
                  range(window[0], window[1] + 1))
-
-
-def is_horizontal_strip(outer: Partition, inner: Partition) -> bool:
-    """outer/inner interlace: outer_1 >= inner_1 >= outer_2 >= inner_2 >= ..."""
-    n = max(outer.extent, inner.extent)
-    for k in range(1, n + 1):
-        if outer.part(k) < inner.part(k):
-            return False
-        if inner.part(k) < outer.part(k + 1):
-            return False
-    return True
 
 
 def horizontal_strips_between(inner: Partition, outer: Partition) -> Iterator[Partition]:

@@ -7,21 +7,25 @@ the cell below the edge.  Labels on edge (i, j) are strictly greater than
 the entry in cell (i-1, j) and strictly smaller than the entry in cell
 (i, j), whenever those cells carry entries.
 
-Besides the positional form there is an equivalent chain form: a chain of
-horizontal strips mu = nu^0 <= ... <= nu^n = lambda (recording which boxes
-hold each value) together with, for each value v, the subset of deformed
-diagonals of step v that carry a label v.
+Enumeration runs over the equivalent chain form: a chain of horizontal
+strips mu = nu^0 <= ... <= nu^n = lambda (recording which boxes hold each
+value) together with, for each value v, the subset of deformed diagonals of
+step v that carry a label v.
+
+What validate, key() and the uncrowding map read of a shape, an extent and a
+window (its cells, its legal edges, the outer shape's cells by diagonal and
+the end of key()) is built once into a small bounded cache, `_shape_table`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .poly import MultiPoly, _encode, av, xv
-from .shapes import (Partition, SkewShape, deformed_diagonals,
-                     is_horizontal_strip, strip_chains)
+from .shapes import Partition, SkewShape, deformed_diagonals, strip_chains
 
 
 class ValidationError(ValueError):
@@ -46,26 +50,36 @@ class SemistandardTableau:
         return dict(self.entries)
 
     def validate(self) -> None:
-        em = self.entry_map()
-        # as many distinct cells as the shape has, each within its row's bounds
-        hi = self.shape.outer.parts
-        lo = self.shape.inner.parts + (0,) * len(hi)
-        if len(em) != self.shape.size() or not all(
-                0 < i <= len(hi) and lo[i - 1] < j <= hi[i - 1] for i, j in em):
-            raise ValidationError("entries do not cover the shape")
-        for (i, j), v in em.items():
-            if v < 1:
-                raise ValidationError(f"entry {v} at {(i, j)} below 1")
-            if (i, j + 1) in em and em[(i, j + 1)] < v:
-                raise ValidationError(f"row violation at {(i, j)}")
-            if (i + 1, j) in em and em[(i + 1, j)] <= v:
-                raise ValidationError(f"column violation at {(i, j)}")
+        _check_entries(self.entry_map(), _cells(self.shape.outer.parts,
+                                                self.shape.inner.parts))
 
     def content_vector(self, n: int) -> tuple[int, ...]:
         counts = [0] * n
         for _, v in self.entries:
             counts[v - 1] += 1
         return tuple(counts)
+
+
+def _cells(outer: tuple[int, ...], inner: tuple[int, ...]) -> frozenset:
+    """The cells of outer/inner, given by their parts."""
+    lo = inner + (0,) * len(outer)
+    return frozenset((i, j) for i, hi in enumerate(outer, start=1)
+                     for j in range(lo[i - 1] + 1, hi + 1))
+
+
+def _check_entries(em: dict[Cell, int], cells: frozenset) -> None:
+    """The semistandard rules for an entry map on a shape with these cells."""
+    if em.keys() != cells:
+        raise ValidationError("entries do not cover the shape")
+    for (i, j), v in em.items():
+        if v < 1:
+            raise ValidationError(f"entry {v} at {(i, j)} below 1")
+        right = em.get((i, j + 1))
+        if right is not None and right < v:
+            raise ValidationError(f"row violation at {(i, j)}")
+        below = em.get((i + 1, j))
+        if below is not None and below <= v:
+            raise ValidationError(f"column violation at {(i, j)}")
 
 
 def _chain_entries(chain) -> dict[Cell, int]:
@@ -140,32 +154,24 @@ class EdgeLabeledTableau:
             return True  # zeroth row, right of the outer shape
         return False
 
+    def _table(self) -> "_ShapeTable":
+        """The shape table of this tableau's shape, extent and window."""
+        sh = self.shape
+        return _shape_table(sh.outer.parts, sh.inner.parts, self.extent,
+                            tuple(self.window))
+
     def validate(self) -> None:
-        SemistandardTableau(self.shape, self.entries).validate()
+        table = self._table()
+        em = self.entry_map()
+        _check_entries(em, table.cells)
         if self.extent < self.shape.extent:
             raise ValidationError("declared extent smaller than the shape")
-        em = self.entry_map()
         for (i, j), vals in self.edge_sets:
             if not vals:
                 raise ValidationError(f"empty edge set at {(i, j)}")
             if list(vals) != sorted(set(vals)):
                 raise ValidationError(f"edge set at {(i, j)} not strictly sorted")
-            self._check_edge(em, i, j, vals[0], vals[-1])
-
-    def _check_edge(self, em: dict[Cell, int], i: int, j: int,
-                    low: int, high: int) -> None:
-        """The rule for labels low..high on edge (i, j): a legal position,
-        low above the entry over the edge, high below the entry under it."""
-        if not self.legal_edge_position(i, j):
-            raise ValidationError(f"illegal edge position {(i, j)}")
-        above = em.get((i - 1, j))
-        below = em.get((i, j))
-        if above is not None and low <= above:
-            raise ValidationError(
-                f"label {low} at edge {(i, j)} not above entry {above}")
-        if below is not None and high >= below:
-            raise ValidationError(
-                f"label {high} at edge {(i, j)} not below entry {below}")
+            _check_edge(em, table.legal, i, j, vals[0], vals[-1])
 
     # -- weights ---------------------------------------------------------
 
@@ -215,6 +221,8 @@ class EdgeLabeledTableau:
             if not _ints([d["extent"], d["window"], d["entries"], d["edges"],
                           sides]):
                 raise ValidationError("tableau JSON value is not an int")
+            if len(d["window"]) != 2:
+                raise ValidationError("tableau window is not [m, M]")
             # built as written, not through `of`, whose sorting and
             # de-duplication of edge sets would hide a malformed one
             t = EdgeLabeledTableau(
@@ -234,10 +242,7 @@ class EdgeLabeledTableau:
         edges = [[i, j, list(vals)] for (i, j), vals in self.edge_sets]
         entries = [[i, j, v] for (i, j), v in self.entries]
         return (f'{{"edges": {edges}, "entries": {entries}, '
-                f'"extent": {self.extent}, "shape": {{"inner": '
-                f'{_partition_key(self.shape.inner)}, "outer": '
-                f'{_partition_key(self.shape.outer)}}}, '
-                f'"window": {list(self.window)}}}')
+                f'{self._table().key_tail}')
 
     def render(self) -> str:
         """Plain-text grid; edge sets print inside braces above their cell."""
@@ -266,9 +271,64 @@ class EdgeLabeledTableau:
         return "\n".join(lines)
 
 
-def _partition_key(p: Partition) -> str:
-    """json.dumps(p.to_json(), sort_keys=True)."""
-    return f'{{"extent": {p.extent}, "parts": {[q for q in p.parts if q > 0]}}}'
+def _check_edge(em: dict[Cell, int], legal: frozenset, i: int, j: int,
+                low: int, high: int) -> None:
+    """The rule for labels low..high on edge (i, j): a legal position,
+    low above the entry over the edge, high below the entry under it."""
+    if (i, j) not in legal:
+        raise ValidationError(f"illegal edge position {(i, j)}")
+    above = em.get((i - 1, j))
+    below = em.get((i, j))
+    if above is not None and low <= above:
+        raise ValidationError(
+            f"label {low} at edge {(i, j)} not above entry {above}")
+    if below is not None and high >= below:
+        raise ValidationError(
+            f"label {high} at edge {(i, j)} not below entry {below}")
+
+
+class _ShapeTable(NamedTuple):
+    """What validate, key() and the uncrowding map read of one shape, extent
+    and window."""
+    shape: SkewShape
+    cells: frozenset               # the cells of the shape
+    legal: frozenset               # every (i, j) legal_edge_position allows
+    diagonals: dict                # content -> outer's cells, bottom to top
+    key_tail: str                  # key() after the entries
+
+
+@functools.lru_cache(maxsize=32)
+def _shape_table(outer: tuple[int, ...], inner: tuple[int, ...], extent: int,
+                 window: tuple[int, int]) -> _ShapeTable:
+    """The shape table, at most 32 of them (about 2 KiB each for the shapes
+    of the 3x3 box).  It is keyed on plain tuples: hashing the dataclasses
+    on every lookup would cost more than the table saves."""
+    shape = SkewShape(Partition(outer), Partition(inner))
+    probe = EdgeLabeledTableau(shape, extent, window, (), ())
+    m, M = window
+    # legal_edge_position allows no edge outside rows 1..extent + 1, columns
+    # from 1 and diagonals m..M, and below row 1 none right of the row above
+    right = (M + 1,) + outer + (0,) * extent
+    legal = frozenset((i, j) for i in range(1, extent + 2)
+                      for j in range(max(1, m + i),
+                                     min(M + i, right[i - 1]) + 1)
+                      if probe.legal_edge_position(i, j))
+    diagonals: dict[int, list[Cell]] = {}
+    for r in range(len(outer), 0, -1):
+        for c in range(1, outer[r - 1] + 1):
+            diagonals.setdefault(c - r, []).append((r, c))
+    key_tail = (f'"extent": {extent}, "shape": {{"inner": '
+                f'{_partition_key(inner)}, "outer": '
+                f'{_partition_key(outer)}}}, "window": {list(window)}}}')
+    return _ShapeTable(shape, _cells(outer, inner), legal,
+                       {c: tuple(cells) for c, cells in diagonals.items()},
+                       key_tail)
+
+
+def _partition_key(parts: tuple[int, ...]) -> str:
+    """json.dumps(Partition(parts).to_json(), sort_keys=True)."""
+    positive = [q for q in parts if q > 0]
+    return f'{{"extent": {len(parts)}, "parts": {positive}}}'
 
 
 def _ints(value) -> bool:
@@ -314,59 +374,6 @@ def reading_word(t) -> list[tuple[int, tuple]]:
     return [item[4] for item in _reading_order(t)]
 
 
-# -- chain form --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChainForm:
-    shape: SkewShape
-    window: tuple[int, int]
-    chain: tuple[Partition, ...]                 # mu = nu^0 <= ... <= nu^n
-    labels: tuple[tuple[int, ...], ...]          # labels[v-1] = sorted diagonals
-
-    def validate(self) -> None:
-        for v in range(1, len(self.chain)):
-            lo, hi = self.chain[v - 1], self.chain[v]
-            if not is_horizontal_strip(hi, lo):
-                raise ValidationError(f"step {v} is not a horizontal strip")
-            allowed = deformed_diagonals(hi, lo, self.window)
-            if not set(self.labels[v - 1]) <= allowed:
-                raise ValidationError(
-                    f"labels {self.labels[v - 1]} not deformed at step {v}")
-
-
-def chain_to_positional(c: ChainForm) -> EdgeLabeledTableau:
-    """Place each chain label at the unique admissible edge position."""
-    c.validate()
-    edges: dict[Cell, list[int]] = {}
-    for v, diagonals in enumerate(c.labels, start=1):
-        for d in diagonals:
-            edges.setdefault(_label_edge(c.chain[v], d), []).append(v)
-    return EdgeLabeledTableau.of(c.shape, c.shape.extent, c.window,
-                                 _chain_entries(c.chain), edges)
-
-
-def positional_to_chain(t: EdgeLabeledTableau, n: int) -> ChainForm:
-    lam = t.shape.outer.with_extent(t.extent)
-    mu = t.shape.inner.with_extent(t.extent)
-    em = t.entry_map()
-    chain = [mu]
-    for v in range(1, n + 1):
-        parts = [mu.part(i) for i in range(1, t.extent + 1)]
-        for (i, j), val in em.items():
-            if val <= v:
-                parts[i - 1] = max(parts[i - 1], j)
-        chain.append(Partition(tuple(parts)))
-    labels: list[list[int]] = [[] for _ in range(n)]
-    for (i, j), vals in t.edge_sets:
-        for v in vals:
-            labels[v - 1].append(j - i)
-    cf = ChainForm(SkewShape(lam, mu), t.window, tuple(chain),
-                   tuple(tuple(sorted(ls)) for ls in labels))
-    cf.validate()
-    return cf
-
-
 def enumerate_elt(shape: SkewShape, n: int, window: tuple[int, int],
                   extent: int) -> Iterator[EdgeLabeledTableau]:
     """All edge labeled tableaux with entries and labels in [n].
@@ -390,6 +397,7 @@ def _weighted_elts(shape: SkewShape, n: int, window: tuple[int, int],
     lam = shape.outer.with_extent(extent)
     mu = shape.inner.with_extent(extent)
     sh = SkewShape(lam, mu)
+    legal = _shape_table(lam.parts, mu.parts, extent, tuple(window)).legal
     for chain in strip_chains(sh, n):
         # Every rule of validate is local to one edge, and its tests on an
         # edge's least and greatest label hold iff they hold for each label,
@@ -408,7 +416,7 @@ def _weighted_elts(shape: SkewShape, n: int, window: tuple[int, int],
             diagonals = sorted(deformed_diagonals(chain[v], chain[v - 1], window))
             spots = [_label_edge(chain[v], d) for d in diagonals]
             for i, j in spots:
-                bare._check_edge(em, i, j, v, v)
+                _check_edge(em, legal, i, j, v, v)
             codes = [_encode(((xv(v), 1), (av(d), 1))) for d in diagonals]
             subsets.append([
                 ([spots[b] for b in range(len(spots)) if mask >> b & 1],

@@ -3,22 +3,28 @@
 Uncrowding proceeds along diagonals from the lower left, RSK-inserting each
 diagonal's reading word (which is strictly decreasing, so every insertion
 path adds one cell per row, strictly descending), cut from the one reading
-order of `tableaux.reading_word`.  P is held as lists of rows; an insertion
-finds each bump by bisection and adds one to P's column height where its
-path ends, so nothing is recounted.  The recording filling Q tracks where
-the insertion shape outgrows the column-justified part of the original
-shape.  Q is held as one list per column, top to bottom: each new cell of
-P puts the current diagonal index on top of its column, and each cell of
-the original shape on the current diagonal (which joins the
+order of `tableaux.reading_word` and checked to decrease as it is cut.  P
+is held as lists of rows; an insertion finds each bump by bisection and
+returns the column where its path ends.  The recording filling Q tracks
+where the insertion shape outgrows the column-justified part of the
+original shape.  Q is held as one list per column, bottom to top: each new
+cell of P puts the current diagonal index on top of its column, and each
+cell of the original shape on the current diagonal (which joins the
 column-justified part) takes one back; older entries sink to the bottom of
-P's column.  Q becomes cells only for the result and the trace.
+P's column.  Q becomes cells only for the result and the trace, placed by
+P's column heights counted in one pass over its rows.  The original shape's
+cells by diagonal come from the shape table of `tableaux` (one bounded
+cache per shape, extent and window), not from a walk over the shape.
 
-The inverse undoes these steps one diagonal i at a time, top diagonal
-first: each cell of the original shape on the diagonal gives its i back to
-Q, and each i then on top of a column of Q marks the cell at the bottom of
-that column of P, which must end its row; reverse bumping those rows,
-bottom row first, gives back the diagonal's word.  Then it splits the
-words over boxes and edges with no search, lowest diagonal first.  Diagonal
+So every column of Q on the image weakly decreases downwards, and the
+inverse gives each index back on its own diagonal: it first refuses a
+column of Q that does not.  It then buckets the cells of Q and of the
+original shape by diagonal index, sorts them top diagonal first and, within
+a diagonal, right column first, and visits only those: each marks the cell
+at the bottom of its column of P, which must end its row; reverse bumping
+a diagonal's rows, bottom row first, gives back its word, and a diagonal
+without cells costs nothing.  Then it splits the words over boxes and
+edges with no search, lowest diagonal first.  Diagonal
 c's word reads, bottom to top, the labels under each cell and then its
 entry, and last the labels on the row-0 edge (1, c).  A cell (r, j) with
 j > 1 has its left neighbour (r, j - 1), on diagonal c - 1, already filled,
@@ -35,13 +41,15 @@ pair back.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .shapes import Partition, SkewShape
 from .tableaux import (EdgeLabeledTableau, SemistandardTableau,
-                       ValidationError, _reading_order)
+                       ValidationError, _reading_order, _shape_table)
 
 
 class MalformedPair(ValueError):
@@ -76,24 +84,6 @@ def _reverse_bump(rows: list[list[int]], r: int) -> int:
     return x
 
 
-def rsk_insert(rows: Rows, word) -> Rows:
-    """Standard row insertion of the word, left to right."""
-    out = [list(r) for r in rows]
-    for x in word:
-        _row_insert(out, x)
-    return tuple(map(tuple, out))
-
-
-def rsk_remove(rows: Rows, cell: tuple[int, int]) -> tuple[Rows, int]:
-    """Reverse-bump the outer corner cell (1-indexed); returns the letter."""
-    r, c = cell
-    out = [list(x) for x in rows]
-    if len(out[r - 1]) != c or (r < len(out) and len(out[r]) >= c):
-        raise MalformedPair(f"cell {cell} is not an outer corner")
-    letter = _reverse_bump(out, r - 1)
-    return tuple(tuple(x) for x in out if x), letter
-
-
 def rows_to_ssyt(rows: Rows) -> SemistandardTableau:
     shape = SkewShape.of([len(r) for r in rows])
     return SemistandardTableau.of(
@@ -101,20 +91,23 @@ def rows_to_ssyt(rows: Rows) -> SemistandardTableau:
                 for j, v in enumerate(r)})
 
 
-def _diagonal_cells(lam: Partition) -> dict[int, list[tuple[int, int]]]:
-    """Cells (r, c) of lam by content c - r, bottom to top."""
-    out: dict[int, list[tuple[int, int]]] = {}
-    for r in range(len(lam.parts), 0, -1):
-        for c in range(1, lam.parts[r - 1] + 1):
-            out.setdefault(c - r, []).append((r, c))
-    return out
+def _column_heights(rows, width: int) -> list[int]:
+    """Column heights of P's first width columns, in one pass over its rows,
+    which weakly shrink: column j is as high as the last row longer than j."""
+    heights = [0] * width
+    for r, row in enumerate(rows, start=1):
+        k = min(len(row), width)
+        heights[:k] = [r] * k
+    return heights
 
 
-def _q_cells(q_cols: list[list[int]], p_cols: list[int]) -> dict:
-    """Recording cells: column j's entries fill the bottom of P's column j."""
-    return {(h - len(col) + k, j): v
-            for j, (col, h) in enumerate(zip(q_cols, p_cols), start=1)
-            for k, v in enumerate(col, start=1)}
+def _q_cells(q_cols: list[list[int]], rows: list[list[int]]) -> dict:
+    """Recording cells: column j's entries, bottom first, fill the bottom of
+    P's column j."""
+    heights = _column_heights(rows, len(q_cols))
+    return {(h - k, j): v
+            for j, (col, h) in enumerate(zip(q_cols, heights), start=1)
+            for k, v in enumerate(col)}
 
 
 @dataclass(frozen=True)
@@ -129,38 +122,39 @@ def uncrowd(t: EdgeLabeledTableau, with_trace: bool = False):
     if t.shape.inner.size() > 0:
         raise MalformedPair("uncrowding is defined for straight shapes")
     words: dict[int, list[int]] = {}      # diagonal -> its reading word
-    for item in _reading_order(t):
-        words.setdefault(item[0], []).append(item[4][0])
+    for c, _, _, _, (x, _) in _reading_order(t):
+        word = words.get(c)
+        if word is None:
+            words[c] = [x]
+        elif word[-1] > x:
+            word.append(x)
+        else:
+            raise AssertionError(
+                f"diagonal word {word + [x]} is not decreasing")
     c_min = 1 - lam.length()
     c_max = max(list(words) + [lam.first() - 1]) if (words or lam.parts) else 0
-    diag_cells = _diagonal_cells(lam)
+    diagonals = t._table().diagonals
     rows: list[list[int]] = []
-    p_cols: list[int] = []                # column heights of P
-    q_cols: list[list[int]] = []          # Q by column, top to bottom
+    q_cols: list[list[int]] = []          # Q by column, bottom to top
     trace = []
     for i, c in enumerate(range(c_min, c_max + 1), start=1):
-        word = words.get(c, [])
-        if any(word[k] <= word[k + 1] for k in range(len(word) - 1)):
-            raise AssertionError(f"diagonal word {word} is not decreasing")
         # a new cell of P puts an i on top of its column of Q; a cell of lam
         # on diagonal c joins the column-justified part and takes one back
-        for x in word:
+        for x in words.get(c, ()):
             j = _row_insert(rows, x)
-            if j < len(p_cols):
-                p_cols[j] += 1
-                q_cols[j].insert(0, i)
+            if j < len(q_cols):
+                q_cols[j].append(i)
             else:
-                p_cols.append(1)
                 q_cols.append([i])
-        for _, j in diag_cells.get(c, ()):
-            if j > len(q_cols) or q_cols[j - 1][:1] != [i]:
+        for _, j in diagonals.get(c, ()):
+            col = q_cols[j - 1] if j <= len(q_cols) else None
+            if not col or col.pop() != i:
                 raise AssertionError(
                     "recording column shrank below its entries")
-            del q_cols[j - 1][0]
         if with_trace:
-            trace.append((tuple(map(tuple, rows)), _q_cells(q_cols, p_cols)))
+            trace.append((tuple(map(tuple, rows)), _q_cells(q_cols, rows)))
     pair = RSKPair(tuple(map(tuple, rows)),
-                   tuple(sorted(_q_cells(q_cols, p_cols).items())))
+                   tuple(sorted(_q_cells(q_cols, rows).items())))
     if with_trace:
         return pair, trace
     return pair
@@ -170,55 +164,72 @@ def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
           extent: Optional[int] = None) -> EdgeLabeledTableau:
     """The edge labeled tableau of shape lam, window and extent that uncrowds
     to the pair, split by the module docstring's rule; else MalformedPair."""
-    if any(len(lo) > len(hi) for hi, lo in zip(pair.P, pair.P[1:])):
+    lengths = list(map(len, pair.P))
+    if lengths != sorted(lengths, reverse=True):
         raise MalformedPair("rows of P do not weakly shrink downwards")
     for r, row in enumerate(pair.P, 1):
-        if any(a > b for a, b in zip(row, row[1:])):
+        if list(row) != sorted(row):
             raise MalformedPair(f"row {r} of P does not weakly increase: {row}")
     extent = extent if extent is not None else lam.extent
+    # the table of SkewShape.of(lam.parts, (), extent=extent)
+    outer = (lam.parts if lam.extent == extent
+             else Partition.of(lam.parts, extent).parts)
+    table = _shape_table(outer, (0,) * extent, extent, tuple(window))
+    diagonals = table.diagonals
     q = dict(pair.Q)
     c_min = 1 - lam.length()
     i_max = max([0, lam.first() - c_min] + list(q.values()))
-    # Q columns top to bottom; a cell beyond them is caught by the last check
+    rows = [list(row) for row in pair.P]
     width = lam.first() + len(q) + 1
-    q_cols: list[list[int]] = [[] for _ in range(width)]
+    p_cols = _column_heights(rows, width)
+    # Each cell of Q and of lam takes one cell of P off when its diagonal
+    # index i is undone: uncrowd stacks indices on a column of Q in
+    # increasing order, so a column that weakly decreases downwards gives
+    # each back on its own diagonal.  A cell beyond the columns is caught by
+    # the last check; an index below 1 is never undone.
+    undo = [(c - c_min + 1, j - 1) for c, cells in diagonals.items()
+            for _, j in cells]
+    stranded = 0
+    above: dict[int, int] = {}
     for (r, cc), v in sorted(q.items()):
-        if 1 <= cc <= width:
-            q_cols[cc - 1].append(v)
+        if not 1 <= cc <= width:
+            continue
+        if above.get(cc, v) < v:
+            raise MalformedPair(
+                f"column {cc} of Q does not weakly decrease downwards")
+        above[cc] = v
+        if v < 1:
+            stranded += 1
+        else:
+            undo.append((v, cc - 1))
 
-    # undo uncrowd one diagonal at a time, top diagonal first
-    rows = [list(r) for r in pair.P]
-    p_cols = [sum(len(r) > j for r in rows) for j in range(width)]
+    # undo uncrowd one diagonal at a time, top diagonal first, and within
+    # it a row's last cell first
+    undo.sort(reverse=True)
     words: dict[int, list[int]] = {}
-    diag_cells = _diagonal_cells(lam)
-    for i in range(i_max, 0, -1):
-        for _, j in diag_cells.get(c_min + i - 1, ()):
-            q_cols[j - 1].insert(0, i)
+    for i, group in itertools.groupby(undo, key=itemgetter(0)):
         added: set[int] = set()               # rows of P that lose a cell
-        for j in range(width - 1, -1, -1):    # a row's last cell first
-            while q_cols[j][:1] == [i]:
-                del q_cols[j][0]
-                p_cols[j] -= 1
-                if p_cols[j] in added:
-                    raise MalformedPair(
-                        "diagonal strip removes two cells in a row")
-                if p_cols[j] < 0 or len(rows[p_cols[j]]) != j + 1:
-                    raise MalformedPair("recording data inconsistent with P")
-                added.add(p_cols[j])
+        for _, j in group:
+            p_cols[j] -= 1
+            if p_cols[j] in added:
+                raise MalformedPair(
+                    "diagonal strip removes two cells in a row")
+            if p_cols[j] < 0 or len(rows[p_cols[j]]) != j + 1:
+                raise MalformedPair("recording data inconsistent with P")
+            added.add(p_cols[j])
         words[i] = [_reverse_bump(rows, r)
                     for r in sorted(added, reverse=True)][::-1]
-    if any(rows) or any(q_cols):
+    if any(rows) or stranded:
         raise MalformedPair("leftover cells after unwinding all diagonals")
 
     # split each diagonal word over boxes and edges, lowest diagonal first
-    shape = SkewShape.of(lam.parts, (), extent=extent)
     em: dict[tuple[int, int], int] = {}
     edges: dict[tuple[int, int], list[int]] = {}
     for i in range(1, i_max + 1):
         c = c_min + i - 1
         word = words.get(i, [])
         k = 0
-        for r, j in diag_cells.get(c, ()):
+        for r, j in diagonals.get(c, ()):
             z = em.get((r, j - 1))      # None in column 1: take every letter
             end = k
             while end < len(word) and (z is None or word[end] >= z):
@@ -230,7 +241,7 @@ def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
             k = end
         edges[(1, c)] = word[k:]
     try:
-        t = EdgeLabeledTableau.of(shape, extent, window, em, edges)
+        t = EdgeLabeledTableau.of(table.shape, extent, window, em, edges)
     except ValidationError as exc:
         raise MalformedPair(f"reconstruction is not a tableau: {exc}") from exc
     if uncrowd(t) != RSKPair(pair.P, tuple(sorted(pair.Q))):

@@ -371,8 +371,14 @@ class TestExitCodes:
         (["expand", "--family", "edge", "--lambda", "1", "--n", "2",
           "--schur-expand", "-1"],
          "argument --schur-expand: must be >= 0, got -1"),
+        (["verify", "equivalence", "--count", "x"],
+         "argument --count: must be an integer, got 'x'"),
+        (["expand", "--family", "edge", "--lambda", "1", "--n", "2",
+          "--schur-expand", "x"],
+         "argument --schur-expand: must be an integer, got 'x'"),
     ], ids=["negative-count", "zero-count", "negative-limit",
-            "negative-schur-expand"])
+            "negative-schur-expand", "non-integer-count",
+            "non-integer-schur-expand"])
     def test_count_options_refuse_negatives(self, capsys, argv, message):
         # unchecked, --count -3 reports "-3 random instances agree",
         # --limit -1 silently drops the last tableau and --schur-expand -1

@@ -1,19 +1,20 @@
 import hashlib
 import json
 import random
+from dataclasses import dataclass
 
 import pytest
+from test_shapes import is_horizontal_strip
 
 from edgeschur import tableaux
 from edgeschur.poly import MultiPoly, canonical_string, parse
 from edgeschur.schur import EdgeSchurParams, edge_schur_brute
-from edgeschur.shapes import (Partition, SkewShape, partitions_in_box,
-                              strip_chains)
-from edgeschur.tableaux import (ChainForm, EdgeLabeledTableau,
+from edgeschur.shapes import (Partition, SkewShape, deformed_diagonals,
+                              partitions_in_box, strip_chains)
+from edgeschur.tableaux import (Cell, EdgeLabeledTableau,
                                 SemistandardTableau, ValidationError,
-                                chain_to_positional, enumerate_elt,
-                                enumerate_ssyt, positional_to_chain,
-                                reading_word)
+                                _chain_entries, _label_edge, enumerate_elt,
+                                enumerate_ssyt, reading_word)
 
 
 def weight_elt(t: EdgeLabeledTableau) -> MultiPoly:
@@ -125,6 +126,101 @@ class TestValidation:
         raw_elt((2, 1), (1,), (-2, 2), {(1, 2): 1, (2, 1): 2}).validate()
         # the row-0 edge refused above under the window (-2, 1)
         raw_elt((2, 1), (), (-2, 2), FILLED_21, (((1, 3), (1,)),)).validate()
+
+    def test_label_equal_to_the_entry_above(self):
+        # the edge between the entries 1 and 2 takes labels strictly between
+        t = EdgeLabeledTableau(SkewShape.of((1, 1), (), extent=2), 2, (-2, 1),
+                               (((1, 1), 1), ((2, 1), 2)), (((2, 1), (1,)),))
+        assert refusal(t) == "label 1 at edge (2, 1) not above entry 1"
+
+
+def corrupted_elts(seed: int, count: int) -> list[EdgeLabeledTableau]:
+    """One-edit corruptions of the ELTs of every skew shape in the 2x3 box
+    (extent 2, n = 2, windows (-2, 2) and (-1, 1)): an entry or a label
+    moves by one, or a label moves to a neighbouring edge.  Built without
+    `of`, so validate() sees each edit as made."""
+    rng = random.Random(seed)
+    box = partitions_in_box(2, 3)
+    pool = [t for lam in box for mu in box if lam.contains(mu)
+            for window in ((-2, 2), (-1, 1))
+            for t in enumerate_elt(SkewShape(lam, mu), 2, window, 2)]
+    out = []
+    while len(out) < count:
+        t = rng.choice(pool)
+        entries = dict(t.entries)
+        edges = {pos: list(vals) for pos, vals in t.edge_sets}
+        kinds = (["entry"] if entries else []) + (["label", "move"] if edges
+                                                   else [])
+        if not kinds:
+            continue
+        kind = rng.choice(kinds)
+        if kind == "entry":
+            cell = rng.choice(sorted(entries))
+            entries[cell] += rng.choice((-1, 1))
+        else:
+            pos = rng.choice(sorted(edges))
+            vals = edges[pos]
+            k = rng.randrange(len(vals))
+            if kind == "label":
+                vals[k] += rng.choice((-1, 1))      # left as written
+            else:
+                v = vals.pop(k)
+                if not vals:
+                    del edges[pos]
+                di, dj = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+                to = (pos[0] + di, pos[1] + dj)
+                edges[to] = sorted(edges.get(to, []) + [v])
+        out.append(EdgeLabeledTableau(
+            t.shape, t.extent, t.window, tuple(sorted(entries.items())),
+            tuple(sorted((pos, tuple(vals)) for pos, vals in edges.items()))))
+    return out
+
+
+class TestShapeTable:
+    """validate, key() and the uncrowding map read one table per shape,
+    extent and window instead of recomputing it per call."""
+
+    def test_table_matches_the_predicates(self):
+        box = partitions_in_box(3, 3)
+        cases = 0
+        for lam in box:
+            for mu in box:
+                if not lam.contains(mu):
+                    continue
+                shape = SkewShape(lam, mu)
+                cells = {(i, j) for i in range(1, 4) for j in range(1, 4)
+                         if shape.has_cell(i, j)}
+                for extent in (shape.extent, shape.extent + 1):
+                    # m > -extent: windows not covering the vacuum
+                    for m in range(-extent - 1, 1):
+                        for M in range(-1, 5):
+                            t = EdgeLabeledTableau(shape, extent, (m, M), (),
+                                                   ())
+                            table = t._table()
+                            assert table.cells == cells
+                            # a frame one wider than where edges can be legal
+                            assert table.legal == {
+                                (i, j) for i in range(0, extent + 3)
+                                for j in range(m + i - 1, M + i + 2)
+                                if t.legal_edge_position(i, j)}
+                            cases += 1
+        # 175 shapes; extent 3 has 5 low ends m and extent 4 has 6
+        assert cases == 175 * 6 * (5 + 6)
+
+    def test_corrupted_tableaux_refused_as_before(self):
+        """2,000 one-edit corruptions give the verdicts validate gave before
+        the table: "ok" or the ValidationError message."""
+        verdicts = []
+        for t in corrupted_elts(16, 2000):
+            try:
+                t.validate()
+                verdicts.append("ok")
+            except ValidationError as exc:
+                verdicts.append(str(exc))
+        assert 500 < verdicts.count("ok") < 1500
+        digest = hashlib.sha256("\n".join(verdicts).encode()).hexdigest()
+        assert digest == ("caa46e24af04164ae7ddc16cb581cf87"
+                          "3b2ba6ebbfaa31a3a9b51415ad754673")
 
 
 class TestKey:
@@ -318,6 +414,59 @@ class TestEnumerationChecks:
         assert len(calls) == len(strip_chains(shape, 2)) < len(total.terms)
 
 
+# -- chain form: the strip chain and, per step, the labelled diagonals ---
+
+@dataclass(frozen=True)
+class ChainForm:
+    shape: SkewShape
+    window: tuple[int, int]
+    chain: tuple[Partition, ...]                 # mu = nu^0 <= ... <= nu^n
+    labels: tuple[tuple[int, ...], ...]          # labels[v-1] = sorted diagonals
+
+    def validate(self) -> None:
+        for v in range(1, len(self.chain)):
+            lo, hi = self.chain[v - 1], self.chain[v]
+            if not is_horizontal_strip(hi, lo):
+                raise ValidationError(f"step {v} is not a horizontal strip")
+            allowed = deformed_diagonals(hi, lo, self.window)
+            if not set(self.labels[v - 1]) <= allowed:
+                raise ValidationError(
+                    f"labels {self.labels[v - 1]} not deformed at step {v}")
+
+
+def chain_to_positional(c: ChainForm) -> EdgeLabeledTableau:
+    """Place each chain label at the unique admissible edge position."""
+    c.validate()
+    edges: dict[Cell, list[int]] = {}
+    for v, diagonals in enumerate(c.labels, start=1):
+        for d in diagonals:
+            edges.setdefault(_label_edge(c.chain[v], d), []).append(v)
+    return EdgeLabeledTableau.of(c.shape, c.shape.extent, c.window,
+                                 _chain_entries(c.chain), edges)
+
+
+def positional_to_chain(t: EdgeLabeledTableau, n: int) -> ChainForm:
+    lam = t.shape.outer.with_extent(t.extent)
+    mu = t.shape.inner.with_extent(t.extent)
+    em = t.entry_map()
+    chain = [mu]
+    for v in range(1, n + 1):
+        parts = [mu.part(i) for i in range(1, t.extent + 1)]
+        for (i, j), val in em.items():
+            if val <= v:
+                parts[i - 1] = max(parts[i - 1], j)
+        chain.append(Partition(tuple(parts)))
+    labels: list[list[int]] = [[] for _ in range(n)]
+    for (i, j), vals in t.edge_sets:
+        for v in vals:
+            labels[v - 1].append(j - i)
+    cf = ChainForm(SkewShape(lam, mu), t.window, tuple(chain),
+                   tuple(tuple(sorted(ls)) for ls in labels))
+    cf.validate()
+    return cf
+
+
+
 class TestChainForm:
     def test_transfer_state_pictures(self):
         # the four tableaux attached to the single-row transfer example
@@ -388,6 +537,17 @@ def test_from_json_refuses_non_ints(path, value):
         target = target[k]
     target[path[-1]] = value
     with pytest.raises(ValidationError, match="not an int"):
+        EdgeLabeledTableau.from_json(blob)
+
+
+@pytest.mark.parametrize("window", [[-1], [-1, 2, 3]], ids=["one", "three"])
+def test_from_json_refuses_a_window_not_a_pair(window):
+    # validate reads its shape table, keyed on (m, M), before any check
+    blob = {"shape": {"outer": {"parts": [2], "extent": 1},
+                      "inner": {"parts": [], "extent": 1}},
+            "extent": 1, "window": window,
+            "entries": [[1, 1, 1], [1, 2, 1]], "edges": []}
+    with pytest.raises(ValidationError, match=r"window is not \[m, M\]"):
         EdgeLabeledTableau.from_json(blob)
 
 

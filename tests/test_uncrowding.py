@@ -1,12 +1,33 @@
+import hashlib
 import random
 
 import pytest
 
 from edgeschur.shapes import Partition, SkewShape, partitions_in_box
 from edgeschur.tableaux import EdgeLabeledTableau, enumerate_elt
-from edgeschur.uncrowding import (MalformedPair, RSKPair, crowd,
-                                  check_crystal_commute,
-                                  rsk_insert, rsk_remove, uncrowd)
+from edgeschur.uncrowding import (MalformedPair, RSKPair, _reverse_bump,
+                                  _row_insert, check_crystal_commute, crowd,
+                                  uncrowd)
+
+Rows = tuple[tuple[int, ...], ...]
+
+
+def rsk_insert(rows: Rows, word) -> Rows:
+    """Standard row insertion of the word, left to right."""
+    out = [list(r) for r in rows]
+    for x in word:
+        _row_insert(out, x)
+    return tuple(map(tuple, out))
+
+
+def rsk_remove(rows: Rows, cell: tuple[int, int]) -> tuple[Rows, int]:
+    """Reverse-bump the outer corner cell (1-indexed); returns the letter."""
+    r, c = cell
+    out = [list(x) for x in rows]
+    if len(out[r - 1]) != c or (r < len(out) and len(out[r]) >= c):
+        raise MalformedPair(f"cell {cell} is not an outer corner")
+    letter = _reverse_bump(out, r - 1)
+    return tuple(tuple(x) for x in out if x), letter
 
 
 @pytest.fixture
@@ -137,6 +158,24 @@ class TestBijection:
                 seen[key] = t
                 assert crowd(pair, lam, window, lam.extent).key() == t.key()
 
+    def test_extent_beyond_the_shape(self):
+        # lam (1) at extent 2: crowd's shape gets lam's trailing zero row
+        lam = Partition.of((1,))
+        shape = SkewShape.of(lam.parts, (), extent=2)
+        tabs = list(enumerate_elt(shape, 2, (-2, 1), 2))
+        assert len(tabs) > 10
+        for t in tabs:
+            assert crowd(uncrowd(t), lam, (-2, 1), 2).key() == t.key()
+
+    def test_equal_letters_on_a_diagonal(self):
+        # label 1 under entry 1, built without validation: the diagonal
+        # word 1, 1 would insert as if it decreased
+        t = EdgeLabeledTableau(SkewShape.of((1,)), 1, (-1, 1),
+                               (((1, 1), 1),), (((2, 1), (1,)),))
+        with pytest.raises(AssertionError, match=r"diagonal word \[1, 1\] "
+                           "is not decreasing"):
+            uncrowd(t)
+
     def test_off_image_raises(self, example_tableau):
         with pytest.raises(MalformedPair):
             crowd(RSKPair(((1,),), ()), Partition.of((2,)), (-1, 2), 1)
@@ -158,6 +197,12 @@ class TestBijection:
         with pytest.raises(MalformedPair, match="two cells in a row"):
             crowd(RSKPair(((2, 3, 4), (4,)), (((1, 2), 5), ((1, 3), 5))),
                   Partition.of((1, 1)), (-3, 2), 2)
+        # column 1 of Q holds 1 above 2: uncrowd stacks a column's indices
+        # in increasing order, so the 2 would never come off
+        with pytest.raises(MalformedPair, match="column 1 of Q does not "
+                           "weakly decrease downwards"):
+            crowd(RSKPair(((1, 2), (3,)), (((1, 1), 1), ((2, 1), 2))),
+                  Partition.of((1,)), (-2, 2), 1)
         # lam (2) unwinds two cells of P's five
         with pytest.raises(MalformedPair, match="leftover cells"):
             crowd(RSKPair(((1, 1), (2,), (3,), (4,)), ()), Partition.of((2,)),
@@ -179,6 +224,91 @@ class TestBijection:
             with pytest.raises(MalformedPair):
                 crowd(RSKPair(pair.P, tuple(sorted(pair.Q + (extra,)))),
                       Partition.of((3, 3, 2, 2)), (-4, 3), 4)
+
+
+def _edit(rng: random.Random, rows: list[list[int]], q: dict) -> None:
+    """One edit of P (its rows) or Q ({cell: index}) in place."""
+    kind = rng.randrange(7)
+    if kind == 0 and rows:                  # a letter of P moves by one
+        r = rng.randrange(len(rows))
+        c = rng.randrange(len(rows[r]))
+        rows[r][c] = max(1, rows[r][c] + rng.choice((-1, 1)))
+    elif kind == 1 and rows:                # P loses a row's last cell
+        r = rng.randrange(len(rows))
+        rows[r].pop()
+        if not rows[r]:
+            del rows[r]
+    elif kind == 2:                         # P gains a cell at a row's end
+        r = rng.randrange(len(rows) + 1)
+        if r == len(rows):
+            rows.append([])
+        rows[r].append((rows[r][-1] if rows[r] else 1) + rng.randrange(2))
+    elif kind == 3 and q:                   # a recording index moves by one
+        cell = rng.choice(sorted(q))
+        q[cell] += rng.choice((-1, 1))
+    elif kind == 4 and q:                   # a recording cell moves
+        cell = rng.choice(sorted(q))
+        v = q.pop(cell)
+        di, dj = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+        q[(cell[0] + di, cell[1] + dj)] = v
+    elif kind == 5:                         # Q gains a cell
+        q[(rng.randint(1, 5), rng.randint(1, 4))] = rng.randint(1, 7)
+    elif kind == 6 and q:                   # Q loses a cell
+        del q[rng.choice(sorted(q))]
+
+
+def crowd_cases(seed: int, count: int):
+    """(pair, lam, window): 70 % are genuine pairs of straight shapes in the
+    3x3 box (n = 2) after one or two edits, 30 % random P and Q."""
+    rng = random.Random(seed)
+    straight = [Partition.of([p for p in lam.parts if p > 0])
+                for lam in partitions_in_box(3, 3) if lam.size()]
+    pool = []
+    for lam in straight:
+        window = (-lam.extent - 1, lam.first() + 1)
+        shape = SkewShape.of(lam.parts, (), extent=lam.extent)
+        pool.extend((lam, window, t)
+                    for t in enumerate_elt(shape, 2, window, lam.extent))
+    out = []
+    while len(out) < count:
+        if rng.random() < 0.7:
+            lam, window, t = rng.choice(pool)
+            pair = uncrowd(t)
+            rows = [list(r) for r in pair.P]
+            q = dict(pair.Q)
+            for _ in range(rng.randint(1, 2)):
+                _edit(rng, rows, q)
+        else:
+            lam = rng.choice(straight)
+            window = (-lam.extent - rng.randint(0, 2),
+                      lam.first() + rng.randint(-1, 2))
+            rows = []
+            for _ in range(rng.randint(1, 4)):
+                top = len(rows[-1]) if rows else 4
+                rows.append(sorted(rng.randint(1, 4)
+                                   for _ in range(rng.randint(1, top))))
+            q = {(rng.randint(1, 4), rng.randint(1, 4)): rng.randint(1, 7)
+                 for _ in range(rng.randint(0, 3))}
+        out.append((RSKPair(tuple(map(tuple, rows)), tuple(sorted(q.items()))),
+                    lam, window))
+    return out
+
+
+class TestOffImage:
+    def test_seeded_pairs_pinned(self):
+        """crowd refuses or accepts 3,000 pairs, mostly near the image, as
+        it did before it unwound only live columns: each verdict is
+        "refused" or the accepted tableau's key()."""
+        verdicts = []
+        for pair, lam, window in crowd_cases(16, 3000):
+            try:
+                verdicts.append(crowd(pair, lam, window, lam.extent).key())
+            except MalformedPair:
+                verdicts.append("refused")
+        assert 150 < len(verdicts) - verdicts.count("refused") < 500
+        digest = hashlib.sha256("\n".join(verdicts).encode()).hexdigest()
+        assert digest == ("f18df04639f2d2d9b0b95bf42343bd9c"
+                          "1941a2a7d5670de8deaf3f9989ab6cfc")
 
 
 class TestCrystalCommute:
