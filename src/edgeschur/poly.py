@@ -27,12 +27,19 @@ completed ring (power series in the a-parameters) is modelled.  Operations
 on two truncated operands keep the tighter bound.  Sums and products go
 through one in-place accumulator, MultiPoly._accumulate; it mutates only
 the polynomial it is called on, which must be one the calling loop built.
+
+There is one term order, by total degree and then descending lex on the
+exponent vector in VarKey order, and one place that applies it, _ordered.
+It decodes each monomial once into a row of exponents; sorted_terms reads
+its order from those rows, and canonical_string formats them, variables in
+print order (a-parameters, alpha, x, y).
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 # Family ranks fix the global variable order x1 < x2 < ... < y1 < ... < alpha < a_d < ...
@@ -352,16 +359,29 @@ def map_vars(p: MultiPoly, fn: Callable[[VarKey], MultiPoly],
 # -- canonical printing and parsing ------------------------------------
 
 
+def _ordered(p: MultiPoly) -> tuple[list[VarKey], list[tuple]]:
+    """p's variables in VarKey order, and one (exponents, monomial,
+    coefficient) row per term in the one term order: by total degree, then
+    descending lex on the exponent vector.
+
+    Each monomial is decoded once, into (degree, e_1, ..., e_k) with e_i the
+    exponent of the i-th variable.  Distinct terms differ in the e_i, so a
+    descending sort on these orders them by the e_i alone, and a stable
+    sort by degree then gives the term order."""
+    variables = sorted(p.variables())
+    cols = [_SHIFT[v] // FIELD_BITS for v in variables]
+    nbytes = 2 * (max(cols, default=0) + 1)
+    # with no variable the only monomial is 1, whose words are just (0,)
+    exponents = itemgetter(0, *cols) if cols else tuple
+    rows = [(exponents(_words(m, nbytes)), m, c) for m, c in p.terms.items()]
+    rows.sort(key=itemgetter(0), reverse=True)
+    rows.sort(key=lambda row: row[0][0])
+    return variables, rows
+
+
 def sorted_terms(p: MultiPoly) -> list[tuple[Monomial, int]]:
     """Terms by total degree, then descending-lex on the exponent vector."""
-    cols = [_SHIFT[v] // FIELD_BITS for v in sorted(p.variables())]
-    nbytes = 2 * (max(cols, default=0) + 1)
-
-    def key(mc):
-        words = _words(mc[0], nbytes)
-        return (words[0], tuple(-words[k] for k in cols))
-
-    return sorted(p.terms.items(), key=key)
+    return [(m, c) for _, m, c in _ordered(p)[1]]
 
 
 # Print order inside one monomial: a-parameters first, then alpha, x, y.
@@ -371,14 +391,15 @@ _PRINT_RANK = {_RANK_A: 0, _RANK_ALPHA: 1, _RANK_X: 2, _RANK_Y: 3}
 def canonical_string(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
-    printed = sorted(p.variables(), key=lambda v: (_PRINT_RANK[v[0]], v[1]))
-    cols = [(_SHIFT[v] // FIELD_BITS, var_name(v)) for v in printed]
-    nbytes = 2 * (max((k for k, _ in cols), default=0) + 1)
+    variables, rows = _ordered(p)
+    # (position in a row, name) per variable, in print order
+    printed = sorted(((_PRINT_RANK[v[0]], v[1]), k, var_name(v))
+                     for k, v in enumerate(variables, start=1))
+    cols = [(k, name) for _, k, name in printed]
     parts: list[str] = []
-    for m, c in sorted_terms(p):
-        words = _words(m, nbytes)
-        mono = "*".join(name if words[k] == 1 else f"{name}^{words[k]}"
-                        for k, name in cols if words[k])
+    for exps, _, c in rows:
+        mono = "*".join([name if exps[k] == 1 else f"{name}^{exps[k]}"
+                         for k, name in cols if exps[k]])
         if not mono:
             body = str(abs(c))
         elif abs(c) == 1:

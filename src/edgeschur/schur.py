@@ -28,7 +28,7 @@ from .poly import (ALPHA, Monomial, MultiPoly, av, family, map_vars,
                    monomial_degree, series_inverse, split_x_part,
                    x_exponent_vector, xv, yv)
 from .shapes import Partition, SkewShape, deformed_diagonals
-from .tableaux import _weighted_elts
+from .tableaux import _checked_chains
 
 
 class NotSymmetric(ValueError):
@@ -132,10 +132,16 @@ def edge_schur(shape: SkewShape, p: EdgeSchurParams, var_kind: str = "x",
 
 
 def edge_schur_brute(shape: SkewShape, p: EdgeSchurParams) -> MultiPoly:
-    """Independent oracle: enumerate all ELTs and sum their weights."""
+    """Independent oracle: enumerate all ELTs and sum their weights.
+
+    Each tableau is counted at its packed weight: its chain's entry code
+    plus the code of the label subset it takes at each step."""
     counts: dict[int, int] = {}
-    for _, code in _weighted_elts(shape, p.num_vars, p.window, p.extent):
-        counts[code] = counts.get(code, 0) + 1
+    for _, entry_code, _, subset_codes in _checked_chains(
+            shape, p.num_vars, p.window, p.extent):
+        for choice in itertools.product(*subset_codes):
+            code = entry_code + sum(choice)
+            counts[code] = counts.get(code, 0) + 1
     out = MultiPoly.zero(p.trunc)
     out._accumulate(MultiPoly(counts))
     return out

@@ -10,7 +10,11 @@ the entry in cell (i-1, j) and strictly smaller than the entry in cell
 Enumeration runs over the equivalent chain form: a chain of horizontal
 strips mu = nu^0 <= ... <= nu^n = lambda (recording which boxes hold each
 value) together with, for each value v, the subset of deformed diagonals of
-step v that carry a label v.
+step v that carry a label v.  One generator, `_checked_chains`, checks each
+chain once and gives its entries and, per step, the label subsets with
+their packed weight monomials.  `enumerate_elt` builds the tableaux from it;
+the brute ELT sum (`schur.edge_schur_brute`) counts each tableau at its
+weight, the entry monomial plus the chosen subsets', without building it.
 
 What validate, key() and the uncrowding map read of a shape, an extent and a
 window (its cells, its legal edges, the outer shape's cells by diagonal and
@@ -382,17 +386,30 @@ def enumerate_elt(shape: SkewShape, n: int, window: tuple[int, int],
     step 1 vary slowest, and subset `mask` of a step holds the deformed
     diagonals (ascending) whose bit is set.
     """
-    yield from (t for t, _ in _weighted_elts(shape, n, window, extent))
+    for bare, _, subsets, _ in _checked_chains(shape, n, window, extent):
+        for choice in itertools.product(*subsets):
+            edges: dict[Cell, list[int]] = {}
+            for v, step in enumerate(choice, start=1):
+                for pos in step:
+                    edges.setdefault(pos, []).append(v)
+            yield EdgeLabeledTableau(
+                bare.shape, extent, window, bare.entries,
+                tuple(sorted((pos, tuple(vals)) for pos, vals in edges.items())))
 
 
-def _weighted_elts(shape: SkewShape, n: int, window: tuple[int, int],
-                   extent: int) -> Iterator[tuple[EdgeLabeledTableau, int]]:
-    """enumerate_elt's tableaux, each with its packed weight monomial.
+def _checked_chains(shape: SkewShape, n: int, window: tuple[int, int],
+                    extent: int) -> Iterator[tuple[EdgeLabeledTableau, int,
+                                                   list[list], list[list]]]:
+    """Each strip chain of the shape in [n], checked once, as
+    (bare, entry code, subsets, subset codes).
 
-    A tableau's weight is its chain's entry monomial times, per step, the
-    product of x_v * a_d over the step's chosen labels.  Packed monomials
-    multiply by int addition, so both factors are summed once per chain and
-    label subset, where weight() recounts them per tableau.
+    `bare` is the chain's validated tableau with no labels, so it holds the
+    sorted entries; the entry code is their packed x-monomial.  For step v,
+    subsets[v - 1][mask] lists the edges of label subset `mask` and
+    subset_codes[v - 1][mask] is the packed product of x_v * a_d over its
+    diagonals.  A tableau is one subset per step: its edge sets collect the
+    chosen edges, and its weight is the entry code plus the chosen subset
+    codes, because packed monomials multiply by int addition.
     """
     lam = shape.outer.with_extent(extent)
     mu = shape.inner.with_extent(extent)
@@ -404,32 +421,23 @@ def _weighted_elts(shape: SkewShape, n: int, window: tuple[int, int],
         # so the chain's tableaux are checked once: the entries (no labels)
         # and each candidate (edge, letter) alone.  Distinct diagonals of a
         # step land on distinct edges and steps come in increasing order, so
-        # each edge set built below is non-empty and strictly increasing, as
-        # `of` would make it.
+        # each edge set built from one subset per step is non-empty and
+        # strictly increasing, as `of` would make it.
         em = _chain_entries(chain)
         bare = EdgeLabeledTableau(sh, extent, window, tuple(sorted(em.items())),
                                   ())
         bare.validate()
         entry_code = _encode((xv(v), 1) for v in em.values())
-        subsets = []
+        subsets, subset_codes = [], []
         for v in range(1, n + 1):
             diagonals = sorted(deformed_diagonals(chain[v], chain[v - 1], window))
             spots = [_label_edge(chain[v], d) for d in diagonals]
             for i, j in spots:
                 _check_edge(em, legal, i, j, v, v)
             codes = [_encode(((xv(v), 1), (av(d), 1))) for d in diagonals]
-            subsets.append([
-                ([spots[b] for b in range(len(spots)) if mask >> b & 1],
-                 sum(codes[b] for b in range(len(spots)) if mask >> b & 1))
-                for mask in range(1 << len(spots))])
-        for choice in itertools.product(*subsets):
-            edges: dict[Cell, list[int]] = {}
-            code = entry_code
-            for v, (spots, step_code) in enumerate(choice, start=1):
-                code += step_code
-                for pos in spots:
-                    edges.setdefault(pos, []).append(v)
-            yield EdgeLabeledTableau(
-                sh, extent, window, bare.entries,
-                tuple(sorted((pos, tuple(vals)) for pos, vals in edges.items()))
-            ), code
+            masks = range(1 << len(spots))
+            subsets.append([[spots[b] for b in range(len(spots)) if mask >> b & 1]
+                            for mask in masks])
+            subset_codes.append([sum(codes[b] for b in range(len(spots))
+                                     if mask >> b & 1) for mask in masks])
+        yield bare, entry_code, subsets, subset_codes

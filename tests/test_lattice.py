@@ -229,6 +229,31 @@ class TestPruning:
         assert len(merges) == 36
 
 
+class TestMerge:
+    """_merge passes a lone unit weight's sum on unchanged; a unit weight
+    with siblings must still add them."""
+
+    def test_unit_weight_first_with_a_sibling(self, monkeypatch):
+        # at T = 1 the Lstar weight 1 + a*x of (1, 0, 1, 0) is cut to the
+        # unit weight, and its state comes before its sibling (0, 1, 1, 0),
+        # weight x, in this grid's merges
+        rows = (GridRow(model_Lstar(), V(xv(1))),
+                GridRow(model_Lstar(), V(yv(1))))
+        g = GridSpec(rows, (-1, 1), (0, 0, 1), (0, 1, 0), trunc=1)
+        first_units = []
+        real = lattice._merge
+
+        def spying(parts, trunc):
+            if len(parts) > 1 and parts[0][0] is lattice._ONE:
+                first_units.append(parts)
+            return real(parts, trunc)
+        monkeypatch.setattr(lattice, "_merge", spying)
+        z = partition_function(g)
+        assert first_units
+        assert z == partition_function_brute(g).truncate(1)
+        assert z == V(xv(1)) + V(yv(1))
+
+
 class TestSweep:
     """One _sweep from a bottom profile serves a whole set of tops."""
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeschur import lattice, poly
-from edgeschur.poly import (ALPHA, MAX_DEGREE, MultiPoly, NotInvertible, av,
-                            canonical_string, map_vars, monomial_degree, parse,
-                            series_inverse, split_x_part, xv, yv)
+from edgeschur.poly import (ALPHA, FIELD_BITS, MAX_DEGREE, MultiPoly,
+                            NotInvertible, av, canonical_string, map_vars,
+                            monomial_degree, parse, series_inverse,
+                            sorted_terms, split_x_part, var_name, xv, yv)
 from edgeschur.schur import EdgeSchurParams, edge_schur_brute
 from edgeschur.shapes import Partition, SkewShape
 
@@ -113,6 +115,140 @@ class TestCanonicalString:
         for _ in range(50):
             p = random_poly(rng)
             assert parse(canonical_string(p)) == p
+
+
+# -- the reference printer: each monomial decoded for the sort key and again
+# for its text, with a tuple key per term --------------------------------
+
+
+def reference_sorted_terms(p):
+    """Terms by total degree, then descending-lex on the exponent vector."""
+    cols = [poly._SHIFT[v] // FIELD_BITS for v in sorted(p.variables())]
+    nbytes = 2 * (max(cols, default=0) + 1)
+
+    def key(mc):
+        words = poly._words(mc[0], nbytes)
+        return (words[0], tuple(-words[k] for k in cols))
+
+    return sorted(p.terms.items(), key=key)
+
+
+def reference_string(p):
+    if p.is_zero():
+        return "0"
+    printed = sorted(p.variables(),
+                     key=lambda v: (poly._PRINT_RANK[v[0]], v[1]))
+    cols = [(poly._SHIFT[v] // FIELD_BITS, var_name(v)) for v in printed]
+    nbytes = 2 * (max((k for k, _ in cols), default=0) + 1)
+    parts = []
+    for m, c in reference_sorted_terms(p):
+        words = poly._words(m, nbytes)
+        mono = "*".join(name if words[k] == 1 else f"{name}^{words[k]}"
+                        for k, name in cols if words[k])
+        if not mono:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = mono
+        else:
+            body = f"{abs(c)}*{mono}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"{' + ' if c > 0 else ' - '}{body}")
+    return "".join(parts)
+
+
+# fresh variables, registered against VarKey order (a before y before x,
+# and x1742 after x1747), so field order and print order disagree
+FRESH = [av(1741), av(-1741), yv(1743), xv(1747), xv(1742)]
+POOL = [xv(1), xv(2), yv(1), yv(2), ALPHA, av(-3), av(-1), av(0), av(2),
+        *FRESH]
+
+
+def _coeff(rng):
+    return rng.choice((1, -1)) * rng.choice((1, 1, rng.randint(2, 40)))
+
+
+def _random_terms(rng, variables, nterms, top, constant=True):
+    out = MultiPoly.zero()
+    for _ in range(nterms):
+        term = MultiPoly.const(_coeff(rng))
+        for v in variables:
+            term = term * V(v) ** rng.randint(0, top)
+        if constant or term.total_degree() > 0:
+            out = out + term
+    return out
+
+
+def printing_corpus(size=2400, seed=1717):
+    """A seeded list of polynomials covering the printer's cases: constants,
+    "0" after truncation, one variable, alpha, y and a(-k), coefficients
+    +-1 and larger, a negative leading term and truncated series."""
+    for v in FRESH:
+        V(v)
+    rng = random.Random(seed)
+    corpus = []
+    for i in range(size):
+        kind = i % 8
+        if kind == 0:                       # constant only
+            p = MultiPoly.const(_coeff(rng))
+        elif kind == 1:                     # no term survives truncation
+            p = _random_terms(rng, rng.sample(POOL, 3), 4, 2,
+                              constant=False).truncate(0)
+        elif kind == 2:                     # one variable: one column
+            p = _random_terms(rng, [rng.choice(POOL)], rng.randint(1, 6), 7)
+        elif kind == 3:                     # negative leading term
+            p = _random_terms(rng, rng.sample(POOL, 3), 5, 3)
+            if sorted_terms(p) and sorted_terms(p)[0][1] > 0:
+                p = -p
+        else:                               # mixed, sometimes truncated
+            p = _random_terms(rng, rng.sample(POOL, rng.randint(2, 8)),
+                              rng.randint(1, 12), 3)
+            if kind >= 6:
+                p = p.truncate(rng.randint(0, 8))
+        corpus.append(p)
+    return corpus
+
+
+DIGEST = ("67d5c5d3f1eefc68b7be9d7f81092a52"
+          "6e9eccad4828304b490b48b440187067")
+
+
+class TestPrintingParity:
+    """canonical_string and sorted_terms decode each monomial once; they give
+    the reference printer's bytes and term order."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return printing_corpus()
+
+    def test_corpus_is_pinned(self, corpus):
+        # recorded when the reference printer was the library's printer
+        text = "\n".join(reference_string(p) for p in corpus)
+        assert len(corpus) == 2400
+        assert hashlib.sha256(text.encode()).hexdigest() == DIGEST
+
+    def test_corpus_covers_the_cases(self, corpus):
+        shifts = [poly._SHIFT[v] for v in FRESH]
+        assert shifts == sorted(shifts) and FRESH != sorted(FRESH)
+        strings = [reference_string(p) for p in corpus]
+        assert sum(not p.variables() and p.terms != {} for p in corpus) >= 300
+        assert sum(s == "0" and p.trunc == 0
+                   for s, p in zip(strings, corpus)) >= 300
+        assert sum(len(p.variables()) == 1 for p in corpus) >= 300
+        assert sum(s.startswith("-") and "*" in s for s in strings) >= 300
+        for piece in ("alpha", "y1743", "a(-", "a1741", "x1742", " + ", " - ",
+                      "^"):
+            assert any(piece in s for s in strings), piece
+        coeffs = {abs(c) for p in corpus for c in p.terms.values()}
+        assert 1 in coeffs and max(coeffs) > 1
+
+    def test_same_bytes_and_order(self, corpus):
+        for p in corpus:
+            s = canonical_string(p)
+            assert s == reference_string(p)
+            assert sorted_terms(p) == reference_sorted_terms(p)
+            assert parse(s) == p
 
 
 @st.composite

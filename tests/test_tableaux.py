@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -267,6 +268,18 @@ class TestReadingWord:
             [v for k, v in enumerate([1, 2, 3, 4, 5]) for _ in range(counts[k])])
 
 
+def sweep():
+    """Every skew shape in the 2x3 box at extent 2, n = 0..3, and three
+    windows, (-1, 1) not covering the vacuum, as (shape, n, window)."""
+    box = partitions_in_box(2, 3)
+    for lam in box:
+        for mu in box:
+            if lam.contains(mu):
+                for n in range(4):
+                    for window in [(-2, 2), (-2, 0), (-1, 1)]:
+                        yield SkewShape(lam, mu), n, window
+
+
 class TestEnumerateELT:
     def test_count_12(self):
         tabs = list(enumerate_elt(SkewShape.of((2,), (), extent=2), 2,
@@ -297,49 +310,53 @@ class TestEnumerateELT:
             t.validate()
 
     def test_sweep_is_pinned(self):
-        """Every skew shape in the 2x3 box at extent 2, n = 0..3, and three
-        windows, (-1, 1) not covering the vacuum: each ELT is valid, and its
-        key and weight hash to a recorded digest."""
-        box = partitions_in_box(2, 3)
+        """Over the sweep each ELT is valid, and its key and weight hash to
+        a recorded digest."""
         digest = hashlib.sha256()
         count = 0
-        for lam in box:
-            for mu in box:
-                if not lam.contains(mu):
-                    continue
-                for n in range(4):
-                    for window in [(-2, 2), (-2, 0), (-1, 1)]:
-                        for t in enumerate_elt(SkewShape(lam, mu), n, window,
-                                               2):
-                            t.validate()
-                            digest.update(f"{t.key()}\t"
-                                          f"{canonical_string(t.weight())}\n"
-                                          .encode())
-                            count += 1
+        for shape, n, window in sweep():
+            for t in enumerate_elt(shape, n, window, 2):
+                t.validate()
+                digest.update(f"{t.key()}\t{canonical_string(t.weight())}\n"
+                              .encode())
+                count += 1
         assert count == 48397
         assert digest.hexdigest() == ("f959eb957c45b423e57d7456db729912"
                                       "c22cc23542399e367e5ca771c59ed8e5")
 
 
+def code_stream(shape, n, window, extent):
+    """The packed weight of each tableau the brute sum counts, in order."""
+    for _, entry_code, _, subset_codes in tableaux._checked_chains(
+            shape, n, window, extent):
+        for choice in itertools.product(*subset_codes):
+            yield entry_code + sum(choice)
+
+
 class TestWeightByChain:
     """The brute oracle reads each tableau's weight from codes summed once
-    per strip chain and label subset; weight() recounts it per tableau."""
+    per strip chain and label subset; weight() recounts it per tableau.  It
+    still counts the tableaux one by one, in enumerate_elt's order."""
 
     def test_codes_equal_weight_over_the_sweep(self):
-        # the sweep of test_sweep_is_pinned
-        box = partitions_in_box(2, 3)
         count = 0
-        for lam in box:
-            for mu in box:
-                if not lam.contains(mu):
-                    continue
-                for n in range(4):
-                    for window in [(-2, 2), (-2, 0), (-1, 1)]:
-                        for t, code in tableaux._weighted_elts(
-                                SkewShape(lam, mu), n, window, 2):
-                            assert t.weight().terms == {code: 1}
-                            count += 1
+        for shape, n, window in sweep():
+            for t, code in zip(enumerate_elt(shape, n, window, 2),
+                               code_stream(shape, n, window, 2), strict=True):
+                assert t.weight().terms == {code: 1}
+                count += 1
         assert count == 48397
+
+    def test_brute_counts_every_tableau_over_the_sweep(self):
+        # EdgeSchurParams needs n >= 1: the sweep without its n = 0 cases
+        cases = 0
+        for shape, n, window in sweep():
+            if n:
+                brute = edge_schur_brute(shape, EdgeSchurParams(n, window, 2))
+                assert sum(brute.terms.values()) == len(list(
+                    enumerate_elt(shape, n, window, 2))), (shape, n, window)
+                cases += 1
+        assert cases == 450
 
     @pytest.mark.parametrize("trunc", [None, 3])
     def test_brute_sums_tableau_weights(self, trunc):
