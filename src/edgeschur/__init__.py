@@ -7,12 +7,12 @@ from .poly import MultiPoly, canonical_string, parse
 from .shapes import Partition, SkewShape
 from .schur import (EdgeSchurParams, dual_schur, edge_schur, edge_schur_brute,
                     factorial_schur, schur, schur_expand, variation)
-from .tableaux import EdgeLabeledTableau, SemistandardTableau
+from .tableaux import EdgeLabeledTableau
 
 __all__ = [
     "MultiPoly", "canonical_string", "parse",
     "Partition", "SkewShape",
     "EdgeSchurParams", "schur", "factorial_schur", "edge_schur",
     "edge_schur_brute", "variation", "dual_schur", "schur_expand",
-    "EdgeLabeledTableau", "SemistandardTableau",
+    "EdgeLabeledTableau",
 ]

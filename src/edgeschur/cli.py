@@ -60,16 +60,18 @@ def nonnegative_int(s: str) -> int:
 
 
 def parse_window(s: str) -> tuple[int, int]:
-    lo, hi = s.split(":")
-    return int(lo), int(hi)
+    """Two ints joined by ':', as (lo, hi): the type of --window and --box."""
+    try:
+        lo, hi = s.split(":")
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be two integers joined by ':', got {s!r}") from None
 
 
 def _params(args, lam: Partition) -> EdgeSchurParams:
     extent = args.extent if args.extent is not None else max(lam.extent, 1)
-    if args.window:
-        window = parse_window(args.window)
-    else:
-        window = (-extent, lam.first())
+    window = args.window or (-extent, lam.first())
     if window[0] > -extent:
         raise WindowError(f"--window {window[0]}:{window[1]} does not cover "
                           f"the vacuum: its low end must be <= {-extent}")
@@ -141,8 +143,8 @@ def _first_difference(p: MultiPoly, q: MultiPoly) -> tuple[str, int, int]:
 
 
 def _verify_symmetry(args) -> tuple[bool, str]:
-    r, c = (int(v) for v in args.box.split(":"))
-    window = parse_window(args.window) if args.window else (-r, c)
+    r, c = args.box
+    window = args.window or (-r, c)
     for lam in partitions_in_box(r, c):
         shape = SkewShape.of(lam.parts, (), extent=r)
         e = edge_schur(shape, EdgeSchurParams(args.n, window, r))
@@ -197,8 +199,8 @@ def cmd_verify(args) -> int:
     if suite == "yb":
         ok, msg = _verify_yb(args)
     elif suite == "commutation":
-        r, c = (int(v) for v in args.box.split(":"))
-        window = parse_window(args.window) if args.window else (-2, 5)
+        r, c = args.box
+        window = args.window or (-2, 5)
         T = 6 if args.trunc is None else args.trunc
         ok, wit = lattice.commutation_check((r, c), window, T)
         if not ok and 2 * window[1] - 2 * c < T - 1:
@@ -213,7 +215,7 @@ def cmd_verify(args) -> int:
     elif suite == "cauchy":
         mu = parse_partition(args.mu)
         eta = parse_partition(args.eta)
-        window = parse_window(args.window) if args.window else (-2, 3)
+        window = args.window or (-2, 3)
         T = 4 if args.trunc is None else args.trunc
         rep = lattice.cauchy_check(mu, eta, args.n, args.m, window, T)
         ok = rep["ok"]
@@ -245,7 +247,7 @@ def cmd_verify(args) -> int:
 def cmd_crystal(args) -> int:
     lam = parse_partition(getattr(args, "lam"))
     extent = args.extent if args.extent is not None else max(lam.extent, 1)
-    window = parse_window(args.window) if args.window else (-extent, lam.first())
+    window = args.window or (-extent, lam.first())
     p = EdgeSchurParams(args.n, window, extent)
     g = crystal_graph(lam, p, args.n)
     comps = component_decomposition(g, args.n)
@@ -290,8 +292,7 @@ def cmd_tableaux(args) -> int:
     mu = parse_partition(args.mu)
     shape = SkewShape.of(lam.parts, mu.parts, extent=args.extent or lam.extent)
     if args.edges:
-        window = parse_window(args.window) if args.window else (-shape.extent,
-                                                                lam.first())
+        window = args.window or (-shape.extent, lam.first())
         tabs = list(enumerate_elt(shape, args.n, window, shape.extent))
         print(f"{len(tabs)} edge labeled tableaux")
         if args.format == "json":
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
               "extent": dict(type=int, default=None),
               "n": dict(type=positive_int, default=2),
               "m": dict(type=positive_int, default=1),
-              "window": dict(default=None, metavar="M:N"),
+              "window": dict(type=parse_window, default=None, metavar="M:N"),
               "trunc": dict(type=nonnegative_int, default=None)}
 
     def common(p, *names):
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["RLL_L", "RLL_Lstar", "rll_Ell", "frakRLell"])
     pv.add_argument("--perturb", default=None)
     pv.add_argument("--perturb-mode", default="one", choices=["one", "double"])
-    pv.add_argument("--box", default="2:2", metavar="R:C")
+    pv.add_argument("--box", type=parse_window, default="2:2", metavar="R:C")
     pv.add_argument("--eta", default="", metavar="PARTS")
     pv.add_argument("--count", type=positive_int, default=30)
     pv.add_argument("--seed", type=int, default=20240805)

@@ -1,4 +1,8 @@
-"""Type-A crystal operators on words, semistandard and edge labeled tableaux.
+"""Type-A crystal operators on words and edge labeled tableaux.
+
+A semistandard tableau is an edge labeled tableau on the empty window
+(`tableaux.EMPTY_WINDOW`), so f_elt and e_elt are its classical crystal
+operators too, and `ssyt_crystal_graph` is `crystal_graph` on that window.
 
 Operators act through the diagonal reading word: the first-read letter is
 the leftmost tensor factor.  For the signature of e_i/f_i, every letter i
@@ -21,8 +25,8 @@ from typing import Optional
 from .poly import MultiPoly
 from .shapes import Partition, SkewShape
 from .schur import EdgeSchurParams
-from .tableaux import (EdgeLabeledTableau, SemistandardTableau, enumerate_elt,
-                       enumerate_ssyt, reading_word)
+from .tableaux import (EMPTY_WINDOW, EdgeLabeledTableau, enumerate_elt,
+                       reading_word)
 
 
 def signature(letters: list[int], i: int) -> tuple[list[int], list[int]]:
@@ -85,18 +89,6 @@ def tensor_e(letters: list[int], i: int) -> Optional[list[int]]:
 
 def _word_letters(t) -> list[int]:
     return [v for v, _ in reading_word(t)]
-
-
-def f_ssyt(t: SemistandardTableau, i: int) -> Optional[SemistandardTableau]:
-    word = reading_word(t)
-    pos = f_position([v for v, _ in word], i)
-    if pos is None:
-        return None
-    _, loc = word[pos]
-    _, r, c = loc
-    em = t.entry_map()
-    em[(r, c)] = i + 1
-    return SemistandardTableau.of(t.shape, em)
 
 
 def f_elt(t: EdgeLabeledTableau, i: int) -> Optional[EdgeLabeledTableau]:
@@ -222,7 +214,7 @@ def schur_expansion_crystal(lam: Partition, p: EdgeSchurParams, n: int,
 
 @dataclass
 class CrystalGraph:
-    vertices: list            # tableaux (ELT or SSYT)
+    vertices: list            # edge labeled tableaux
     index: dict[str, int]     # key -> vertex id
     arcs: dict[tuple[int, int], int]   # (vertex, i) -> vertex
 
@@ -232,29 +224,23 @@ class CrystalGraph:
         return {(w, i): u for (u, i), w in self.arcs.items()}
 
 
-def _graph_from(elements, f_apply, n: int, key) -> CrystalGraph:
-    vertices = list(elements)
-    index = {key(t): k for k, t in enumerate(vertices)}
+def crystal_graph(lam: Partition, p: EdgeSchurParams, n: int) -> CrystalGraph:
+    shape = SkewShape.of(lam.parts, (), extent=p.extent)
+    vertices = list(enumerate_elt(shape, n, p.window, p.extent))
+    index = {t.key(): k for k, t in enumerate(vertices)}
     arcs: dict[tuple[int, int], int] = {}
     for k, t in enumerate(vertices):
         for i in range(1, n):
-            ft = f_apply(t, i)
+            ft = f_elt(t, i)
             if ft is not None:
-                arcs[(k, i)] = index[key(ft)]
+                arcs[(k, i)] = index[ft.key()]
     return CrystalGraph(vertices, index, arcs)
 
 
-def crystal_graph(lam: Partition, p: EdgeSchurParams, n: int) -> CrystalGraph:
-    shape = SkewShape.of(lam.parts, (), extent=p.extent)
-    elts = list(enumerate_elt(shape, n, p.window, p.extent))
-    return _graph_from(elts, f_elt, n, lambda t: t.key())
-
-
 def ssyt_crystal_graph(nu: Partition, n: int) -> CrystalGraph:
-    shape = SkewShape.of([q for q in nu.parts if q > 0], (), extent=n)
-    tabs = enumerate_ssyt(shape, n)
-    return _graph_from(tabs, f_ssyt, n,
-                       lambda t: repr(sorted(t.entries)))
+    """The classical crystal B(nu) on semistandard tableaux with entries in
+    [n]: the crystal graph of nu on the empty window."""
+    return crystal_graph(nu, EdgeSchurParams(n, EMPTY_WINDOW, n), n)
 
 
 def graphs_isomorphic(g1: CrystalGraph, v1: int, g2: CrystalGraph, v2: int,
@@ -308,15 +294,12 @@ def component_decomposition(graph: CrystalGraph, n: int):
 
 def dot_export(graph: CrystalGraph, n: int) -> str:
     """Deterministic DOT rendering; arcs labeled f<i>."""
-    def label(t) -> str:
-        return t.key() if hasattr(t, "key") else repr(t)
-
-    order = sorted(range(len(graph.vertices)),
-                   key=lambda k: label(graph.vertices[k]))
+    keys = [t.key() for t in graph.vertices]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     rank = {k: r for r, k in enumerate(order)}
     lines = ["digraph crystal {"]
     for k in order:
-        lines.append(f'  v{rank[k]} [label={_dot_quote(label(graph.vertices[k]))}];')
+        lines.append(f'  v{rank[k]} [label={_dot_quote(keys[k])}];')
     for (u, i), w in sorted(graph.arcs.items(),
                             key=lambda kv: (rank[kv[0][0]], kv[0][1])):
         lines.append(f'  v{rank[u]} -> v{rank[w]} [label="f{i}"];')

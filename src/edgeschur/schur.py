@@ -150,16 +150,6 @@ def edge_schur_brute(shape: SkewShape, p: EdgeSchurParams) -> MultiPoly:
 # -- variations (section on basis properties) ---------------------------
 
 
-def _inverse_factor_product(ks, num_vars: int, T: int, sign: int) -> MultiPoly:
-    """prod over k in ks, j <= num_vars of (1 + sign*a_k y_j)^(-1), mod T."""
-    out = MultiPoly.one(T)
-    for k in ks:
-        for j in range(1, num_vars + 1):
-            out = out * series_inverse(
-                MultiPoly.one(T) + MultiPoly.var(av(k)) * MultiPoly.var(yv(j)) * sign, T)
-    return out
-
-
 def variation(kind: str, shape: SkewShape, p: EdgeSchurParams,
               T: Optional[int] = None) -> MultiPoly:
     """The finite variations of the edge Schur function, in y-variables.
@@ -195,8 +185,10 @@ def variation(kind: str, shape: SkewShape, p: EdgeSchurParams,
             raise UnsupportedSkew("HatScriptE is only defined for straight shapes")
         e = edge_schur(shape, p, var_kind="y", sign=-1).truncate(T)
         lo = -p.extent if kind == "ScriptE" else 0
-        return (e * _inverse_factor_product(range(lo, M + 1),
-                                            p.num_vars, T, -1)).truncate(T)
+        for k in range(lo, M + 1):
+            for j in range(1, p.num_vars + 1):
+                e = e * _geom(k, j, T)
+        return e.truncate(T)
     raise ValueError(f"unknown variation {kind!r}")
 
 

@@ -1,4 +1,4 @@
-"""Semistandard and edge labeled tableaux.
+"""Edge labeled tableaux; a semistandard tableau is one on the empty window.
 
 An edge labeled tableau stores its box entries plus finite label sets on
 horizontal edges.  Edge position (i, j) names the horizontal edge that is
@@ -6,6 +6,10 @@ the UPPER edge of cell (i, j); its weight diagonal is j - i, the content of
 the cell below the edge.  Labels on edge (i, j) are strictly greater than
 the entry in cell (i-1, j) and strictly smaller than the entry in cell
 (i, j), whenever those cells carry entries.
+
+On the empty window, EMPTY_WINDOW, no edge is legal, so an edge labeled
+tableau there is exactly a semistandard tableau: `semistandard` builds one
+and `enumerate_ssyt` lists them.
 
 Enumeration runs over the equivalent chain form: a chain of horizontal
 strips mu = nu^0 <= ... <= nu^n = lambda (recording which boxes hold each
@@ -39,53 +43,6 @@ class ValidationError(ValueError):
 Cell = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SemistandardTableau:
-    shape: SkewShape
-    entries: tuple[tuple[Cell, int], ...]
-
-    @staticmethod
-    def of(shape: SkewShape, entry_map: dict[Cell, int]) -> "SemistandardTableau":
-        t = SemistandardTableau(shape, tuple(sorted(entry_map.items())))
-        t.validate()
-        return t
-
-    def entry_map(self) -> dict[Cell, int]:
-        return dict(self.entries)
-
-    def validate(self) -> None:
-        _check_entries(self.entry_map(), _cells(self.shape.outer.parts,
-                                                self.shape.inner.parts))
-
-    def content_vector(self, n: int) -> tuple[int, ...]:
-        counts = [0] * n
-        for _, v in self.entries:
-            counts[v - 1] += 1
-        return tuple(counts)
-
-
-def _cells(outer: tuple[int, ...], inner: tuple[int, ...]) -> frozenset:
-    """The cells of outer/inner, given by their parts."""
-    lo = inner + (0,) * len(outer)
-    return frozenset((i, j) for i, hi in enumerate(outer, start=1)
-                     for j in range(lo[i - 1] + 1, hi + 1))
-
-
-def _check_entries(em: dict[Cell, int], cells: frozenset) -> None:
-    """The semistandard rules for an entry map on a shape with these cells."""
-    if em.keys() != cells:
-        raise ValidationError("entries do not cover the shape")
-    for (i, j), v in em.items():
-        if v < 1:
-            raise ValidationError(f"entry {v} at {(i, j)} below 1")
-        right = em.get((i, j + 1))
-        if right is not None and right < v:
-            raise ValidationError(f"row violation at {(i, j)}")
-        below = em.get((i + 1, j))
-        if below is not None and below <= v:
-            raise ValidationError(f"column violation at {(i, j)}")
-
-
 def _chain_entries(chain) -> dict[Cell, int]:
     """Entry map of a strip chain: the boxes of step v hold v."""
     em: dict[Cell, int] = {}
@@ -105,12 +62,6 @@ def _label_edge(nu: Partition, d: int) -> Cell:
     """
     i = 1 + sum(1 for k in range(1, nu.extent + 1) if nu.part(k) - k > d)
     return (i, d + i)
-
-
-def enumerate_ssyt(shape: SkewShape, n: int) -> list[SemistandardTableau]:
-    """All semistandard fillings of the shape with entries in [n]."""
-    return [SemistandardTableau(shape, tuple(sorted(_chain_entries(chain).items())))
-            for chain in strip_chains(shape, n)]
 
 
 @dataclass(frozen=True)
@@ -167,7 +118,17 @@ class EdgeLabeledTableau:
     def validate(self) -> None:
         table = self._table()
         em = self.entry_map()
-        _check_entries(em, table.cells)
+        if em.keys() != table.cells:
+            raise ValidationError("entries do not cover the shape")
+        for (i, j), v in em.items():
+            if v < 1:
+                raise ValidationError(f"entry {v} at {(i, j)} below 1")
+            right = em.get((i, j + 1))
+            if right is not None and right < v:
+                raise ValidationError(f"row violation at {(i, j)}")
+            below = em.get((i + 1, j))
+            if below is not None and below <= v:
+                raise ValidationError(f"column violation at {(i, j)}")
         if self.extent < self.shape.extent:
             raise ValidationError("declared extent smaller than the shape")
         for (i, j), vals in self.edge_sets:
@@ -275,6 +236,23 @@ class EdgeLabeledTableau:
         return "\n".join(lines)
 
 
+# A window [m, M] with no diagonal in it: every edge is illegal.
+EMPTY_WINDOW = (0, -1)
+
+
+def semistandard(shape: SkewShape,
+                 entry_map: dict[Cell, int]) -> EdgeLabeledTableau:
+    """The validated semistandard tableau: no labels, on the empty window."""
+    return EdgeLabeledTableau.of(shape, shape.extent, EMPTY_WINDOW, entry_map,
+                                 {})
+
+
+def enumerate_ssyt(shape: SkewShape, n: int) -> list[EdgeLabeledTableau]:
+    """All semistandard fillings of the shape with entries in [n], in
+    strip_chains order."""
+    return list(enumerate_elt(shape, n, EMPTY_WINDOW, shape.extent))
+
+
 def _check_edge(em: dict[Cell, int], legal: frozenset, i: int, j: int,
                 low: int, high: int) -> None:
     """The rule for labels low..high on edge (i, j): a legal position,
@@ -317,6 +295,9 @@ def _shape_table(outer: tuple[int, ...], inner: tuple[int, ...], extent: int,
                       for j in range(max(1, m + i),
                                      min(M + i, right[i - 1]) + 1)
                       if probe.legal_edge_position(i, j))
+    lo = inner + (0,) * len(outer)
+    cells = frozenset((i, j) for i, hi in enumerate(outer, start=1)
+                      for j in range(lo[i - 1] + 1, hi + 1))
     diagonals: dict[int, list[Cell]] = {}
     for r in range(len(outer), 0, -1):
         for c in range(1, outer[r - 1] + 1):
@@ -324,7 +305,7 @@ def _shape_table(outer: tuple[int, ...], inner: tuple[int, ...], extent: int,
     key_tail = (f'"extent": {extent}, "shape": {{"inner": '
                 f'{_partition_key(inner)}, "outer": '
                 f'{_partition_key(outer)}}}, "window": {list(window)}}}')
-    return _ShapeTable(shape, _cells(outer, inner), legal,
+    return _ShapeTable(shape, cells, legal,
                        {c: tuple(cells) for c, cells in diagonals.items()},
                        key_tail)
 
@@ -354,20 +335,19 @@ def _by_position(rows: list, what: str) -> dict:
 
 # -- reading words -----------------------------------------------------
 
-def _reading_order(t) -> list[tuple]:
+def _reading_order(t: EdgeLabeledTableau) -> list[tuple]:
     """Every letter as (diagonal, -row, 0 for a label or 1 for the entry,
     -letter, (letter, locator)), sorted: the diagonal reading order.  Row and
     diagonal are those of the attachment cell: a box's own, or for a label on
     edge (i, j) the cell (i - 1, j) above it."""
     items = [(j - i, -i, 1, -v, (v, ("box", i, j))) for (i, j), v in t.entries]
-    if isinstance(t, EdgeLabeledTableau):
-        items += [(j - i + 1, 1 - i, 0, -v, (v, ("edge", i, j, v)))
-                  for (i, j), vals in t.edge_sets for v in vals]
+    items += [(j - i + 1, 1 - i, 0, -v, (v, ("edge", i, j, v)))
+              for (i, j), vals in t.edge_sets for v in vals]
     items.sort()
     return items
 
 
-def reading_word(t) -> list[tuple[int, tuple]]:
+def reading_word(t: EdgeLabeledTableau) -> list[tuple[int, tuple]]:
     """Diagonal reading word with locators.
 
     Diagonals are scanned in increasing content; within a diagonal the

@@ -45,11 +45,10 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
 
 from .shapes import Partition, SkewShape
-from .tableaux import (EdgeLabeledTableau, SemistandardTableau,
-                       ValidationError, _reading_order, _shape_table)
+from .tableaux import (EdgeLabeledTableau, ValidationError, _reading_order,
+                       _shape_table, semistandard)
 
 
 class MalformedPair(ValueError):
@@ -84,11 +83,10 @@ def _reverse_bump(rows: list[list[int]], r: int) -> int:
     return x
 
 
-def rows_to_ssyt(rows: Rows) -> SemistandardTableau:
-    shape = SkewShape.of([len(r) for r in rows])
-    return SemistandardTableau.of(
-        shape, {(i + 1, j + 1): v for i, r in enumerate(rows)
-                for j, v in enumerate(r)})
+def rows_to_ssyt(rows: Rows) -> EdgeLabeledTableau:
+    return semistandard(SkewShape.of([len(r) for r in rows]),
+                        {(i + 1, j + 1): v for i, r in enumerate(rows)
+                         for j, v in enumerate(r)})
 
 
 def _column_heights(rows, width: int) -> list[int]:
@@ -161,7 +159,7 @@ def uncrowd(t: EdgeLabeledTableau, with_trace: bool = False):
 
 
 def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
-          extent: Optional[int] = None) -> EdgeLabeledTableau:
+          extent: int) -> EdgeLabeledTableau:
     """The edge labeled tableau of shape lam, window and extent that uncrowds
     to the pair, split by the module docstring's rule; else MalformedPair."""
     lengths = list(map(len, pair.P))
@@ -170,7 +168,6 @@ def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
     for r, row in enumerate(pair.P, 1):
         if list(row) != sorted(row):
             raise MalformedPair(f"row {r} of P does not weakly increase: {row}")
-    extent = extent if extent is not None else lam.extent
     # the table of SkewShape.of(lam.parts, (), extent=extent)
     outer = (lam.parts if lam.extent == extent
              else Partition.of(lam.parts, extent).parts)
@@ -253,7 +250,7 @@ def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
 def check_crystal_commute(lam: Partition, window: tuple[int, int],
                           extent: int, n: int) -> bool:
     """Uncrowding intertwines f_i and leaves the recording data fixed."""
-    from .crystal import f_elt, f_ssyt
+    from .crystal import f_elt
     from .tableaux import enumerate_elt
     shape = SkewShape.of(lam.parts, (), extent=extent)
     for t in enumerate_elt(shape, n, window, extent):
@@ -261,7 +258,7 @@ def check_crystal_commute(lam: Partition, window: tuple[int, int],
         p_t = rows_to_ssyt(pair.P)
         for i in range(1, n):
             ft = f_elt(t, i)
-            fp = f_ssyt(p_t, i)
+            fp = f_elt(p_t, i)
             if (ft is None) != (fp is None):
                 return False
             if ft is None:

@@ -26,6 +26,17 @@ class TestParsing:
     def test_window(self):
         assert parse_window("-2:1") == (-2, 1)
 
+    @pytest.mark.parametrize("option, value", [
+        ("--window", "3"), ("--window", "a:1"), ("--box", "2"),
+        ("--box", "1:x")])
+    def test_malformed_pair_names_its_option(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "symmetry", option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"error: argument {option}: must be two integers joined by "
+                f"':', got '{value}'") in err
+
 
 class TestExpand:
     def test_edge_paper_example(self, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from edgeschur.crystal import (component_decomposition, crystal_graph,
                                ssyt_crystal_graph, tensor_e, tensor_f)
 from edgeschur.poly import MultiPoly, av
 from edgeschur.schur import EdgeSchurParams, edge_schur, schur_expand
-from edgeschur.shapes import Partition, SkewShape
+from edgeschur.shapes import Partition, SkewShape, partitions_in_box
 from edgeschur.tableaux import (EdgeLabeledTableau, enumerate_elt,
                                 enumerate_ssyt, reading_word)
 
@@ -114,6 +115,32 @@ class TestEltOperators:
                 assert diff[i - 1] == -1 and diff[i] == 1
                 assert all(d == 0 for k, d in enumerate(diff)
                            if k not in (i - 1, i))
+
+
+class TestSemistandard:
+    def test_f_changes_one_entry_over_the_box(self):
+        """On a semistandard tableau (no labels, the empty window) f_i is the
+        classical operator: it turns one entry i into i+1, adds no label,
+        and e_i undoes it.  Every skew shape in the 3x3 box, n <= 4."""
+        box = partitions_in_box(3, 3)
+        calls = steps = 0
+        for lam, mu, n in itertools.product(box, box, range(2, 5)):
+            if not lam.contains(mu):
+                continue
+            for t in enumerate_ssyt(SkewShape(lam, mu), n):
+                for i in range(1, n):
+                    calls += 1
+                    ft = f_elt(t, i)
+                    if ft is None:
+                        continue
+                    steps += 1
+                    before, after = t.entry_map(), ft.entry_map()
+                    changed = [c for c in before if before[c] != after[c]]
+                    assert len(changed) == 1, (t, i)
+                    assert (before[changed[0]], after[changed[0]]) == (i, i + 1)
+                    assert ft.edge_sets == ()
+                    assert e_elt(ft, i) == t
+        assert (calls, steps) == (15602, 7612)
 
 
 class TestHighestWeights:

@@ -12,10 +12,10 @@ from edgeschur.poly import MultiPoly, canonical_string, parse
 from edgeschur.schur import EdgeSchurParams, edge_schur_brute
 from edgeschur.shapes import (Partition, SkewShape, deformed_diagonals,
                               partitions_in_box, strip_chains)
-from edgeschur.tableaux import (Cell, EdgeLabeledTableau,
-                                SemistandardTableau, ValidationError,
-                                _chain_entries, _label_edge, enumerate_elt,
-                                enumerate_ssyt, reading_word)
+from edgeschur.tableaux import (EMPTY_WINDOW, Cell, EdgeLabeledTableau,
+                                ValidationError, _chain_entries, _label_edge,
+                                enumerate_elt, enumerate_ssyt, reading_word,
+                                semistandard)
 
 
 def weight_elt(t: EdgeLabeledTableau) -> MultiPoly:
@@ -58,6 +58,32 @@ class TestEnumerateSSYT:
 
     def test_column(self):
         assert len(enumerate_ssyt(SkewShape.of((1, 1)), 2)) == 1
+
+    def test_fillings_in_strip_chain_order(self):
+        box = partitions_in_box(2, 3)
+        for lam, mu, n in itertools.product(box, box, range(4)):
+            if lam.contains(mu):
+                shape = SkewShape(lam, mu)
+                tabs = enumerate_ssyt(shape, n)
+                assert [t.entry_map() for t in tabs] == \
+                    [_chain_entries(c) for c in strip_chains(shape, n)]
+                assert all(t.window == EMPTY_WINDOW and not t.edge_sets
+                           for t in tabs)
+
+    def test_semistandard_validates(self):
+        shape = SkewShape.of((2, 1))
+        t = semistandard(shape, {(1, 1): 1, (1, 2): 1, (2, 1): 2})
+        assert t == EdgeLabeledTableau.of(shape, 2, EMPTY_WINDOW, t.entry_map(),
+                                          {})
+        with pytest.raises(ValidationError, match="column violation"):
+            semistandard(shape, {(1, 1): 1, (1, 2): 1, (2, 1): 1})
+
+    def test_empty_window_has_no_legal_edge(self):
+        shape = SkewShape.of((2, 1))
+        em = {(1, 1): 1, (1, 2): 2, (2, 1): 3}
+        for pos in [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)]:
+            with pytest.raises(ValidationError, match="illegal edge"):
+                EdgeLabeledTableau.of(shape, 2, EMPTY_WINDOW, em, {pos: (2,)})
 
 
 class TestWeight:
@@ -247,7 +273,7 @@ class TestKey:
 
 class TestReadingWord:
     def test_ssyt_diagonal_reading(self):
-        t = SemistandardTableau.of(
+        t = semistandard(
             SkewShape.of((3, 3, 3, 1)),
             {(1, 1): 1, (1, 2): 2, (1, 3): 3, (2, 1): 4, (2, 2): 5,
              (2, 3): 6, (3, 1): 7, (3, 2): 8, (3, 3): 9, (4, 1): 10})
