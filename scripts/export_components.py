@@ -23,8 +23,8 @@ def main():
     args = ap.parse_args()
     os.makedirs(args.outdir, exist_ok=True)
     lam = Partition.of((3, 2))
-    g = crystal_graph(lam, EdgeSchurParams(3, (-2, 1), 2), 3)
-    for comp, hw in component_decomposition(g, 3):
+    g = crystal_graph(lam, EdgeSchurParams(3, (-2, 1), 2))
+    for comp, hw in component_decomposition(g):
         t = g.vertices[hw]
         labels = [(j - i) for (i, j), vs in t.edge_sets for _ in vs]
         if len(labels) != 1:
@@ -35,12 +35,13 @@ def main():
                            {g.vertices[v].key(): remap[v] for v in keep},
                            {(remap[u], i): remap[w]
                             for (u, i), w in g.arcs.items()
-                            if u in comp and w in comp})
-        wt = "".join(map(str, t.content_vector(3)))
+                            if u in comp and w in comp},
+                           g.n)
+        wt = "".join(map(str, t.content_vector(g.n)))
         name = f"component_a{labels[0]}_wt{wt}.dot".replace("-", "m")
         path = os.path.join(args.outdir, name)
         with open(path, "w") as fh:
-            fh.write(dot_export(sub, 3))
+            fh.write(dot_export(sub))
         print(f"{path}: {len(comp)} vertices, highest weight {wt},"
               f" label diagonal {labels[0]}")
 

@@ -59,14 +59,32 @@ def nonnegative_int(s: str) -> int:
     return v
 
 
-def parse_window(s: str) -> tuple[int, int]:
-    """Two ints joined by ':', as (lo, hi): the type of --window and --box."""
+def _int_pair(s: str) -> tuple[int, int]:
+    """Two ints joined by ':', as (lo, hi)."""
     try:
         lo, hi = s.split(":")
         return int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be two integers joined by ':', got {s!r}") from None
+
+
+def parse_window(s: str) -> tuple[int, int]:
+    """The type of --window: m:M with M >= m - 1 (0:-1 is the empty
+    window), the rule of EdgeSchurParams."""
+    m, M = _int_pair(s)
+    if M < m - 1:
+        raise argparse.ArgumentTypeError(
+            f"must be m:M with M >= m - 1, got {s!r}")
+    return m, M
+
+
+def parse_box(s: str) -> tuple[int, int]:
+    """The type of --box: rows:cols, both >= 0."""
+    r, c = _int_pair(s)
+    if r < 0 or c < 0:
+        raise argparse.ArgumentTypeError(f"parts must be >= 0, got {s!r}")
+    return r, c
 
 
 def _params(args, lam: Partition) -> EdgeSchurParams:
@@ -249,8 +267,8 @@ def cmd_crystal(args) -> int:
     extent = args.extent if args.extent is not None else max(lam.extent, 1)
     window = args.window or (-extent, lam.first())
     p = EdgeSchurParams(args.n, window, extent)
-    g = crystal_graph(lam, p, args.n)
-    comps = component_decomposition(g, args.n)
+    g = crystal_graph(lam, p)
+    comps = component_decomposition(g)
     summary = []
     for comp, hw in sorted(comps, key=lambda ch: (len(ch[0]),
                                                   g.vertices[ch[1]].key())):
@@ -262,7 +280,7 @@ def cmd_crystal(args) -> int:
                       "components": summary}, indent=2))
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(dot_export(g, args.n))
+            fh.write(dot_export(g))
         print(f"wrote {args.dot}")
     return 0
 
@@ -351,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["RLL_L", "RLL_Lstar", "rll_Ell", "frakRLell"])
     pv.add_argument("--perturb", default=None)
     pv.add_argument("--perturb-mode", default="one", choices=["one", "double"])
-    pv.add_argument("--box", type=parse_window, default="2:2", metavar="R:C")
+    pv.add_argument("--box", type=parse_box, default="2:2", metavar="R:C")
     pv.add_argument("--eta", default="", metavar="PARTS")
     pv.add_argument("--count", type=positive_int, default=30)
     pv.add_argument("--seed", type=int, default=20240805)

@@ -10,10 +10,16 @@ contributes '-' and every i+1 contributes '+', adjacent '+-' pairs cancel,
 f_i acts at the rightmost surviving '-', e_i at the leftmost surviving '+'.
 
 On an edge labeled tableau the acting letter is located by the word.  An
-edge label simply ticks up or down inside its set.  A box entry i whose
-right neighbor is also i triggers the exception: both boxes become i+1,
-the i+1 below the right box is deleted, and an i appears on the edge above
-the left box, which lives on the same weight diagonal.
+edge label simply ticks up or down inside its set.  A box letter moves
+with its run, boxes (r, c)..(r, cend) of one row: every box of the run
+holds i in the f_i reading and i+1 in the e_i reading, and the run carries
+the markers, an i on the edge above each box but the last, and the bumps,
+an i+1 on the edge below each box but the first.  f_i turns the run's
+entries into i+1, removes the bumps and adds the markers; e_i is the same
+move read backwards.  A marker and the bump one box to its right lie on
+the same weight diagonal, so the a-monomial survives.  For f_i the run
+extends while the next box holds i, for e_i while the edge above carries i;
+a run of one box is the plain entry change.
 """
 
 from __future__ import annotations
@@ -48,18 +54,6 @@ def signature(letters: list[int], i: int) -> tuple[list[int], list[int]]:
     return minus, plus
 
 
-def f_position(letters: list[int], i: int) -> Optional[int]:
-    """Index of the letter f_i changes (rightmost surviving '-'), or None."""
-    minus, _ = signature(letters, i)
-    return minus[-1] if minus else None
-
-
-def e_position(letters: list[int], i: int) -> Optional[int]:
-    """Index of the letter e_i changes (leftmost surviving '+'), or None."""
-    _, plus = signature(letters, i)
-    return plus[0] if plus else None
-
-
 def eps_phi(letters: list[int], i: int) -> tuple[int, int]:
     """(epsilon_i, phi_i) from the reduced signature."""
     minus, plus = signature(letters, i)
@@ -67,129 +61,87 @@ def eps_phi(letters: list[int], i: int) -> tuple[int, int]:
 
 
 def tensor_f(letters: list[int], i: int) -> Optional[list[int]]:
-    pos = f_position(letters, i)
-    if pos is None:
+    minus, _ = signature(letters, i)
+    if not minus:
         return None
     out = list(letters)
-    out[pos] = i + 1
+    out[minus[-1]] = i + 1
     return out
 
 
 def tensor_e(letters: list[int], i: int) -> Optional[list[int]]:
-    pos = e_position(letters, i)
-    if pos is None:
+    _, plus = signature(letters, i)
+    if not plus:
         return None
     out = list(letters)
-    out[pos] = i
+    out[plus[0]] = i
     return out
 
 
 # -- operators on tableaux ---------------------------------------------
 
 
-def _word_letters(t) -> list[int]:
-    return [v for v, _ in reading_word(t)]
-
-
 def f_elt(t: EdgeLabeledTableau, i: int) -> Optional[EdgeLabeledTableau]:
-    word = reading_word(t)
-    letters = [v for v, _ in word]
-    pos = f_position(letters, i)
-    if pos is None:
-        return None
-    _, loc = word[pos]
-    em = t.entry_map()
-    edges = {p: list(vs) for p, vs in t.edge_sets}
-    if loc[0] == "edge":
-        _, r, c, _ = loc
-        vals = edges[(r, c)]
-        vals[vals.index(i)] = i + 1
-        vals.sort()
-    else:
-        _, r, c = loc
-        if em.get((r, c + 1)) == i:
-            # the exception, cascaded along the run of equal entries: every
-            # box of the run flips to i+1, each interior right box loses the
-            # i+1 below it, and an i lands on the edge above each box but
-            # the last (same weight diagonals, so the a-monomial survives)
-            cend = c
-            while em.get((r, cend + 1)) == i:
-                cend += 1
-            for j in range(c, cend + 1):
-                em[(r, j)] = i + 1
-            for j in range(c + 1, cend + 1):
-                below = edges.get((r + 1, j))
-                if below is None or i + 1 not in below:
-                    raise AssertionError(
-                        "exception fired without an i+1 below the right box")
-                below.remove(i + 1)
-                if not below:
-                    del edges[(r + 1, j)]
-            for j in range(c, cend):
-                edges.setdefault((r, j), []).append(i)
-                edges[(r, j)].sort()
-        else:
-            em[(r, c)] = i + 1
-    out = EdgeLabeledTableau.of(t.shape, t.extent, t.window, em,
-                                {p: tuple(vs) for p, vs in edges.items()})
-    expected = tensor_f(letters, i)
-    if _word_letters(out) != expected:
-        raise AssertionError("reading word does not commute with f")
-    return out
+    return _act(t, i, up=True)
 
 
 def e_elt(t: EdgeLabeledTableau, i: int) -> Optional[EdgeLabeledTableau]:
+    return _act(t, i, up=False)
+
+
+def _act(t: EdgeLabeledTableau, i: int,
+         up: bool) -> Optional[EdgeLabeledTableau]:
+    """f_i (up) or e_i on t: the letter the signature picks turns old into
+    new, and a box letter carries its run's markers and bumps with it."""
     word = reading_word(t)
     letters = [v for v, _ in word]
-    pos = e_position(letters, i)
-    if pos is None:
+    minus, plus = signature(letters, i)
+    if not (minus if up else plus):
         return None
+    pos = minus[-1] if up else plus[0]
+    old, new = (i, i + 1) if up else (i + 1, i)
     _, loc = word[pos]
     em = t.entry_map()
     edges = {p: list(vs) for p, vs in t.edge_sets}
     if loc[0] == "edge":
-        _, r, c, _ = loc
-        vals = edges[(r, c)]
-        vals[vals.index(i + 1)] = i
-        vals.sort()
+        vals = edges[(loc[1], loc[2])]
+        vals[vals.index(old)] = new
     else:
         _, r, c = loc
-        if i in edges.get((r, c), []):
-            # inverse of the cascaded exception: the run extends right while
-            # the edge above carries the marker i
-            cend = c
-            while i in edges.get((r, cend), []):
-                if em.get((r, cend + 1)) != i + 1:
-                    raise AssertionError(
-                        "inverse exception run is not closed by an i+1 entry")
-                cend += 1
-            for j in range(c, cend + 1):
-                em[(r, j)] = i
-            for j in range(c, cend):
-                above = edges[(r, j)]
-                above.remove(i)
-                if not above:
-                    del edges[(r, j)]
-            for j in range(c + 1, cend + 1):
-                edges.setdefault((r + 1, j), []).append(i + 1)
-                edges[(r + 1, j)].sort()
-        else:
-            em[(r, c)] = i
-    out = EdgeLabeledTableau.of(t.shape, t.extent, t.window, em,
-                                {p: tuple(vs) for p, vs in edges.items()})
-    expected = tensor_e(letters, i)
-    if _word_letters(out) != expected:
-        raise AssertionError("reading word does not commute with e")
+        cend = c
+        while (em.get((r, cend + 1)) == i if up
+               else i in edges.get((r, cend), ())):
+            cend += 1
+        if any(em.get((r, j)) != old for j in range(c, cend + 1)):
+            raise AssertionError(f"run ({r}, {c})..({r}, {cend}) does not "
+                                 f"hold {old} throughout")
+        for j in range(c, cend + 1):
+            em[(r, j)] = new
+        markers = [((r, j), i) for j in range(c, cend)]
+        bumps = [((r + 1, j), i + 1) for j in range(c + 1, cend + 1)]
+        gone, added = (bumps, markers) if up else (markers, bumps)
+        for edge, v in gone:
+            if v not in edges.get(edge, ()):
+                raise AssertionError(f"no label {v} on edge {edge} of the run")
+            edges[edge].remove(v)
+        for edge, v in added:
+            edges.setdefault(edge, []).append(v)
+    out = EdgeLabeledTableau.of(t.shape, t.extent, t.window, em, edges)
+    letters[pos] = new
+    if [v for v, _ in reading_word(out)] != letters:
+        raise AssertionError(
+            f"reading word does not commute with {'f' if up else 'e'}")
     return out
 
 
 def is_highest_weight(t: EdgeLabeledTableau, n: int) -> bool:
-    letters = _word_letters(t)
+    letters = [v for v, _ in reading_word(t)]
     return all(eps_phi(letters, i)[0] == 0 for i in range(1, n))
 
 
-def highest_weights(lam: Partition, p: EdgeSchurParams, n: int):
+def highest_weights(lam: Partition, p: EdgeSchurParams):
     """All highest weight tableaux: (tableau, crystal weight, a-monomial)."""
+    n = p.num_vars
     shape = SkewShape.of(lam.parts, (), extent=p.extent)
     out = []
     for t in enumerate_elt(shape, n, p.window, p.extent):
@@ -198,12 +150,12 @@ def highest_weights(lam: Partition, p: EdgeSchurParams, n: int):
     return out
 
 
-def schur_expansion_crystal(lam: Partition, p: EdgeSchurParams, n: int,
+def schur_expansion_crystal(lam: Partition, p: EdgeSchurParams,
                             max_size: int) -> dict[Partition, MultiPoly]:
     """Coefficients c_nu(a): sum of a-monomials of highest weights."""
     coeffs: dict[Partition, MultiPoly] = {}
-    for _, wt, amono in highest_weights(lam, p, n):
-        if any(wt[k] < wt[k + 1] for k in range(n - 1)):
+    for _, wt, amono in highest_weights(lam, p):
+        if any(wt[k] < wt[k + 1] for k in range(len(wt) - 1)):
             raise AssertionError(f"highest weight {wt} is not dominant")
         if sum(wt) > max_size:
             continue
@@ -217,6 +169,7 @@ class CrystalGraph:
     vertices: list            # edge labeled tableaux
     index: dict[str, int]     # key -> vertex id
     arcs: dict[tuple[int, int], int]   # (vertex, i) -> vertex
+    n: int                    # entries in [n], so arcs carry i in [1, n)
 
     @cached_property
     def back(self) -> dict[tuple[int, int], int]:
@@ -224,7 +177,8 @@ class CrystalGraph:
         return {(w, i): u for (u, i), w in self.arcs.items()}
 
 
-def crystal_graph(lam: Partition, p: EdgeSchurParams, n: int) -> CrystalGraph:
+def crystal_graph(lam: Partition, p: EdgeSchurParams) -> CrystalGraph:
+    n = p.num_vars
     shape = SkewShape.of(lam.parts, (), extent=p.extent)
     vertices = list(enumerate_elt(shape, n, p.window, p.extent))
     index = {t.key(): k for k, t in enumerate(vertices)}
@@ -234,24 +188,27 @@ def crystal_graph(lam: Partition, p: EdgeSchurParams, n: int) -> CrystalGraph:
             ft = f_elt(t, i)
             if ft is not None:
                 arcs[(k, i)] = index[ft.key()]
-    return CrystalGraph(vertices, index, arcs)
+    return CrystalGraph(vertices, index, arcs, n)
 
 
 def ssyt_crystal_graph(nu: Partition, n: int) -> CrystalGraph:
     """The classical crystal B(nu) on semistandard tableaux with entries in
     [n]: the crystal graph of nu on the empty window."""
-    return crystal_graph(nu, EdgeSchurParams(n, EMPTY_WINDOW, n), n)
+    return crystal_graph(nu, EdgeSchurParams(n, EMPTY_WINDOW, n))
 
 
-def graphs_isomorphic(g1: CrystalGraph, v1: int, g2: CrystalGraph, v2: int,
-                      n: int) -> bool:
-    """Rooted edge-labeled isomorphism by deterministic parallel traversal."""
+def graphs_isomorphic(g1: CrystalGraph, v1: int, g2: CrystalGraph,
+                      v2: int) -> bool:
+    """Rooted edge-labeled isomorphism by deterministic parallel traversal;
+    graphs over different n are never isomorphic."""
+    if g1.n != g2.n:
+        return False
     pairing = {v1: v2}
     stack = [(v1, v2)]
     while stack:
         a, b = stack.pop()
-        for i in range(1, n):
-            for  nxt_a, nxt_b in ((g1.arcs.get((a, i)), g2.arcs.get((b, i))),
+        for i in range(1, g1.n):
+            for nxt_a, nxt_b in ((g1.arcs.get((a, i)), g2.arcs.get((b, i))),
                                   (g1.back.get((a, i)), g2.back.get((b, i)))):
                 if (nxt_a is None) != (nxt_b is None):
                     return False
@@ -266,8 +223,9 @@ def graphs_isomorphic(g1: CrystalGraph, v1: int, g2: CrystalGraph, v2: int,
     return True
 
 
-def component_decomposition(graph: CrystalGraph, n: int):
+def component_decomposition(graph: CrystalGraph):
     """Split into components; returns list of (component, hw vertex)."""
+    n = graph.n
     seen: set[int] = set()
     out = []
     for v in range(len(graph.vertices)):
@@ -292,7 +250,7 @@ def component_decomposition(graph: CrystalGraph, n: int):
     return out
 
 
-def dot_export(graph: CrystalGraph, n: int) -> str:
+def dot_export(graph: CrystalGraph) -> str:
     """Deterministic DOT rendering; arcs labeled f<i>."""
     keys = [t.key() for t in graph.vertices]
     order = sorted(range(len(keys)), key=keys.__getitem__)

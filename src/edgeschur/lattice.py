@@ -594,7 +594,8 @@ def cauchy_check(mu: Partition, eta: Partition, n: int, m: int,
 
     ext_lam = n - m0
     sum_a = MultiPoly.zero(T)
-    for lam in partitions_in_box(ext_lam, M0 - n + 1):
+    # no partition fits a box of negative width
+    for lam in (partitions_in_box(ext_lam, M0 - n + 1) if M0 >= n - 1 else ()):
         if (not lam.contains(mu) or not lam.contains(eta)
                 or 2 * lam.size() - mu.size() - eta.size() > T):
             continue

@@ -194,6 +194,8 @@ def deformed_diagonals(top: Partition, bottom: Partition,
 
 def partitions_in_box(rows: int, cols: int) -> list[Partition]:
     """All partitions fitting in a rows x cols box, with extent rows."""
+    if rows < 0 or cols < 0:
+        raise ValueError(f"box {rows}x{cols} has a negative side")
     out = []
 
     def go(prefix: list[int], k: int):

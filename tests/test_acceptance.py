@@ -184,7 +184,7 @@ def test_criterion_09_crystal():
     t0 = time.time()
     lam = Partition.of((3, 2))
     p = EdgeSchurParams(3, (-2, 1), 2)
-    g = crystal_graph(lam, p, 3)
+    g = crystal_graph(lam, p)
     # axioms and word commutation on every vertex
     for t in g.vertices:
         letters = [v for v, _ in reading_word(t)]
@@ -196,7 +196,7 @@ def test_criterion_09_crystal():
             if ft is not None:
                 assert e_elt(ft, i).key() == t.key()
     # component decomposition: the expected single-label census
-    comps = component_decomposition(g, 3)
+    comps = component_decomposition(g)
     census = {}
     for comp, hw in comps:
         t = g.vertices[hw]
@@ -205,14 +205,14 @@ def test_criterion_09_crystal():
             census.setdefault(labels[0], []).append(len(comp))
         nu = Partition(t.content_vector(3))
         bg = ssyt_crystal_graph(nu, 3)
-        [(bcomp, bhw)] = component_decomposition(bg, 3)
+        [(bcomp, bhw)] = component_decomposition(bg)
         assert len(comp) == len(bg.vertices)
-        assert graphs_isomorphic(g, hw, bg, bhw, 3)
+        assert graphs_isomorphic(g, hw, bg, bhw)
     assert sorted(census[-1]) == [8]
     assert sorted(census[0]) == [8]
     assert sorted(census[1]) == [8, 10]
     # Schur expansion from highest weights matches the example and peeling
-    coeffs = schur_expansion_crystal(lam, p, 3, 6)
+    coeffs = schur_expansion_crystal(lam, p, 6)
     a = lambda d: V(av(d))
     assert coeffs[Partition.of((3, 2, 1))] == a(-2) + a(-1) + a(0) + a(1)
     assert coeffs[Partition.of((3, 3), extent=3)] == a(1)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from edgeschur import cli, lattice, uncrowding
-from edgeschur.cli import main, parse_partition, parse_window
+from edgeschur.cli import main, parse_box, parse_partition, parse_window
 from edgeschur.poly import MultiPoly, parse
 from edgeschur.schur import NotSymmetric
 
@@ -36,6 +36,35 @@ class TestParsing:
         err = capsys.readouterr().err
         assert (f"error: argument {option}: must be two integers joined by "
                 f"':', got '{value}'") in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "symmetry", "--box", "-1:2"],
+         "argument --box: parts must be >= 0, got '-1:2'"),
+        (["verify", "commutation", "--box", "-1:1", "--window", "-2:5"],
+         "argument --box: parts must be >= 0, got '-1:1'"),
+        (["verify", "commutation", "--box", "1:-1"],
+         "argument --box: parts must be >= 0, got '1:-1'"),
+        (["verify", "symmetry", "--box", "1:-1"],
+         "argument --box: parts must be >= 0, got '1:-1'"),
+        (["verify", "commutation", "--box", "2:2", "--window", "3:1"],
+         "argument --window: must be m:M with M >= m - 1, got '3:1'"),
+        (["tableaux", "--lambda", "1", "--n", "2", "--window", "5:1",
+          "--edges"],
+         "argument --window: must be m:M with M >= m - 1, got '5:1'"),
+        (["verify", "cauchy", "--window", "-2:-9"],
+         "argument --window: must be m:M with M >= m - 1, got '-2:-9'"),
+    ], ids=["box-rows", "box-rows-commutation", "box-cols-commutation",
+            "box-cols", "window-commutation", "window-tableaux",
+            "window-cauchy"])
+    def test_refused_where_it_enters(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+
+    def test_empty_window_is_legal(self):
+        assert parse_window("0:-1") == (0, -1)
+        assert parse_box("0:0") == (0, 0)
 
 
 class TestExpand:
@@ -367,10 +396,12 @@ class TestExitCodes:
 
     def test_reversed_window(self, capsys):
         # the window covers the vacuum but ends before it starts
-        code = main(["expand", "--family", "edge", "--lambda", "1", "--n", "2",
-                     "--window", "-1:-3"])
-        assert code == 2
-        assert "invalid EdgeSchurParams" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "--family", "edge", "--lambda", "1", "--n", "2",
+                  "--window", "-1:-3"])
+        assert exc.value.code == 2
+        assert ("argument --window: must be m:M with M >= m - 1, got '-1:-3'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv, message", [
         (["verify", "equivalence", "--count", "-3"],

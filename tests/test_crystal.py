@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import itertools
 import random
 
@@ -5,9 +7,10 @@ import pytest
 
 from edgeschur.crystal import (component_decomposition, crystal_graph,
                                dot_export, e_elt, eps_phi, f_elt,
-                               f_position, graphs_isomorphic, highest_weights,
+                               graphs_isomorphic, highest_weights,
                                is_highest_weight, schur_expansion_crystal,
-                               ssyt_crystal_graph, tensor_e, tensor_f)
+                               signature, ssyt_crystal_graph, tensor_e,
+                               tensor_f)
 from edgeschur.poly import MultiPoly, av
 from edgeschur.schur import EdgeSchurParams, edge_schur, schur_expand
 from edgeschur.shapes import Partition, SkewShape, partitions_in_box
@@ -31,7 +34,8 @@ class TestWordOperators:
         assert tensor_f([2], 1) is None
 
     def test_signature_example(self):
-        assert f_position([2, 3, 2, 1, 1, 1], 2) == 0
+        # f_2 acts at the rightmost surviving '-', here the first letter
+        assert signature([2, 3, 2, 1, 1, 1], 2) == ([0], [])
         assert tensor_f([2, 3, 2, 1, 1, 1], 2) == [3, 3, 2, 1, 1, 1]
 
     def test_inverse_random(self):
@@ -116,6 +120,39 @@ class TestEltOperators:
                 assert all(d == 0 for k, d in enumerate(diff)
                            if k not in (i - 1, i))
 
+    def test_move_is_pinned(self):
+        """f_i and e_i on every tableau of every nonempty straight shape in
+        the 3x3 box (n = 3, window (-extent, lam1)), hashed; the census
+        counts the boxes each result changes, so runs of 2 and 3 boxes are
+        covered both ways."""
+        h = hashlib.sha256()
+        tableaux = 0
+        census = collections.Counter()
+        for lam in partitions_in_box(3, 3):
+            parts = tuple(v for v in lam.parts if v)
+            if not parts:
+                continue
+            ext = len(parts)
+            shape = SkewShape.of(parts, (), extent=ext)
+            for t in enumerate_elt(shape, 3, (-ext, parts[0]), ext):
+                tableaux += 1
+                for i in (1, 2):
+                    f, e = f_elt(t, i), e_elt(t, i)
+                    h.update(f"{t.key()}|{i}|{f.key() if f else None}|"
+                             f"{e.key() if e else None}\n".encode())
+                    before = t.entry_map()
+                    for name, out in (("f", f), ("e", e)):
+                        if out is not None:
+                            after = out.entry_map()
+                            census[name, sum(before[c] != after[c]
+                                             for c in before)] += 1
+        assert tableaux == 14920
+        assert h.hexdigest() == ("a48a52d94d72cc4fa30e9132522d7a56"
+                                 "22b537e2e45980a8de4cf41340fc2b5c")
+        for name in "fe":
+            assert [census[name, k] for k in range(4)] == [6632, 6784, 1256,
+                                                           144]
+
 
 class TestSemistandard:
     def test_f_changes_one_entry_over_the_box(self):
@@ -147,7 +184,7 @@ class TestHighestWeights:
     def test_32_expansion_coefficients(self):
         lam = Partition.of((3, 2))
         p = EdgeSchurParams(3, (-2, 1), 2)
-        coeffs = schur_expansion_crystal(lam, p, 3, 6)
+        coeffs = schur_expansion_crystal(lam, p, 6)
         a = lambda d: MultiPoly.var(av(d))
         assert coeffs[Partition.of((3, 2, 1))] == a(-2) + a(-1) + a(0) + a(1)
         assert coeffs[Partition.of((3, 3), extent=3)] == a(1)
@@ -157,12 +194,12 @@ class TestHighestWeights:
         lam = Partition.of((3, 2))
         a = lambda d: MultiPoly.var(av(d))
         # four highest weights on the example window, one per diagonal
-        hws = highest_weights(lam, EdgeSchurParams(3, (-2, 1), 2), 3)
+        hws = highest_weights(lam, EdgeSchurParams(3, (-2, 1), 2))
         m321 = [am for _, wt, am in hws if wt == (3, 2, 1)]
         assert len(m321) == 4
         assert sum(m321, MultiPoly.zero()) == a(-2) + a(-1) + a(0) + a(1)
         # widening the window admits one more, labelled on diagonal 2
-        hws2 = highest_weights(lam, EdgeSchurParams(3, (-2, 2), 2), 3)
+        hws2 = highest_weights(lam, EdgeSchurParams(3, (-2, 2), 2))
         m321w = [am for _, wt, am in hws2 if wt == (3, 2, 1)]
         assert sum(m321w, MultiPoly.zero()) == \
             a(-2) + a(-1) + a(0) + a(1) + a(2)
@@ -170,7 +207,7 @@ class TestHighestWeights:
     def test_no_labels_are_yamanouchi(self):
         lam = Partition.of((2, 1))
         p = EdgeSchurParams(3, (0, 0), 2)
-        hws = highest_weights(lam, p, 3)
+        hws = highest_weights(lam, p)
         plain = [t for t, _, _ in hws if not t.edge_sets]
         # classical: the unique Yamanouchi SSYT per valid weight
         assert len(plain) == len(
@@ -182,7 +219,7 @@ class TestHighestWeights:
     def test_matches_peeling(self):
         lam = Partition.of((2, 1))
         p = EdgeSchurParams(3, (-2, 2), 2)
-        crystal_coeffs = schur_expansion_crystal(lam, p, 3, 5)
+        crystal_coeffs = schur_expansion_crystal(lam, p, 5)
         e = edge_schur(SkewShape.of((2, 1), (), extent=2),
                        EdgeSchurParams(3, (-2, 2), 2))
         peel_coeffs, _ = schur_expand(e, 3, 5)
@@ -193,8 +230,8 @@ class TestHighestWeights:
 
 class TestGraph:
     def test_path_for_single_box(self):
-        g = crystal_graph(Partition.of((1,)), EdgeSchurParams(4, (0, 0), 1), 4)
-        comps = component_decomposition(g, 4)
+        g = crystal_graph(Partition.of((1,)), EdgeSchurParams(4, (0, 0), 1))
+        comps = component_decomposition(g)
         # the label-free component is the fundamental crystal: a 4-path
         plain = [(comp, hw) for comp, hw in comps
                  if not g.vertices[hw].edge_sets]
@@ -207,8 +244,8 @@ class TestGraph:
     def test_single_label_components(self):
         lam = Partition.of((3, 2))
         p = EdgeSchurParams(3, (-2, 1), 2)
-        g = crystal_graph(lam, p, 3)
-        comps = component_decomposition(g, 3)
+        g = crystal_graph(lam, p)
+        comps = component_decomposition(g)
         by_monomial = {}
         for comp, hw in comps:
             t = g.vertices[hw]
@@ -225,18 +262,27 @@ class TestGraph:
     def test_components_isomorphic_to_b_nu(self):
         lam = Partition.of((2, 1))
         p = EdgeSchurParams(3, (-1, 1), 2)
-        g = crystal_graph(lam, p, 3)
-        for comp, hw in component_decomposition(g, 3):
+        g = crystal_graph(lam, p)
+        for comp, hw in component_decomposition(g):
             nu = Partition(g.vertices[hw].content_vector(3))
             bg = ssyt_crystal_graph(nu, 3)
-            [(bcomp, bhw)] = component_decomposition(bg, 3)
+            [(bcomp, bhw)] = component_decomposition(bg)
             assert len(comp) == len(bg.vertices)
-            assert graphs_isomorphic(g, hw, bg, bhw, 3)
+            assert graphs_isomorphic(g, hw, bg, bhw)
+
+    def test_graphs_over_different_n_are_not_isomorphic(self):
+        # with arcs f1 alone, B(1) over n = 2 matches the start of the path
+        # B(1) over n = 3; only the graphs' n tells them apart
+        b2, b3 = (ssyt_crystal_graph(Partition.of((1,)), n) for n in (2, 3))
+        [(_, hw2)], [(_, hw3)] = (component_decomposition(b) for b in (b2, b3))
+        assert graphs_isomorphic(b2, hw2, b2, hw2)
+        assert not graphs_isomorphic(b2, hw2, b3, hw3)
+        assert not graphs_isomorphic(b3, hw3, b2, hw2)
 
     def test_dot_deterministic(self):
-        g = crystal_graph(Partition.of((1,)), EdgeSchurParams(2, (0, 0), 1), 2)
-        assert dot_export(g, 2) == dot_export(g, 2)
-        assert "f1" in dot_export(g, 2)
+        g = crystal_graph(Partition.of((1,)), EdgeSchurParams(2, (0, 0), 1))
+        assert dot_export(g) == dot_export(g)
+        assert "f1" in dot_export(g)
 
 
 class TestWordCommutation:

@@ -50,6 +50,11 @@ class TestPartition:
             pos = Partition.of([p for p in lam.parts if p > 0])
             assert conjugate(conjugate(pos)) == pos
 
+    @pytest.mark.parametrize("rows, cols", [(-1, 2), (1, -1)])
+    def test_box_with_a_negative_side(self, rows, cols):
+        with pytest.raises(ValueError, match="negative side"):
+            partitions_in_box(rows, cols)
+
     def test_content_sum(self):
         # sum of contents = sum_j C(lam'_j, 2) - sum_i C(lam_i, 2)
         for lam in partitions_in_box(4, 4):
