@@ -14,6 +14,10 @@ three independent routes.
 
 The edge Schur function depends on the declared diagonal window [m, M] and
 on the number of trailing zeros of the shape; both are explicit parameters.
+The cut rule: no particle lam_k - k (or mu_k - k) reaches a diagonal
+d >= lam_1, so every strip deforms those columns, and E^{lam/mu} on [m, M]
+is E^{lam/mu} on [m, min(M, lam_1 - 1)] times prod_{d=lam_1..M} prod_i
+(1 + a_d x_i).  The variations read that cut window.
 Series-valued variations carry a mandatory total-degree truncation.
 """
 
@@ -150,55 +154,35 @@ def edge_schur_brute(shape: SkewShape, p: EdgeSchurParams) -> MultiPoly:
 # -- variations (section on basis properties) ---------------------------
 
 
-def variation(kind: str, shape: SkewShape, p: EdgeSchurParams,
-              T: Optional[int] = None) -> MultiPoly:
-    """The finite variations of the edge Schur function, in y-variables.
+def variation(kind: str, shape: SkewShape, p: EdgeSchurParams) -> MultiPoly:
+    """The finite variations of the edge Schur function in y-variables,
+    mod p.trunc, all read on one cut window [m, c] with c >= m - 1.
 
-    EBar strips the always-deformed columns right of lambda_1; DualFact
-    kills all labels on nonnegative diagonals; ScriptE and HatScriptE
-    divide the sign-flipped series by the Cauchy-kernel prefactor.  EBar
-    and HatScriptE only make sense for straight shapes.
+    EBar drops the columns d >= lam_1 that every strip deforms (the cut
+    rule above): c = min(M, lam_1 - 1).  DualFact kills all labels on
+    nonnegative diagonals: c = min(M, -1).  ScriptE and HatScriptE divide
+    the sign-flipped E on [m, M] by prod_{k=lo..M} prod_j (1 - a_k y_j);
+    truncation is a ring map, so the factors k > c cancel the cut columns
+    and only k in [lo, c] remain.  EBar and HatScriptE are only defined
+    for straight shapes.
     """
-    T = T if T is not None else p.trunc
     m, M = p.window
-    lam = shape.outer
-    skew = shape.inner.size() > 0
-    if kind == "EBar":
-        if skew:
-            raise UnsupportedSkew("EBar is not defined via the quotient for skew shapes")
-        # columns lambda_1..M are deformed in every row; divide them out
-        # before truncating, since a truncated dividend is not a multiple.
-        out = edge_schur(shape, replace(p, trunc=None), var_kind="y")
-        for k in range(lam.first(), M + 1):
-            for j in range(1, p.num_vars + 1):
-                out = _exact_divide(out, MultiPoly.one()
-                                    + MultiPoly.var(av(k)) * MultiPoly.var(yv(j)))
-        return out.truncate(p.trunc)
-    if kind == "DualFact":
-        q = EdgeSchurParams(p.num_vars, (m, max(min(M, -1), m - 1)), p.extent,
-                            p.trunc)
+    c = max(min(M, -1 if kind == "DualFact" else shape.outer.first() - 1),
+            m - 1)
+    q = replace(p, window=(m, c))
+    if kind in ("EBar", "HatScriptE") and shape.inner.size() > 0:
+        raise UnsupportedSkew(f"{kind} is only defined for straight shapes")
+    if kind in ("EBar", "DualFact"):
         return edge_schur(shape, q, var_kind="y")
     if kind in ("ScriptE", "HatScriptE"):
-        if T is None:
+        if p.trunc is None:
             raise ValueError(f"{kind} needs a truncation")
-        if kind == "HatScriptE" and skew:
-            raise UnsupportedSkew("HatScriptE is only defined for straight shapes")
-        e = edge_schur(shape, p, var_kind="y", sign=-1).truncate(T)
-        lo = -p.extent if kind == "ScriptE" else 0
-        for k in range(lo, M + 1):
+        e = edge_schur(shape, q, var_kind="y", sign=-1)
+        for k in range(-p.extent if kind == "ScriptE" else 0, c + 1):
             for j in range(1, p.num_vars + 1):
-                e = e * _geom(k, j, T)
-        return e.truncate(T)
+                e = e * _geom(k, j, p.trunc)
+        return e
     raise ValueError(f"unknown variation {kind!r}")
-
-
-def _exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """p / q when q is 1 + (monomial) and the division is exact."""
-    inv_T = p.total_degree() if not p.is_zero() else 0
-    quotient = (p * series_inverse(q, inv_T + q.total_degree() + 1)).truncate(None)
-    if quotient * q != p:
-        raise ValueError("division is not exact")
-    return quotient
 
 
 # -- dual Schur functions ------------------------------------------------

@@ -275,7 +275,7 @@ def test_criterion_11_dual_schur():
         shape = SkewShape.of(parts, (), extent=lam.length())
         N = max(lam.first(), 2)
         p = EdgeSchurParams(2, (-lam.length(), N), lam.length(), 6)
-        assert dual_schur(shape, 2, 6) == variation("HatScriptE", shape, p, 6), parts
+        assert dual_schur(shape, 2, 6) == variation("HatScriptE", shape, p), parts
     for parts in [(1,), (2,), (1, 1), (2, 1)]:
         lam = Partition.of(parts)
         shape = SkewShape.of(parts, (), extent=lam.length())

@@ -28,14 +28,18 @@ class TestParsing:
 
     @pytest.mark.parametrize("option, value", [
         ("--window", "3"), ("--window", "a:1"), ("--box", "2"),
-        ("--box", "1:x")])
+        ("--box", "1:x"), ("--lambda", "a"), ("--lambda", "2,x"),
+        ("--mu", "x"), ("--eta", "x")])
     def test_malformed_pair_names_its_option(self, capsys, option, value):
+        command = ["tableaux"] if option == "--lambda" else ["verify",
+                                                            "symmetry"]
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "symmetry", option, value])
+            main(command + [option, value])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert (f"error: argument {option}: must be two integers joined by "
-                f"':', got '{value}'") in err
+        form = ("two integers joined by ':'" if option in ("--window", "--box")
+                else "integers joined by ','")
+        assert f"error: argument {option}: must be {form}, got '{value}'" in err
 
     @pytest.mark.parametrize("argv, message", [
         (["verify", "symmetry", "--box", "-1:2"],
@@ -119,6 +123,15 @@ class TestExpand:
                       "--lambda", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("family, message", [
+        ("dualschur", "dualschur needs --trunc"),
+        ("scripte", "ScriptE needs a truncation")])
+    def test_series_family_without_trunc_is_a_usage_error(self, capsys,
+                                                          family, message):
+        code = main(["expand", "--family", family, "--lambda", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_schur_expand_option(self, capsys):
         code, out = run(capsys, "expand", "--family", "edge", "--lambda", "1",
                         "--extent", "1", "--n", "2", "--window", "-1:1",
@@ -171,6 +184,17 @@ class TestVerify:
                         "--window", "-2:3", "--trunc", "4")
         assert code == 1 and json.loads(out)["product"] is False
 
+    def test_cauchy_witness(self, capsys, monkeypatch):
+        real = lattice.cauchy_check
+        monkeypatch.setattr(lattice, "cauchy_check", lambda *args: dict(
+            real(*args), sum_a=False, ok=False, diff_sum_a="a0*y1"))
+        code, out = run(capsys, "verify", "cauchy", "--n", "1", "--m", "1",
+                        "--window", "-2:3", "--trunc", "4")
+        assert code == 1
+        assert json.loads(out) == {"product": True, "sum_a": False,
+                                   "sum_b": True, "series": True, "ok": False,
+                                   "diff_sum_a": "a0*y1"}
+
     def test_commutation_trunc_zero(self, capsys):
         # --trunc 0 is a cutoff of its own, not a request for the default
         code, out = run(capsys, "verify", "commutation", "--box", "1:1",
@@ -220,6 +244,17 @@ class TestVerify:
         assert code == 1
         assert out == ("E^(1) not symmetric under x1 <-> x2: the lowest-degree "
                        "difference is at x1, where E has 1 and its swap 4")
+
+    def test_yb_witness(self, capsys, monkeypatch):
+        real = lattice.yang_baxter_check
+        # the unperturbed check answers as if a1 were perturbed
+        monkeypatch.setattr(lattice, "yang_baxter_check",
+                            lambda kind, perturb=None, perturb_mode="one":
+                            real(kind, "a1", perturb_mode))
+        code, out = run(capsys, "verify", "yb", "--kind", "RLL_L")
+        assert code == 1
+        assert out == ("RLL_L: failed unexpectedly; witness boundary "
+                       "(0, 0, 1) -> (1, 0, 0): x1 + a0*x1*x2 != x1")
 
     def test_equivalence_names_route(self, capsys, monkeypatch):
         real = lattice.edge_schur_lattice

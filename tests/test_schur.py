@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 import sys
 
@@ -143,7 +145,51 @@ def test_brute_sum_full_box():
         assert total == closed, lam
 
 
+# every variation over the 2x2 box (skew shapes only where a variation is
+# defined for them), n <= 3, M from lam_1 - 1 to lam_1 + 2 and each legal
+# truncation; SHA-256 of the canonical strings, computed with the exact
+# division that EBar used before it read the cut window
+VARIATION_TRUNCS = {"EBar": (None, 0, 4), "DualFact": (None, 0, 4),
+                    "ScriptE": (0, 3, 5), "HatScriptE": (0, 3, 5)}
+VARIATIONS_SHA256 = \
+    "ec452c3ee5f79813afd65c5bea3dc121f22f755a2dcf4ec786e2cd30481d1b20"
+
+
+def variation_cases():
+    box = partitions_in_box(2, 2)
+    for kind, truncs in VARIATION_TRUNCS.items():
+        for lam, mu in itertools.product(box, box):
+            if not lam.contains(mu) or (mu.size() > 0 and kind in
+                                        ("EBar", "HatScriptE")):
+                continue
+            for n, dM, T in itertools.product((1, 2, 3), (-1, 0, 1, 2),
+                                              truncs):
+                yield kind, SkewShape(lam, mu), EdgeSchurParams(
+                    n, (-2, lam.first() + dM), 2, T)
+
+
 class TestVariations:
+    def test_pinned_sweep(self):
+        h = hashlib.sha256()
+        for kind, shape, p in variation_cases():
+            h.update(f"{kind} {shape.outer.parts} {shape.inner.parts} "
+                     f"{p.num_vars} {p.window} {p.trunc}: "
+                     f"{canonical_string(variation(kind, shape, p))}\n"
+                     .encode())
+        assert h.hexdigest() == VARIATIONS_SHA256
+
+    def test_ebar_multiply_back_sweep(self):
+        one = MultiPoly.one()
+        for lam in partitions_in_box(3, 2):
+            shape = SkewShape(lam, Partition.of((), 3))
+            for n, dM in itertools.product((1, 2, 3), (-1, 0, 1, 2)):
+                p = EdgeSchurParams(n, (-3, lam.first() + dM), 3)
+                back = variation("EBar", shape, p)
+                for k in range(lam.first(), p.window[1] + 1):
+                    for j in range(1, n + 1):
+                        back = back * (one + V(av(k)) * V(yv(j)))
+                assert back == edge_schur(shape, p, var_kind="y"), (lam, p)
+
     def test_ebar_empty(self):
         p = EdgeSchurParams(2, (0, 3), 0)
         assert variation("EBar", SkewShape.of(()), p) == MultiPoly.one()
@@ -162,7 +208,7 @@ class TestVariations:
     def test_ebar_truncates_after_dividing(self):
         shape = SkewShape.of((2, 1), extent=2)
         exact = variation("EBar", shape, EdgeSchurParams(2, (-2, 2), 2))
-        cut = variation("EBar", shape, EdgeSchurParams(2, (-2, 2), 2, 6), 6)
+        cut = variation("EBar", shape, EdgeSchurParams(2, (-2, 2), 2, 6))
         assert cut == exact.truncate(6)
 
     def test_ebar_rejects_skew(self):
@@ -183,7 +229,7 @@ class TestVariations:
 
     def test_hatscripte_empty(self):
         p = EdgeSchurParams(2, (0, 2), 0, 6)
-        assert variation("HatScriptE", SkewShape.of(()), p, 6) == MultiPoly.one(6)
+        assert variation("HatScriptE", SkewShape.of(()), p) == MultiPoly.one(6)
 
 
 class TestDualSchur:
@@ -200,7 +246,7 @@ class TestDualSchur:
                 N = max(lam.first(), 2)
                 p = EdgeSchurParams(m, (-lam.length(), N), lam.length(), 6)
                 assert dual_schur(shape, m, 6) == \
-                    variation("HatScriptE", shape, p, 6), (m, parts)
+                    variation("HatScriptE", shape, p), (m, parts)
 
     def test_alpha_substitution(self):
         for m in (1, 2, 3):
@@ -418,4 +464,4 @@ class TestSchurExpandReference:
 def test_hatscripte_rejects_skew():
     p = EdgeSchurParams(1, (-2, 2), 2, 6)
     with pytest.raises(UnsupportedSkew):
-        variation("HatScriptE", SkewShape.of((2, 1), (1,)), p, 6)
+        variation("HatScriptE", SkewShape.of((2, 1), (1,)), p)
