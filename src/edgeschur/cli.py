@@ -25,7 +25,7 @@ from .schur import (EdgeSchurParams, NotSymmetric, dual_schur,
                     dual_schur_alpha, edge_schur, edge_schur_brute,
                     factorial_schur, schur_expand, variation)
 from .schur import schur as schur_fn
-from .shapes import Partition, SkewShape, WindowError, partitions_in_box
+from .shapes import Partition, SkewShape, partitions_in_box
 from .tableaux import EdgeLabeledTableau, enumerate_elt, enumerate_ssyt
 
 
@@ -38,9 +38,12 @@ def _parts(s: str) -> tuple[int, ...]:
 
 
 def parse_parts(s: str) -> str:
-    """The type of --lambda, --mu and --eta: integers joined by ','.  The
-    text is kept, and parse_partition reads it with the --extent."""
-    _parts(s)
+    """The type of --lambda, --mu and --eta: a partition, integers joined by
+    ','.  The text is kept, and parse_partition reads it with the --extent."""
+    try:
+        Partition(_parts(s))
+    except ValueError as exc:  # a negative or increasing part
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return s
 
 
@@ -102,9 +105,6 @@ def parse_box(s: str) -> tuple[int, int]:
 def _params(args, lam: Partition) -> EdgeSchurParams:
     extent = args.extent if args.extent is not None else max(lam.extent, 1)
     window = args.window or (-extent, lam.first())
-    if window[0] > -extent:
-        raise WindowError(f"--window {window[0]}:{window[1]} does not cover "
-                          f"the vacuum: its low end must be <= {-extent}")
     return EdgeSchurParams(args.n, window, extent, args.trunc)
 
 
@@ -198,7 +198,9 @@ def _verify_equivalence(args) -> tuple[bool, str]:
                                  for k in range(1, ext + 1)), reverse=True))
         mu = Partition(mu_parts)
         n = rng.randint(1, 3)
-        window = (-ext - rng.randint(0, 1), lam.first() + rng.randint(0, 1))
+        # both sides of the grid's ends -ext and lam_1 - 1
+        m = rng.randint(-ext - 1, 1)
+        window = (m, rng.randint(m - 1, lam.first() + 1))
         shape = SkewShape.of(lam.parts, mu.parts, extent=ext)
         p = EdgeSchurParams(n, window, ext)
         closed = edge_schur(shape, p)
@@ -273,10 +275,7 @@ def cmd_verify(args) -> int:
 
 def cmd_crystal(args) -> int:
     lam = parse_partition(getattr(args, "lam"))
-    extent = args.extent if args.extent is not None else max(lam.extent, 1)
-    window = args.window or (-extent, lam.first())
-    p = EdgeSchurParams(args.n, window, extent)
-    g = crystal_graph(lam, p)
+    g = crystal_graph(lam, _params(args, lam))
     comps = component_decomposition(g)
     summary = []
     for comp, hw in sorted(comps, key=lambda ch: (len(ch[0]),
@@ -387,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("crystal", help="crystal graph export")
     common(pc, "lambda", "extent", "n", "window")
     pc.add_argument("--dot", default=None, metavar="FILE")
+    pc.set_defaults(trunc=None)  # a crystal is not truncated
 
     pu = sub.add_parser("uncrowd", help="uncrowding of a JSON tableau")
     pu.add_argument("--in", dest="infile", required=True)

@@ -22,15 +22,11 @@ This is the forward-backward trimming of a transfer-matrix DP, here over
 the row transfer matrices of Brubaker-Bump-Friedberg, "Schur polynomials
 and the Yang-Baxter equation" (CMP 2011).
 
-Why the T route of edge_schur_lattice was slower than T*: over the 30
-instances of acceptance criterion 6 (323 row-column steps per route), the
-T sweep kept 4,038 states (12.5 per column, peak 73) against T*'s 2,008
-(6.2 per column, peak 28).  T climbs from mu, and a horizontal strip over
-mu may push its first row out to the window's right end; T* descends from
-lambda, whose own parts bound a strip below it.  Most of T's states could
-never reach lambda.  With the backward pass T keeps 542 states (1.7 per
-column, peak 9) and T* 546 (1.7, peak 10), and the two routes cost the
-same; the bit pass itself marks 1,143 and 4,170 states.
+edge_schur_lattice pads its grid to [min(m, -extent), max(M, lam_1 - 1)],
+which holds the vacuum below every particle and the path of the particle of
+lam_1, and a column outside the window [m, M] carries a = 0: the label rule
+of the edge Schur function, under which L's a1 weight 1 + a x becomes 1.
+On a window that already spans both ends the grid is the window itself.
 """
 
 from __future__ import annotations
@@ -217,14 +213,17 @@ class GridSpec:
     window: tuple[int, int]              # column index range [m, M]
     bottom: tuple[int, ...]              # bits, one per column
     top: tuple[int, ...]
-    col_shift: int = 0                   # column d carries a_{d + col_shift}
+    labels: Optional[tuple[int, int]] = None  # a_d on [lo, hi], else 0
     trunc: Optional[int] = None          # total-degree cutoff for all weights
 
     def columns(self) -> range:
         return range(self.window[0], self.window[1] + 1)
 
     def col_param(self, d: int) -> MultiPoly:
-        return MultiPoly.var(av(d + self.col_shift))
+        """a_d, or 0 on a column outside labels (None labels every column)."""
+        if self.labels is None or self.labels[0] <= d <= self.labels[1]:
+            return MultiPoly.var(av(d))
+        return _ZERO
 
 
 def _weight_table(row: GridRow, a: MultiPoly,
@@ -375,47 +374,43 @@ def edge_schur_lattice(shape: SkewShape, p: EdgeSchurParams,
     """Edge Schur function as a lattice partition function.
 
     form 'T' stacks L-rows from mu up to lambda; 'Tstar' runs the dual
-    model downward from lambda to mu.  Both equal edge_schur when the
-    window covers the vacuum (window[0] <= -extent); otherwise the Maya
-    states lose particles and WindowError is raised.
-    """
-    if p.window[0] > -p.extent:
-        raise WindowError(f"window {p.window} does not cover the vacuum "
-                          f"of extent {p.extent}")
+    model downward from lambda to mu.  Both run on the padded grid of the
+    module docstring, so every window with M >= m - 1 is exact."""
     lam = shape.outer.with_extent(p.extent)
     mu = shape.inner.with_extent(p.extent)
     n = p.num_vars
+    m, M = p.window
+    grid = (min(m, -p.extent), max(M, lam.first() - 1))
     if form == "T":
         rows = tuple(GridRow(model_L(), MultiPoly.var(xv(i)))
                      for i in range(1, n + 1))
-        g = GridSpec(rows, p.window, maya_bits(mu, p.window),
-                     maya_bits(lam, p.window), trunc=p.trunc)
+        bottom, top = mu, lam
     elif form == "Tstar":
         rows = tuple(GridRow(model_Lstar(), MultiPoly.var(xv(i)))
                      for i in range(n, 0, -1))
-        g = GridSpec(rows, p.window, maya_bits(lam, p.window),
-                     maya_bits(mu, p.window), trunc=p.trunc)
+        bottom, top = lam, mu
     else:
         raise ValueError(f"unknown form {form!r}")
+    g = GridSpec(rows, grid, maya_bits(bottom, grid), maya_bits(top, grid),
+                 labels=p.window, trunc=p.trunc)
     return partition_function(g).truncate(p.trunc)
 
 
 def factorial_schur_lattice(shape: SkewShape, n: int, kappa: int) -> MultiPoly:
-    """Factorial Schur polynomial from the five-vertex model on [1, W]."""
+    """Factorial Schur polynomial from the five-vertex model.
+
+    The grid runs over [1 - kappa, lam_1 + n] and column j carries a_j; the
+    boundary bits are mu's Maya bits shifted by 1 and lam's by n + 1."""
     lam, mu = shape.outer, shape.inner
     if kappa < mu.length():
         raise WindowError(f"kappa={kappa} < length of mu={mu.length()}")
     if lam.length() > kappa + n:
         return MultiPoly.zero()  # no semistandard filling exists either
-    W = lam.first() + kappa + n
-    window = (1, W)
-    bottom = maya_bits(mu, window, kappa + 1)
-    top = maya_bits(lam, window, kappa + n + 1)
+    window = (1 - kappa, lam.first() + n)
     rows = tuple(GridRow(model_Ell(), MultiPoly.var(xv(i)))
                  for i in range(1, n + 1))
-    # column j carries a_{j - kappa}: the shifted boundaries move every
-    # tableau index up by kappa.
-    g = GridSpec(rows, window, bottom, top, col_shift=-kappa)
+    g = GridSpec(rows, window, maya_bits(mu, window, 1),
+                 maya_bits(lam, window, n + 1))
     return partition_function(g)
 
 

@@ -7,8 +7,10 @@ import pytest
 
 from edgeschur import cli, lattice, uncrowding
 from edgeschur.cli import main, parse_box, parse_partition, parse_window
-from edgeschur.poly import MultiPoly, parse
-from edgeschur.schur import NotSymmetric
+from edgeschur.poly import MultiPoly, canonical_string, parse
+from edgeschur.schur import (EdgeSchurParams, NotSymmetric, edge_schur,
+                             variation)
+from edgeschur.shapes import SkewShape
 
 
 def run(capsys, *argv):
@@ -57,9 +59,16 @@ class TestParsing:
          "argument --window: must be m:M with M >= m - 1, got '5:1'"),
         (["verify", "cauchy", "--window", "-2:-9"],
          "argument --window: must be m:M with M >= m - 1, got '-2:-9'"),
+        (["expand", "--family", "edge", "--lambda", "1,2"],
+         "argument --lambda: parts not weakly decreasing: (1, 2)"),
+        (["tableaux", "--lambda=-1"], "argument --lambda: negative part -1"),
+        (["tableaux", "--lambda", "2", "--mu", "0,1"],
+         "argument --mu: parts not weakly decreasing: (0, 1)"),
+        (["verify", "cauchy", "--eta=-1"], "argument --eta: negative part -1"),
     ], ids=["box-rows", "box-rows-commutation", "box-cols-commutation",
             "box-cols", "window-commutation", "window-tableaux",
-            "window-cauchy"])
+            "window-cauchy", "lambda-increasing", "lambda-negative",
+            "mu-increasing", "eta-negative"])
     def test_refused_where_it_enters(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -104,11 +113,14 @@ class TestExpand:
         assert out == "y1^2*y2 + y1*y2^2 + a0*y1^2*y2^2 + a1*y1^2*y2^2"
 
     @pytest.mark.parametrize("family", ["edge", "dualfact"])
-    def test_window_must_cover_vacuum(self, capsys, family):
-        code = main(["expand", "--family", family, "--lambda", "3,1",
-                     "--n", "2", "--window", "-1:4"])
-        assert code == 2
-        assert "does not cover the vacuum" in capsys.readouterr().err
+    def test_window_need_not_cover_vacuum(self, capsys, family):
+        code, out = run(capsys, "expand", "--family", family, "--lambda",
+                        "3,1", "--n", "2", "--window", "-1:4")
+        shape = SkewShape.of((3, 1), (), extent=2)
+        p = EdgeSchurParams(2, (-1, 4), 2)
+        want = (edge_schur(shape, p) if family == "edge"
+                else variation("DualFact", shape, p))
+        assert code == 0 and out == canonical_string(want)
 
     @pytest.mark.parametrize("flag,value", [("--n", "-1"), ("--m", "0"),
                                             ("--trunc", "-1")])
@@ -276,8 +288,7 @@ class TestVerify:
     ], ids=["T-doubled", "brute-missing-a-term"])
     def test_equivalence_witness(self, capsys, monkeypatch, route, wrong,
                                  witness):
-        # seed 1, case 0 is E^{0/0} for n = 1 on [-2, 1]:
-        # 1 + a0*x1 + a1*x1 + a0*a1*x1^2
+        # seed 1, case 0 is E^{0/0} for n = 1 on [1, 1]: 1 + a1*x1
         if route == "brute":
             real_brute = cli.edge_schur_brute
             monkeypatch.setattr(cli, "edge_schur_brute",
@@ -291,7 +302,7 @@ class TestVerify:
         code, out = run(capsys, "verify", "equivalence", "--seed", "1",
                         "--count", "1")
         assert code == 1
-        assert out == (f"case 0: (0)/(0) n=1 window=(-2, 1): the lowest-degree "
+        assert out == (f"case 0: (0)/(0) n=1 window=(1, 1): the lowest-degree "
                        f"difference is {witness}, so {route} disagrees with "
                        f"the closed form")
 
@@ -311,6 +322,18 @@ class TestCrystalAndUncrowd:
         assert data["vertices"] == 3
         assert dot.exists()
         assert "digraph" in dot.read_text()
+
+    def test_subcommands_agree_off_the_vacuum(self, capsys):
+        # [0, 1] misses the vacuum of extent 2 and ends below lam_1 - 1 = 2:
+        # E at a = x = 1 counts the tableaux, and so do the crystal's vertices
+        argv = ["--lambda", "3,1", "--n", "3", "--window", "0:1"]
+        code, out = run(capsys, "expand", "--family", "edge", *argv)
+        assert code == 0
+        total = sum(parse(out).terms.values())
+        code, out = run(capsys, "tableaux", *argv, "--edges", "--limit", "0")
+        assert code == 0 and out == f"{total} edge labeled tableaux"
+        code, out = run(capsys, "crystal", *argv)
+        assert code == 0 and json.loads(out)["vertices"] == total
 
     def test_uncrowd_roundtrip(self, capsys, tmp_path):
         blob = {

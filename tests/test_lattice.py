@@ -373,15 +373,54 @@ class TestEdgeSchurLattice:
                 z2 = partition_function(GridSpec(rows_yx, window, b, t))
                 assert z1 == z2
 
-    def test_window_must_cover_vacuum(self):
-        # both windows miss the vacuum of extent 2, where the closed form and
-        # the brute sum still agree but the Maya states lose particles
+    def test_window_need_not_cover_vacuum(self):
+        # both windows miss the vacuum of extent 2; the grid is padded down
+        # to -2 with unlabeled columns
         shape = SkewShape.of((2, 1), (), extent=2)
         for window in ((-1, 2), (0, 1)):
             p = EdgeSchurParams(2, window, 2)
+            closed = edge_schur(shape, p)
             for form in ("T", "Tstar"):
-                with pytest.raises(WindowError):
-                    edge_schur_lattice(shape, p, form)
+                assert edge_schur_lattice(shape, p, form) == closed
+
+    def test_window_ending_below_lam1(self):
+        # M = 1 < lam_1 - 1: the grid is padded up to 2, where the particle
+        # of part 3 ends, with a = 0 on column 2
+        shape = SkewShape.of((3, 1), (), extent=2)
+        p = EdgeSchurParams(2, (-2, 1), 2)
+        closed = edge_schur(shape, p)
+        assert lattice.canonical_string(closed) == (
+            "x1^3*x2 + x1^2*x2^2 + x1*x2^3 + a0*x1^3*x2^2 + a1*x1^3*x2^2"
+            " + a0*x1^2*x2^3 + a1*x1^2*x2^3 + a0*a1*x1^3*x2^3")
+        assert edge_schur_brute(shape, p) == closed
+        assert edge_schur_lattice(shape, p, "T") == closed
+        assert edge_schur_lattice(shape, p, "Tstar") == closed
+
+    def test_every_window(self):
+        # mu <= lam in the 1x3 and 2x2 boxes; every low end around -extent
+        # and every high end around lam_1 - 1, down to the empty window; the
+        # brute ELT sum checks the closed form on each
+        checked = 0
+        for ext, cols in ((1, 3), (2, 2)):
+            box = partitions_in_box(ext, cols)
+            for lam, mu in itertools.product(box, box):
+                if not lam.contains(mu):
+                    continue
+                shape = SkewShape(lam, mu)
+                l1 = lam.first()
+                for m in range(-ext - 1, 2):
+                    for M in {m - 1, m, l1 - 2, l1 - 1, l1, l1 + 1}:
+                        if M < m - 1:
+                            continue
+                        for n in (1, 2):
+                            p = EdgeSchurParams(n, (m, M), ext)
+                            closed = edge_schur(shape, p)
+                            assert edge_schur_brute(shape, p) == closed
+                            for form in ("T", "Tstar"):
+                                assert edge_schur_lattice(shape, p, form) \
+                                    == closed, (lam, mu, n, m, M, form)
+                                checked += 1
+        assert checked == 2892
 
     def test_dual_model_same_value(self):
         shape = SkewShape.of((2, 1), (1,), extent=2)
