@@ -5,7 +5,9 @@ invariant or uncrowding round trip), 2 usage error.
 
 The parser is built once per process, on the first `main` call, and a
 subcommand dispatches by name to the module's `cmd_<name>` at call time,
-so a `cmd_*` function rebound after that call is still the one that runs.
+and a `verify` suite to `_verify_<suite>`, so a function rebound after that
+call is still the one that runs.  Each subcommand and each `verify` suite
+takes only the options it reads.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import json
 import random
 import sys
+import time
 from functools import cache, partial
 
 from . import lattice
@@ -149,10 +152,11 @@ def cmd_expand(args) -> int:
     return 0
 
 
+YB_KINDS = ("RLL_L", "RLL_Lstar", "rll_Ell", "frakRLell")
+
+
 def _verify_yb(args) -> tuple[bool, str]:
-    kinds = [args.kind] if args.kind else ["RLL_L", "RLL_Lstar", "rll_Ell",
-                                           "frakRLell"]
-    for kind in kinds:
+    for kind in [args.kind] if args.kind else YB_KINDS:
         ok, wit = lattice.yang_baxter_check(kind, perturb=args.perturb,
                                             perturb_mode=args.perturb_mode)
         expected = args.perturb is None
@@ -217,58 +221,83 @@ def _verify_equivalence(args) -> tuple[bool, str]:
     return True, f"{args.count} random instances agree on all four routes"
 
 
-def _too_narrow(window: tuple[int, int], T: int, exact: str, need: str) -> int:
-    """Report a failed check whose window is too narrow for T; exit 2."""
-    print(f"error: --window {window[0]}:{window[1]} is too narrow for --trunc "
-          f"{T}: the check is exact only {exact}, so it needs {need}",
-          file=sys.stderr)
-    return 2
+def _too_narrow(window, T: int, exact: str, need: str) -> ValueError:
+    """The usage error (exit 2) of a failed check on a window too narrow."""
+    return ValueError(f"--window {window[0]}:{window[1]} is too narrow for "
+                      f"--trunc {T}: the check is exact only {exact}, so it "
+                      f"needs {need}")
+
+
+def _verify_commutation(args) -> tuple[bool, str]:
+    c, window, T = args.box[1], args.window, args.trunc
+    ok, wit = lattice.commutation_check(args.box, window, T)
+    if ok:
+        return True, "commutation relation holds"
+    if 2 * window[1] - 2 * c < T - 1:
+        raise _too_narrow(window, T, "when 2M - 2*box_cols >= T - 1",
+                          f"M >= {c + T // 2}")
+    at, lhs, rhs = _first_difference(parse(wit[2]), parse(wit[3]))
+    return False, (f"failed at lam={wit[0]}, mu={wit[1]}: the lowest-degree "
+                   f"difference is at {at}, where (1 - xy) T* t has {lhs} "
+                   f"and t T* has {rhs}")
+
+
+def _verify_cauchy(args) -> tuple[bool, str]:
+    mu, eta = parse_partition(args.mu), parse_partition(args.eta)
+    window, T = args.window, args.trunc
+    rep = lattice.cauchy_check(mu, eta, args.n, args.m, window, T)
+    # the grids are exact only below degree 2(M0+1) - (eta1 + n) - mu1:
+    # a failure at or past it is a window too narrow for T
+    firsts = eta.first() + args.n + mu.first()
+    if not rep["ok"] and 2 * (window[1] + 1) - firsts <= T:
+        raise _too_narrow(window, T, "below degree 2(M0+1) - (eta1 + n)"
+                          " - mu1", f"M0 >= {(T + firsts) // 2}")
+    # the report carries its diff_* witnesses only when a check fails
+    return rep["ok"], json.dumps(rep)
+
+
+def _verify_freefermion(args) -> tuple[bool, str]:
+    results = {name: lattice.free_fermion_check(model())
+               for name, model in (("L", lattice.model_L),
+                                   ("Lstar", lattice.model_Lstar),
+                                   ("Ell", lattice.model_Ell))}
+    return all(results.values()), json.dumps(results)
+
+
+def _verify_all(args) -> tuple[bool, str]:
+    """Run the battery, one `verify` line per check, through the suites
+    above; print one ok/FAIL line per check and each failing report."""
+    lines = [f"yb --kind {kind}" for kind in YB_KINDS] + [
+        "yb --perturb b2 --perturb-mode double",
+        "freefermion",
+        "symmetry --box 2:2 --n 3 --window -2:2",
+        f"equivalence --seed {args.seed} --count {args.count}",
+        "commutation --box 2:2 --window -2:5 --trunc 6",
+        "cauchy --n 1 --m 1 --window -2:4 --trunc 4",
+        "cauchy --mu 1 --n 2 --m 1 --window -2:5 --trunc 4",
+        "cauchy --mu 1 --eta 1 --n 3 --m 2 --window -2:7 --trunc 6",
+    ]
+    failed = 0
+    for line in lines:
+        check = build_parser().parse_args(_fuse_window(["verify",
+                                                        *line.split()]))
+        t0 = time.perf_counter()
+        try:
+            ok, msg = globals()[f"_verify_{check.suite}"](check)
+        except (AssertionError, ValueError) as exc:  # main exits 1 or 2 on it
+            ok, msg = False, f"error: {exc}"
+        print(f"{'ok  ' if ok else 'FAIL'} verify {line} "
+              f"({time.perf_counter() - t0:.2f}s)")
+        if not ok:
+            print(msg)
+            failed += 1
+    print("---")
+    return not failed, (f"{failed} checks FAILED" if failed
+                        else "all checks passed")
 
 
 def cmd_verify(args) -> int:
-    suite = args.suite
-    if suite == "yb":
-        ok, msg = _verify_yb(args)
-    elif suite == "commutation":
-        r, c = args.box
-        window = args.window or (-2, 5)
-        T = 6 if args.trunc is None else args.trunc
-        ok, wit = lattice.commutation_check((r, c), window, T)
-        if not ok and 2 * window[1] - 2 * c < T - 1:
-            return _too_narrow(window, T, "when 2M - 2*box_cols >= T - 1",
-                               f"M >= {c + T // 2}")
-        msg = "commutation relation holds"
-        if not ok:
-            at, lhs, rhs = _first_difference(parse(wit[2]), parse(wit[3]))
-            msg = (f"failed at lam={wit[0]}, mu={wit[1]}: the lowest-degree "
-                   f"difference is at {at}, where (1 - xy) T* t has {lhs} "
-                   f"and t T* has {rhs}")
-    elif suite == "cauchy":
-        mu = parse_partition(args.mu)
-        eta = parse_partition(args.eta)
-        window = args.window or (-2, 3)
-        T = 4 if args.trunc is None else args.trunc
-        rep = lattice.cauchy_check(mu, eta, args.n, args.m, window, T)
-        ok = rep["ok"]
-        # the grids are exact only below degree 2(M0+1) - (eta1 + n) - mu1:
-        # a failure at or past it is a window too narrow for T
-        firsts = eta.first() + args.n + mu.first()
-        if not ok and 2 * (window[1] + 1) - firsts <= T:
-            return _too_narrow(window, T, "below degree 2(M0+1) - (eta1 + n)"
-                               " - mu1", f"M0 >= {(T + firsts) // 2}")
-        # the report carries its diff_* witnesses only when a check fails
-        msg = json.dumps(rep)
-    elif suite == "freefermion":
-        models = {"L": lattice.model_L(), "Lstar": lattice.model_Lstar(),
-                  "Ell": lattice.model_Ell()}
-        results = {name: lattice.free_fermion_check(m)
-                   for name, m in models.items()}
-        ok = all(results.values())
-        msg = json.dumps(results)
-    elif suite == "symmetry":
-        ok, msg = _verify_symmetry(args)
-    elif suite == "equivalence":
-        ok, msg = _verify_equivalence(args)
+    ok, msg = globals()[f"_verify_{args.suite}"](args)
     print(msg)
     return 0 if ok else 1
 
@@ -340,26 +369,34 @@ def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first call."""
     ap = argparse.ArgumentParser(prog="edgeschur")
     # no prefix matching, so that `tableaux --m 2` is not read as `--mu 2`
-    sub = ap.add_subparsers(
-        dest="command", required=True,
-        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
+    parser = partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=parser)
 
     shared = {"lambda": dict(dest="lam", type=parse_parts, default="",
                              metavar="PARTS"),
               "mu": dict(type=parse_parts, default="", metavar="PARTS"),
-              "extent": dict(type=int, default=None),
+              "eta": dict(type=parse_parts, default="", metavar="PARTS"),
+              "extent": dict(type=nonnegative_int, default=None),
               "n": dict(type=positive_int, default=2),
               "m": dict(type=positive_int, default=1),
               "window": dict(type=parse_window, default=None, metavar="M:N"),
-              "trunc": dict(type=nonnegative_int, default=None)}
+              "trunc": dict(type=nonnegative_int, default=None),
+              "box": dict(type=parse_box, default="2:2", metavar="R:C"),
+              "kind": dict(default=None, choices=YB_KINDS),
+              "perturb": dict(default=None),
+              "perturb-mode": dict(default="one", choices=["one", "double"]),
+              "seed": dict(type=int, default=20240805),
+              "count": dict(type=positive_int, default=30)}
 
     def common(p, *names):
         """Register the shared options the subcommand reads, and no more."""
         for name in names:
             p.add_argument(f"--{name}", **shared[name])
+        return p
 
-    pe = sub.add_parser("expand", help="print one symmetric function")
-    common(pe, *shared)
+    pe = common(sub.add_parser("expand", help="print one symmetric function"),
+                "lambda", "mu", "extent", "n", "m", "window", "trunc")
     pe.add_argument("--family", required=True,
                     choices=["schur", "factorial", "edge", "ebar", "dualfact",
                              "scripte", "hatscripte", "dualschur"])
@@ -370,21 +407,20 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="SIZE")
     pe.add_argument("--format", choices=["text", "json"], default="text")
 
-    pv = sub.add_parser("verify", help="run a verification suite")
-    common(pv, "mu", "n", "m", "window", "trunc")
-    pv.add_argument("suite", choices=["yb", "commutation", "cauchy",
-                                      "freefermion", "symmetry", "equivalence"])
-    pv.add_argument("--kind", default=None,
-                    choices=["RLL_L", "RLL_Lstar", "rll_Ell", "frakRLell"])
-    pv.add_argument("--perturb", default=None)
-    pv.add_argument("--perturb-mode", default="one", choices=["one", "double"])
-    pv.add_argument("--box", type=parse_box, default="2:2", metavar="R:C")
-    pv.add_argument("--eta", type=parse_parts, default="", metavar="PARTS")
-    pv.add_argument("--count", type=positive_int, default=30)
-    pv.add_argument("--seed", type=int, default=20240805)
+    suites = sub.add_parser("verify", help="run a verification suite") \
+        .add_subparsers(dest="suite", required=True, parser_class=parser)
+    common(suites.add_parser("yb"), "kind", "perturb", "perturb-mode")
+    common(suites.add_parser("commutation"), "box", "window",
+           "trunc").set_defaults(window=(-2, 5), trunc=6)
+    common(suites.add_parser("cauchy"), "mu", "eta", "n", "m", "window",
+           "trunc").set_defaults(window=(-2, 3), trunc=4)
+    suites.add_parser("freefermion")
+    common(suites.add_parser("symmetry"), "box", "n", "window")
+    common(suites.add_parser("equivalence"), "seed", "count")
+    common(suites.add_parser("all"), "seed", "count")
 
-    pc = sub.add_parser("crystal", help="crystal graph export")
-    common(pc, "lambda", "extent", "n", "window")
+    pc = common(sub.add_parser("crystal", help="crystal graph export"),
+                "lambda", "extent", "n", "window")
     pc.add_argument("--dot", default=None, metavar="FILE")
     pc.set_defaults(trunc=None)  # a crystal is not truncated
 
@@ -392,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     pu.add_argument("--in", dest="infile", required=True)
     pu.add_argument("--roundtrip", action="store_true")
 
-    pt = sub.add_parser("tableaux", help="enumerate tableaux")
-    common(pt, "lambda", "mu", "extent", "n", "window")
+    pt = common(sub.add_parser("tableaux", help="enumerate tableaux"),
+                "lambda", "mu", "extent", "n", "window")
     pt.add_argument("--edges", action="store_true",
                     help="edge labeled tableaux instead of plain SSYT")
     pt.add_argument("--format", choices=["text", "json"], default="text")

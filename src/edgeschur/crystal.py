@@ -60,24 +60,6 @@ def eps_phi(letters: list[int], i: int) -> tuple[int, int]:
     return len(plus), len(minus)
 
 
-def tensor_f(letters: list[int], i: int) -> Optional[list[int]]:
-    minus, _ = signature(letters, i)
-    if not minus:
-        return None
-    out = list(letters)
-    out[minus[-1]] = i + 1
-    return out
-
-
-def tensor_e(letters: list[int], i: int) -> Optional[list[int]]:
-    _, plus = signature(letters, i)
-    if not plus:
-        return None
-    out = list(letters)
-    out[plus[0]] = i
-    return out
-
-
 # -- operators on tableaux ---------------------------------------------
 
 

@@ -7,8 +7,8 @@ one weight table with its own spectral parameter and fixed left/right
 boundary labels; columns carry the diagonal-indexed a-parameters.
 
 The partition function is computed by a column-sweep profile dynamic
-program, one vertex at a time with states merged after every vertex, and
-independently by brute-force state enumeration (the oracle used in tests).
+program, one vertex at a time with states merged after every vertex; the
+tests check it against a brute-force state enumeration of their own.
 
 One sweep serves a set of top profiles: from one bottom profile it returns
 Z for each top of the set it reaches, with weight tables the caller builds
@@ -124,19 +124,6 @@ def model_Ell(sign: int = 1) -> VertexModel:
         "c1": lambda x, a: _ONE,
         "c2": lambda x, a: _ONE,
     }, left=1, right=0)
-
-
-def model_EllSubst(T: int) -> VertexModel:
-    """Substitution model: moving steps weigh y/(1 - a y), as series mod T."""
-    def step(x, a):
-        return x * series_inverse(MultiPoly.one(T) - a * x, T)
-    return VertexModel("EllSubst", {
-        "a1": lambda x, a: _ONE,
-        "b1": lambda x, a: _ONE,
-        "b2": step,
-        "c1": lambda x, a: _ONE,
-        "c2": step,
-    }, left=0, right=0)
 
 
 # Two-line crossing tables, as ((in1, in2) -> (out1, out2)) -> weight(x, y).
@@ -327,39 +314,6 @@ def partition_function(g: GridSpec) -> MultiPoly:
     top = _profile(g.top)
     return _sweep(g.rows, tables, _profile(g.bottom), {top},
                   g.trunc).get(top, _ZERO)
-
-
-def partition_function_brute(g: GridSpec) -> MultiPoly:
-    """State enumeration over all internal edge assignments (test oracle)."""
-    ncols = g.window[1] - g.window[0] + 1
-    tables = [[row.model.table(row.param, g.col_param(d)) for d in g.columns()]
-              for row in g.rows]
-    total = _ZERO
-
-    def rec_row(r: int, vbits: tuple[int, ...], acc: MultiPoly):
-        nonlocal total
-        if r == len(g.rows):
-            if vbits == tuple(g.top):
-                total = total + acc
-            return
-        row = g.rows[r]
-        left, right = row.bounds()
-
-        def rec_col(c: int, h: int, tops: tuple[int, ...], wgt: MultiPoly):
-            if c == ncols:
-                if h == right:
-                    rec_row(r + 1, tops, wgt)
-                return
-            for e in (0, 1):
-                for n_ in (0, 1):
-                    wv = tables[r][c].get((h, vbits[c], e, n_))
-                    if wv is not None:
-                        rec_col(c + 1, e, tops + (n_,), wgt * wv)
-
-        rec_col(0, left, (), acc)
-
-    rec_row(0, tuple(g.bottom), _ONE)
-    return total
 
 
 def transfer_row(model: VertexModel, bottom: Partition, top: Partition,
@@ -648,8 +602,8 @@ def free_fermion_check(model: VertexModel) -> bool:
 
 __all__ = [
     "VertexModel", "GridRow", "GridSpec", "VERTEX_ROLES",
-    "model_L", "model_Lstar", "model_Ell", "model_EllSubst",
-    "partition_function", "partition_function_brute", "maya_bits",
+    "model_L", "model_Lstar", "model_Ell",
+    "partition_function", "maya_bits",
     "transfer_row", "deformed_diagonals", "edge_schur_lattice",
     "factorial_schur_lattice", "yang_baxter_check", "commutation_check",
     "cauchy_check", "free_fermion_check",

@@ -1,12 +1,12 @@
-import importlib.util
 import json
-import sys
+import shlex
 from pathlib import Path
 
 import pytest
 
 from edgeschur import cli, lattice, uncrowding
-from edgeschur.cli import main, parse_box, parse_partition, parse_window
+from edgeschur.cli import (_fuse_window, build_parser, main, parse_box,
+                           parse_partition, parse_window)
 from edgeschur.poly import MultiPoly, canonical_string, parse
 from edgeschur.schur import (EdgeSchurParams, NotSymmetric, edge_schur,
                              variation)
@@ -33,8 +33,8 @@ class TestParsing:
         ("--box", "1:x"), ("--lambda", "a"), ("--lambda", "2,x"),
         ("--mu", "x"), ("--eta", "x")])
     def test_malformed_pair_names_its_option(self, capsys, option, value):
-        command = ["tableaux"] if option == "--lambda" else ["verify",
-                                                            "symmetry"]
+        command = {"--lambda": ["tableaux"], "--box": ["verify", "symmetry"]
+                   }.get(option, ["verify", "cauchy"])
         with pytest.raises(SystemExit) as exc:
             main(command + [option, value])
         assert exc.value.code == 2
@@ -65,10 +65,12 @@ class TestParsing:
         (["tableaux", "--lambda", "2", "--mu", "0,1"],
          "argument --mu: parts not weakly decreasing: (0, 1)"),
         (["verify", "cauchy", "--eta=-1"], "argument --eta: negative part -1"),
+        (["expand", "--family", "edge", "--lambda", "2", "--extent", "-1"],
+         "argument --extent: must be >= 0, got -1"),
     ], ids=["box-rows", "box-rows-commutation", "box-cols-commutation",
             "box-cols", "window-commutation", "window-tableaux",
             "window-cauchy", "lambda-increasing", "lambda-negative",
-            "mu-increasing", "eta-negative"])
+            "mu-increasing", "eta-negative", "extent-negative"])
     def test_refused_where_it_enters(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -150,6 +152,10 @@ class TestExpand:
                         "--schur-expand", "2")
         assert code == 0
         assert "s(1,1): a(-1) + a0 + a1" in out
+
+
+def broken_invariant(args):
+    raise AssertionError("frontier lost a state")
 
 
 class TestVerify:
@@ -310,6 +316,26 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "verify", "nonsense")
         assert exc.value.code == 2
+
+    def test_all(self, capsys):
+        code, out = run(capsys, "verify", "all")
+        lines = out.splitlines()
+        assert code == 0 and lines[-2:] == ["---", "all checks passed"]
+        assert [line[:4] for line in lines[:-2]] == ["ok  "] * 12
+
+    @pytest.mark.parametrize("suite, report", [
+        (lambda args: (False, '{"L": false}'), '{"L": false}'),
+        (broken_invariant, "error: frontier lost a state")],
+        ids=["failed", "raised"])
+    def test_all_reports_a_failed_check(self, capsys, monkeypatch, suite,
+                                        report):
+        monkeypatch.setattr(cli, "_verify_freefermion", suite)
+        code, out = run(capsys, "verify", "all", "--count", "1")
+        lines = out.splitlines()
+        assert code == 1 and lines[-2:] == ["---", "1 checks FAILED"]
+        assert lines[5].startswith("FAIL verify freefermion (")
+        assert lines[6] == report
+        assert [line[:4] for line in lines[:5] + lines[7:-2]] == ["ok  "] * 11
 
 
 class TestCrystalAndUncrowd:
@@ -476,9 +502,11 @@ class TestExitCodes:
         (["expand", "--family", "edge", "--lambda", "1", "--n", "2",
           "--schur-expand", "x"],
          "argument --schur-expand: must be an integer, got 'x'"),
+        (["verify", "all", "--count", "0"],
+         "argument --count: must be >= 1, got 0"),
     ], ids=["negative-count", "zero-count", "negative-limit",
             "negative-schur-expand", "non-integer-count",
-            "non-integer-schur-expand"])
+            "non-integer-schur-expand", "zero-count-all"])
     def test_count_options_refuse_negatives(self, capsys, argv, message):
         # unchecked, --count -3 reports "-3 random instances agree",
         # --limit -1 silently drops the last tableau and --schur-expand -1
@@ -487,24 +515,6 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
-
-    def test_verify_all_checks_count_first(self, capsys, monkeypatch):
-        # with a plain int it ran seven checks, then died inside the eighth
-        path = Path(__file__).parents[1] / "scripts" / "verify_all.py"
-        spec = importlib.util.spec_from_file_location("verify_all", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-
-        def no_check(argv):
-            raise AssertionError(f"ran {argv} before checking --count")
-        monkeypatch.setattr(script, "edgeschur", no_check)
-        monkeypatch.setattr(sys, "argv", ["verify_all.py", "--count", "0"])
-        with pytest.raises(SystemExit) as exc:
-            script.main()
-        out = capsys.readouterr()
-        assert exc.value.code == 2
-        assert out.out == ""
-        assert "argument --count: must be >= 1, got 0" in out.err
 
     def test_schur_expand_zero_is_legal(self, capsys):
         code, out = run(capsys, "expand", "--family", "edge", "--lambda", "1",
@@ -520,11 +530,19 @@ class TestExitCodes:
         ["tableaux", "--lambda", "1", "--trunc", "3"],
         ["verify", "yb", "--lambda", "5,5"],
         ["verify", "yb", "--extent", "2"],
+        ["verify", "yb", "--box", "2:2"],
+        ["verify", "freefermion", "--n", "3"],
+        ["verify", "symmetry", "--trunc", "1"],
+        ["verify", "commutation", "--n", "5"],
+        ["verify", "equivalence", "--window", "-2:1"],
     ], ids=["crystal-mu", "crystal-m", "crystal-trunc", "tableaux-m",
-            "tableaux-trunc", "verify-lambda", "verify-extent"])
+            "tableaux-trunc", "verify-lambda", "verify-extent", "yb-box",
+            "freefermion-n", "symmetry-trunc", "commutation-n",
+            "equivalence-window"])
     def test_refuses_options_the_subcommand_ignores(self, capsys, argv):
         # each was accepted and silently ignored (crystal --mu 1 built the
-        # straight shape's crystal), or read by prefix as another option
+        # straight shape's crystal, verify symmetry --trunc 1 ran untruncated),
+        # or read by prefix as another option
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -598,3 +616,17 @@ class TestParserOnce:
                        "--lambda", lam)[0] == 0
         info = cli.build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 3)
+
+
+def readme_commands() -> list[str]:
+    """Every `edgeschur ...` line of README.md, continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return [line.split(" #")[0].strip().removeprefix("edgeschur ")
+            for line in text.replace("\\\n", " ").splitlines()
+            if line.strip().startswith("edgeschur ")]
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_commands_parse(line):
+    # parse only: a line naming an option its subcommand does not read exits 2
+    build_parser().parse_args(_fuse_window(shlex.split(line)))

@@ -9,13 +9,30 @@ from edgeschur.crystal import (component_decomposition, crystal_graph,
                                dot_export, e_elt, eps_phi, f_elt,
                                graphs_isomorphic, highest_weights,
                                is_highest_weight, schur_expansion_crystal,
-                               signature, ssyt_crystal_graph, tensor_e,
-                               tensor_f)
+                               signature, ssyt_crystal_graph)
 from edgeschur.poly import MultiPoly, av
 from edgeschur.schur import EdgeSchurParams, edge_schur, schur_expand
 from edgeschur.shapes import Partition, SkewShape, partitions_in_box
 from edgeschur.tableaux import (EdgeLabeledTableau, enumerate_elt,
                                 enumerate_ssyt, reading_word)
+
+
+def tensor_f(letters: list[int], i: int) -> list[int] | None:
+    minus, _ = signature(letters, i)
+    if not minus:
+        return None
+    out = list(letters)
+    out[minus[-1]] = i + 1
+    return out
+
+
+def tensor_e(letters: list[int], i: int) -> list[int] | None:
+    _, plus = signature(letters, i)
+    if not plus:
+        return None
+    out = list(letters)
+    out[plus[0]] = i
+    return out
 
 
 @pytest.fixture

@@ -9,11 +9,10 @@ from edgeschur.lattice import (GridRow, GridSpec, VERTEX_ROLES, VertexModel,
                                cauchy_check, commutation_check,
                                deformed_diagonals, edge_schur_lattice,
                                factorial_schur_lattice, free_fermion_check,
-                               maya_bits, model_Ell, model_EllSubst, model_L,
-                               model_Lstar, partition_function,
-                               partition_function_brute, transfer_row,
+                               maya_bits, model_Ell, model_L, model_Lstar,
+                               partition_function, transfer_row,
                                yang_baxter_check)
-from edgeschur.poly import MultiPoly, av, xv, yv
+from edgeschur.poly import MultiPoly, av, series_inverse, xv, yv
 from edgeschur.schur import (EdgeSchurParams, dual_schur, edge_schur,
                              edge_schur_brute, factorial_schur)
 from edgeschur.shapes import Partition, SkewShape, WindowError, partitions_in_box
@@ -24,6 +23,51 @@ def V(v):
 
 
 ONE = MultiPoly.one()
+
+
+def model_EllSubst(T: int) -> VertexModel:
+    """Substitution model: moving steps weigh y/(1 - a y), as series mod T."""
+    def step(x, a):
+        return x * series_inverse(MultiPoly.one(T) - a * x, T)
+    return VertexModel("EllSubst", {
+        "a1": lambda x, a: ONE,
+        "b1": lambda x, a: ONE,
+        "b2": step,
+        "c1": lambda x, a: ONE,
+        "c2": step,
+    }, left=0, right=0)
+
+
+def partition_function_brute(g: GridSpec) -> MultiPoly:
+    """State enumeration over all internal edge assignments (the oracle)."""
+    ncols = g.window[1] - g.window[0] + 1
+    tables = [[row.model.table(row.param, g.col_param(d)) for d in g.columns()]
+              for row in g.rows]
+    total = MultiPoly.zero()
+
+    def rec_row(r: int, vbits: tuple[int, ...], acc: MultiPoly):
+        nonlocal total
+        if r == len(g.rows):
+            if vbits == tuple(g.top):
+                total = total + acc
+            return
+        left, right = g.rows[r].bounds()
+
+        def rec_col(c: int, h: int, tops: tuple[int, ...], wgt: MultiPoly):
+            if c == ncols:
+                if h == right:
+                    rec_row(r + 1, tops, wgt)
+                return
+            for e in (0, 1):
+                for n_ in (0, 1):
+                    wv = tables[r][c].get((h, vbits[c], e, n_))
+                    if wv is not None:
+                        rec_col(c + 1, e, tops + (n_,), wgt * wv)
+
+        rec_col(0, left, (), acc)
+
+    rec_row(0, tuple(g.bottom), ONE)
+    return total
 
 # both sides of commutation_check((1, 1), (-1, 2), 4, flip_t_right=True) at
 # its first failure, lam = (0), mu = (1)
