@@ -116,10 +116,15 @@ def cmd_expand(args) -> int:
     mu = parse_partition(args.mu)
     shape = SkewShape.of(lam.parts, mu.parts, extent=args.extent or lam.extent)
     fam = args.family
+    for option, value, owner in (("--alpha", args.alpha, "dualschur"),
+                                 ("--sign", args.sign, "factorial")):
+        if value is not None and fam != owner:
+            raise ValueError(f"{option} applies only to --family {owner}, "
+                             f"not --family {fam}")
     if fam == "schur":
         poly = schur_fn(shape, args.n)
     elif fam == "factorial":
-        poly = factorial_schur(shape, args.n, sign=args.sign)
+        poly = factorial_schur(shape, args.n, sign=args.sign or 1)
     elif fam == "edge":
         poly = edge_schur(shape, _params(args, lam))
     elif fam in ("ebar", "dualfact", "scripte", "hatscripte"):
@@ -364,12 +369,30 @@ def cmd_tableaux(args) -> int:
     return 0
 
 
+class _Fused(str):
+    """`--window=X` or `--box=X`, joined by _fuse_window from two tokens."""
+
+
+class _SubParser(argparse.ArgumentParser):
+    """A subcommand's or suite's parser.  It refuses an option it does not
+    read itself, so the error shows its own usage, and it names the option
+    as typed, not as _fuse_window joined it."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            typed = [a.replace("=", " ", 1) if isinstance(a, _Fused) else a
+                     for a in extras]
+            self.error(f"unrecognized arguments: {' '.join(typed)}")
+        return namespace, extras
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first call."""
     ap = argparse.ArgumentParser(prog="edgeschur")
     # no prefix matching, so that `tableaux --m 2` is not read as `--mu 2`
-    parser = partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = partial(_SubParser, allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True,
                             parser_class=parser)
 
@@ -400,9 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--family", required=True,
                     choices=["schur", "factorial", "edge", "ebar", "dualfact",
                              "scripte", "hatscripte", "dualschur"])
-    pe.add_argument("--sign", type=int, default=1, choices=[1, -1])
-    pe.add_argument("--alpha", action="store_true",
-                    help="specialize every a_d to the single symbol alpha")
+    pe.add_argument("--sign", type=int, default=None, choices=[1, -1],
+                    help="factorial only; default 1")
+    pe.add_argument("--alpha", action="store_const", const=True,
+                    help="dualschur only: specialize every a_d to the single "
+                    "symbol alpha")
     pe.add_argument("--schur-expand", type=nonnegative_int, default=None,
                     metavar="SIZE")
     pe.add_argument("--format", choices=["text", "json"], default="text")
@@ -444,7 +469,7 @@ def _fuse_window(argv: list[str]) -> list[str]:
     while k < len(argv):
         tok = argv[k]
         if tok in ("--window", "--box") and k + 1 < len(argv):
-            out.append(f"{tok}={argv[k + 1]}")
+            out.append(_Fused(f"{tok}={argv[k + 1]}"))
             k += 2
         else:
             out.append(tok)

@@ -334,15 +334,27 @@ def series_inverse(p: MultiPoly, T: int) -> MultiPoly:
 
 def map_vars(p: MultiPoly, fn: Callable[[VarKey], MultiPoly],
              T: Optional[int] = None) -> MultiPoly:
-    """Apply the substitution v -> fn(v) to every variable simultaneously."""
+    """Apply the substitution v -> fn(v) to every variable simultaneously.
+
+    Each image is truncated first.  When every image is a single term
+    c_v * m_v, as for a renaming or a rescaling, the term c * prod v^e_v maps
+    to the single term c * prod c_v^e_v times the monomial with code
+    sum e_v * code(m_v), found with int arithmetic on the packed code.  A
+    term over the truncation is dropped, and with no truncation at or below
+    MAX_DEGREE a term past MAX_DEGREE raises OverflowError, as a product
+    would.  Otherwise (some image zero or of several terms) each term is
+    the product of the images' powers."""
     trunc = T if T is not None else p.trunc
+    images = {v: fn(v).truncate(trunc) for v in p.variables()}
+    if all(len(q.terms) == 1 for q in images.values()):
+        return _rename(p, images, trunc)
     cache: dict[tuple[VarKey, int], MultiPoly] = {}
 
     def power(v: VarKey, e: int) -> MultiPoly:
         key = (v, e)
         if key not in cache:
             if e == 1:
-                cache[key] = fn(v).truncate(trunc)
+                cache[key] = images[v]
             else:
                 cache[key] = power(v, e - 1) * power(v, 1)
         return cache[key]
@@ -354,6 +366,49 @@ def map_vars(p: MultiPoly, fn: Callable[[VarKey], MultiPoly],
             term = term * power(v, e)
         out._accumulate(term)
     return out
+
+
+def _rename(p: MultiPoly, images: dict[VarKey, MultiPoly],
+            trunc: Optional[int]) -> MultiPoly:
+    """map_vars when every image is one term c_v * m_v.
+
+    A variable mapped to itself needs no work, so only the others move: each
+    adds e_v * (code(m_v) - code(v)) to the code, e_v * (deg m_v - 1) to the
+    degree and c_v^e_v to the coefficient.  The degree is summed apart from
+    the code, and the code is kept only at a degree <= MAX_DEGREE, where no
+    field of it can carry."""
+    moves = []
+    for v, q in images.items():
+        [(code, cv)] = q.terms.items()
+        shift = _SHIFT[v]
+        unit = (1 << shift) | 1
+        if code != unit or cv != 1:
+            moves.append((shift, code - unit, (code & _FIELD_MASK) - 1, cv))
+    over = trunc is None or trunc > MAX_DEGREE
+    cap = MAX_DEGREE if over else trunc
+    mask = _FIELD_MASK
+    terms: dict[Monomial, int] = {}
+    get = terms.get
+    for m, c in p.terms.items():
+        code, deg = m, m & mask
+        for shift, step, rise, cv in moves:
+            e = m >> shift & mask
+            if e:
+                code += e * step
+                deg += e * rise
+                if cv != 1:
+                    c *= cv ** e
+        if deg > cap:
+            if over:
+                raise OverflowError(
+                    f"product degree {deg} exceeds {MAX_DEGREE}")
+            continue
+        nc = get(code, 0) + c
+        if nc:
+            terms[code] = nc
+        else:
+            del terms[code]
+    return MultiPoly(terms, trunc)
 
 
 # -- canonical printing and parsing ------------------------------------
@@ -392,14 +447,16 @@ def canonical_string(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
     variables, rows = _ordered(p)
-    # (position in a row, name) per variable, in print order
+    # no exponent passes the top degree, the last row's: each variable's
+    # pieces name, name^2, ..., name^top are formatted once, indexed by e
+    top = rows[-1][0][0]
     printed = sorted(((_PRINT_RANK[v[0]], v[1]), k, var_name(v))
                      for k, v in enumerate(variables, start=1))
-    cols = [(k, name) for _, k, name in printed]
+    cols = [(k, ["", name, *(f"{name}^{e}" for e in range(2, top + 1))])
+            for _, k, name in printed]
     parts: list[str] = []
     for exps, _, c in rows:
-        mono = "*".join([name if exps[k] == 1 else f"{name}^{exps[k]}"
-                         for k, name in cols if exps[k]])
+        mono = "*".join([pieces[exps[k]] for k, pieces in cols if exps[k]])
         if not mono:
             body = str(abs(c))
         elif abs(c) == 1:

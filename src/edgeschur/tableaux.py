@@ -203,10 +203,12 @@ class EdgeLabeledTableau:
 
     def key(self) -> str:
         """json.dumps(self.to_json(), sort_keys=True), built directly: every
-        value is an int or a list of ints, whose repr is their JSON."""
-        edges = [[i, j, list(vals)] for (i, j), vals in self.edge_sets]
-        entries = [[i, j, v] for (i, j), v in self.entries]
-        return (f'{{"edges": {edges}, "entries": {entries}, '
+        value is an int or a list of ints, joined as json.dumps joins them."""
+        edges = ", ".join([f"[{i}, {j}, [{', '.join(map(str, vals))}]]"
+                           for (i, j), vals in self.edge_sets])
+        entries = ", ".join([f"[{i}, {j}, {v}]"
+                             for (i, j), v in self.entries])
+        return (f'{{"edges": [{edges}], "entries": [{entries}], '
                 f'{self._table().key_tail}')
 
     def render(self) -> str:

@@ -146,6 +146,20 @@ class TestExpand:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("family, option", [
+        ("edge", ["--alpha"]), ("factorial", ["--alpha"]),
+        ("dualschur", ["--sign", "-1"]), ("edge", ["--sign", "1"])])
+    def test_refuses_an_option_of_another_family(self, capsys, family,
+                                                 option):
+        # each exited 0 with the option ignored: edge --alpha printed a_d
+        owner = "dualschur" if option[0] == "--alpha" else "factorial"
+        code = main(["expand", "--family", family, "--lambda", "1", "--n",
+                     "2", "--trunc", "3", *option])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {option[0]} applies only to --family {owner}, not "
+            f"--family {family}\n")
+
     def test_schur_expand_option(self, capsys):
         code, out = run(capsys, "expand", "--family", "edge", "--lambda", "1",
                         "--extent", "1", "--n", "2", "--window", "-1:1",
@@ -547,6 +561,20 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, typed", [
+        (["verify", "yb", "--box", "2:2"], "--box 2:2"),
+        (["verify", "yb", "--window", "-2:1"], "--window -2:1"),
+        (["verify", "yb", "--window=-2:1"], "--window=-2:1")])
+    def test_unrecognized_option_is_named_as_typed(self, capsys, argv, typed):
+        # the top-level usage and `--box=2:2`, the fused token, were named
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage: edgeschur verify yb ")
+        assert err.endswith(f"edgeschur verify yb: error: unrecognized "
+                            f"arguments: {typed}\n")
 
     def test_roundtrip_malformed_pair(self, capsys, monkeypatch, tmp_path):
         blob = {

@@ -262,19 +262,16 @@ class TestGraph:
         lam = Partition.of((3, 2))
         p = EdgeSchurParams(3, (-2, 1), 2)
         g = crystal_graph(lam, p)
-        comps = component_decomposition(g)
-        by_monomial = {}
-        for comp, hw in comps:
+        # (label diagonal, highest weight, size) of each one-label component
+        found = []
+        for comp, hw in component_decomposition(g):
             t = g.vertices[hw]
-            adeg = sum(len(vs) for _, vs in t.edge_sets)
-            if adeg != 1:
-                continue
-            d = next(j - i for (i, j), vs in t.edge_sets for _ in vs)
-            by_monomial.setdefault(d, []).append(len(comp))
-        assert sorted(by_monomial[-1]) == [8]
-        assert sorted(by_monomial[0]) == [8]
-        assert sorted(by_monomial[1]) == [8, 10]
-        assert sorted(by_monomial[-2]) == [8]
+            labels = [j - i for (i, j), vs in t.edge_sets for _ in vs]
+            if len(labels) == 1:
+                found.append((labels[0], t.content_vector(3), len(comp)))
+        assert sorted(found) == [(-2, (3, 2, 1), 8), (-1, (3, 2, 1), 8),
+                                 (0, (3, 2, 1), 8), (1, (3, 2, 1), 8),
+                                 (1, (3, 3, 0), 10)]
 
     def test_components_isomorphic_to_b_nu(self):
         lam = Partition.of((2, 1))

@@ -93,6 +93,40 @@ class TestSubstitute:
         out = map_vars(MultiPoly.one(), lambda v: V(xv(1)), 3)
         assert out == MultiPoly.one(3)
 
+    def test_zero_image(self):
+        p = parse("x1 + 3*x1*a0 - a0^2*y1 + 2")
+        out = map_vars(p, lambda v: MultiPoly.zero() if v == av(0) else V(v))
+        assert out == parse("x1 + 2")
+
+    def test_multi_term_image(self):
+        p = parse("x1^2*y1 - 2*x2")
+        out = map_vars(p, lambda v: V(xv(1)) + V(xv(2)) if v == xv(1)
+                       else V(v), 2)
+        assert out == parse("-2*x2") and out.trunc == 2
+        out = map_vars(p, lambda v: V(xv(1)) + V(xv(2)) if v == xv(1)
+                       else V(v))
+        assert out == parse("x1^2*y1 + 2*x1*x2*y1 + x2^2*y1 - 2*x2")
+
+    def test_single_term_images(self):
+        # a rescaling, a swap that merges two terms, and a renaming
+        # that the truncation drops
+        p = parse("x1*a(-1) + a2*x1 - 4*x2*x1^3")
+        out = map_vars(p, lambda v: (-3 * V(ALPHA) if v[0] == 3
+                                     else V(xv(3 - v[1]))))
+        assert out == parse("-6*alpha*x2 - 4*x1*x2^3")
+        out = map_vars(p, lambda v: V(v) * V(v) if v == xv(1) else V(v), 4)
+        assert out == parse("a(-1)*x1^2 + a2*x1^2") and out.trunc == 4
+        assert map_vars(parse("x1*x2 + x1"),
+                        lambda v: V(ALPHA) * V(v), 2) == parse("alpha*x1")
+
+    def test_degree_past_the_field_raises(self):
+        p = V(xv(1)) ** 200 + V(yv(1))
+        with pytest.raises(OverflowError):
+            map_vars(p, lambda v: V(v) ** 200)
+        # a truncation at or below the limit drops the term instead
+        assert map_vars(p, lambda v: V(v) ** 200, MAX_DEGREE) == \
+            V(yv(1)) ** 200
+
 
 class TestCanonicalString:
     def test_zero(self):

@@ -261,6 +261,38 @@ class TestDualSchur:
         assert dual_schur(SkewShape.of((2, 2), (1,)), 1, 4).is_zero()
 
 
+def map_vars_corpus() -> list[str]:
+    """The substitutions the library makes: swap_x_vars on E^lam and on
+    E^lam * x_i, lam in the 2x2 box, n = 3; dual_schur_alpha and
+    schur_substituted for lam in the 2x2 box, m <= 2 and T in {4, 6}."""
+    lines = []
+    for lam in partitions_in_box(2, 2):
+        shape = SkewShape.of(lam.parts, (), extent=2)
+        e = edge_schur(shape, EdgeSchurParams(3, (-2, 2), 2))
+        for i in (1, 2):
+            for p in (e, e * V(xv(i))):
+                lines.append(f"swap {lam} {i} {swap_x_vars(p, i, i + 1)!r}")
+        for m in (1, 2):
+            for T in (4, 6):
+                lines.append(f"alpha {lam} {m} {T} "
+                             f"{dual_schur_alpha(shape, m, T)!r}")
+                lines.append(f"subst {lam} {m} {T} "
+                             f"{schur_substituted(lam, m, T)!r}")
+    return lines
+
+
+# recorded when map_vars multiplied out every term's image
+MAP_VARS_DIGEST = ("04baea3623732eb0239725df9e751d39"
+                   "9445f097c475f318cfaad12c2be5255a")
+
+
+def test_map_vars_corpus_is_pinned():
+    lines = map_vars_corpus()
+    assert len(lines) == 72
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == MAP_VARS_DIGEST
+
+
 def _ssyt_box_cases():
     """Every skew shape in the 2x3 box at extent 2, with n = 0..3."""
     box = partitions_in_box(2, 3)

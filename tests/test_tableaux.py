@@ -254,21 +254,29 @@ class TestKey:
     def test_key_is_sorted_json(self):
         """key() writes the text of json.dumps(to_json(), sort_keys=True)
         itself; the bench digests and the crystal graphs hash it."""
-        count = trailing = lowest = row0 = 0
-        for lam in partitions_in_box(3, 3):
-            shape = SkewShape.of(lam.parts, (), extent=3)
+        count = trailing = lowest = row0 = skew = bare = 0
+        box = partitions_in_box(3, 3)
+        for lam, mu in itertools.product(box, box):
+            if not lam.contains(mu):
+                continue
+            # straight shapes at n = 3, skew shapes (mu != 0) at n = 2
+            inner, n = (mu.parts, 2) if mu.size() else ((), 3)
+            shape = SkewShape.of(lam.parts, inner, extent=3)
             for window in ((-3, 3), (-4, 1)):
-                for t in enumerate_elt(shape, 3, window, 3):
+                for t in enumerate_elt(shape, n, window, 3):
                     assert t.key() == json.dumps(t.to_json(), sort_keys=True)
                     count += 1
                     trailing += lam.length() < 3
                     lowest += any(j - i == -2 for (i, j), _ in t.edge_sets)
                     row0 += any(i == 1 for (i, _), _ in t.edge_sets)
-        assert count > 40000
+                    skew += bool(inner)
+                    bare += not t.entries and bool(t.edge_sets)
+        assert count > 65000
         # both windows reach the vacuum (low end <= -3); covered are extents
         # with trailing zeros, labels on diagonal -2 (the lowest a label can
-        # take, as the third particle always crosses -3) and row-0 edges
-        assert min(trailing, lowest, row0) > 1000
+        # take, as the third particle always crosses -3), row-0 edges, skew
+        # shapes and the empty shape, whose labels all sit in row 0
+        assert min(trailing, lowest, row0, skew, bare) > 1000
 
 
 class TestReadingWord:
