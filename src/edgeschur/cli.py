@@ -157,11 +157,8 @@ def cmd_expand(args) -> int:
     return 0
 
 
-YB_KINDS = ("RLL_L", "RLL_Lstar", "rll_Ell", "frakRLell")
-
-
 def _verify_yb(args) -> tuple[bool, str]:
-    for kind in [args.kind] if args.kind else YB_KINDS:
+    for kind in [args.kind] if args.kind else lattice.YB_KINDS:
         ok, wit = lattice.yang_baxter_check(kind, perturb=args.perturb,
                                             perturb_mode=args.perturb_mode)
         expected = args.perturb is None
@@ -272,7 +269,7 @@ def _verify_freefermion(args) -> tuple[bool, str]:
 def _verify_all(args) -> tuple[bool, str]:
     """Run the battery, one `verify` line per check, through the suites
     above; print one ok/FAIL line per check and each failing report."""
-    lines = [f"yb --kind {kind}" for kind in YB_KINDS] + [
+    lines = [f"yb --kind {kind}" for kind in lattice.YB_KINDS] + [
         "yb --perturb b2 --perturb-mode double",
         "freefermion",
         "symmetry --box 2:2 --n 3 --window -2:2",
@@ -338,7 +335,7 @@ def cmd_uncrowd(args) -> int:
     if args.roundtrip:
         try:
             back = uncrowding.crowd(pair, t.shape.outer, t.window, t.extent)
-            if back.key() != t.key():
+            if back != t:
                 raise uncrowding.MalformedPair("crowd gave another tableau")
         except uncrowding.MalformedPair as exc:
             print(f"round trip FAILED: {exc}", file=sys.stderr)
@@ -354,16 +351,21 @@ def cmd_tableaux(args) -> int:
     if args.edges:
         window = args.window or (-shape.extent, lam.first())
         tabs = list(enumerate_elt(shape, args.n, window, shape.extent))
+        limit = 20 if args.limit is None else args.limit
         print(f"{len(tabs)} edge labeled tableaux")
         if args.format == "json":
-            print(json.dumps([t.to_json() for t in tabs[:args.limit]],
-                             indent=1))
+            print(json.dumps([t.to_json() for t in tabs[:limit]], indent=1))
         else:
-            for t in tabs[:args.limit]:
+            for t in tabs[:limit]:
                 print(t.render())
                 print("weight:", canonical_string(t.weight()))
                 print()
     else:
+        for option, value in (("--window", args.window),
+                              ("--format", args.format),
+                              ("--limit", args.limit)):
+            if value is not None:
+                raise ValueError(f"{option} applies only to --edges")
         tabs = enumerate_ssyt(shape, args.n)
         print(f"{len(tabs)} semistandard tableaux")
     return 0
@@ -406,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
               "window": dict(type=parse_window, default=None, metavar="M:N"),
               "trunc": dict(type=nonnegative_int, default=None),
               "box": dict(type=parse_box, default="2:2", metavar="R:C"),
-              "kind": dict(default=None, choices=YB_KINDS),
+              "kind": dict(default=None, choices=lattice.YB_KINDS),
               "perturb": dict(default=None),
               "perturb-mode": dict(default="one", choices=["one", "double"]),
               "seed": dict(type=int, default=20240805),
@@ -457,8 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
                 "lambda", "mu", "extent", "n", "window")
     pt.add_argument("--edges", action="store_true",
                     help="edge labeled tableaux instead of plain SSYT")
-    pt.add_argument("--format", choices=["text", "json"], default="text")
-    pt.add_argument("--limit", type=nonnegative_int, default=20)
+    pt.add_argument("--format", choices=["text", "json"], default=None,
+                    help="--edges only; default text")
+    pt.add_argument("--limit", type=nonnegative_int, default=None,
+                    help="--edges only; default 20")
     return ap
 
 

@@ -149,7 +149,6 @@ def schur_expansion_crystal(lam: Partition, p: EdgeSchurParams,
 @dataclass
 class CrystalGraph:
     vertices: list            # edge labeled tableaux
-    index: dict[str, int]     # key -> vertex id
     arcs: dict[tuple[int, int], int]   # (vertex, i) -> vertex
     n: int                    # entries in [n], so arcs carry i in [1, n)
 
@@ -163,14 +162,15 @@ def crystal_graph(lam: Partition, p: EdgeSchurParams) -> CrystalGraph:
     n = p.num_vars
     shape = SkewShape.of(lam.parts, (), extent=p.extent)
     vertices = list(enumerate_elt(shape, n, p.window, p.extent))
-    index = {t.key(): k for k, t in enumerate(vertices)}
+    # a tableau's frozen fields are canonical, so it is its own key
+    index = {t: k for k, t in enumerate(vertices)}
     arcs: dict[tuple[int, int], int] = {}
     for k, t in enumerate(vertices):
         for i in range(1, n):
             ft = f_elt(t, i)
             if ft is not None:
-                arcs[(k, i)] = index[ft.key()]
-    return CrystalGraph(vertices, index, arcs, n)
+                arcs[(k, i)] = index[ft]
+    return CrystalGraph(vertices, arcs, n)
 
 
 def ssyt_crystal_graph(nu: Partition, n: int) -> CrystalGraph:

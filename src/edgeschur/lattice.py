@@ -126,56 +126,35 @@ def model_Ell(sign: int = 1) -> VertexModel:
     }, left=1, right=0)
 
 
-# Two-line crossing tables, as ((in1, in2) -> (out1, out2)) -> weight(x, y).
-# R carries rational entries x_j/x_i; we store the x_i-cleared table and
-# compare both Yang-Baxter sides after the same clearing.
-def cross_R_cleared(xi: MultiPoly, xj: MultiPoly) -> dict:
-    return {
-        ((0, 0), (0, 0)): xi,
-        ((0, 1), (1, 0)): xj,
-        ((1, 0), (0, 1)): xi,
-        ((1, 0), (1, 0)): xi - xj,
-        ((1, 1), (1, 1)): xj,
-    }
+# -- Yang-Baxter cases --------------------------------------------------
 
+# The five conserving crossings ((in1, in2), (out1, out2)) of two lines that
+# every case below weighs; each other crossing weighs zero.
+_CROSSINGS = (((0, 0), (0, 0)), ((0, 1), (1, 0)), ((1, 0), (0, 1)),
+              ((1, 0), (1, 0)), ((1, 1), (1, 1)))
 
-def cross_r_small(xi: MultiPoly, xj: MultiPoly) -> dict:
-    return {
-        ((0, 0), (0, 0)): _ONE,
-        ((0, 1), (1, 0)): _ONE,
-        ((1, 0), (0, 1)): _ONE,
-        ((1, 0), (1, 0)): xi - xj,
-        ((1, 1), (1, 1)): _ONE,
-    }
+_X1, _X2, _Y = (MultiPoly.var(v) for v in (xv(1), xv(2), yv(1)))
 
-
-def cross_R_dual(xi: MultiPoly, xj: MultiPoly) -> dict:
-    """x_j-cleared crossing for two dual rows, spectral ratio x_i/x_j.
-
-    In the dual pairing the two corner entries of the plain R-matrix trade
-    places; the middle block (1, x_i/x_j, 1 - x_i/x_j) is unchanged.
-    """
-    return {
-        ((0, 0), (0, 0)): xi,
-        ((0, 1), (1, 0)): xi,
-        ((1, 0), (0, 1)): xj,
-        ((1, 0), (1, 0)): xj - xi,
-        ((1, 1), (1, 1)): xj,
-    }
-
-
-def cross_frakR(x: MultiPoly, y: MultiPoly) -> dict:
-    """frak-R crossing of a dual row (spectral y) over an Ell(-a) row (x).
-
-    Index order in the keys is (dual-line state, Ell-line state).
-    """
-    return {
-        ((0, 0), (0, 0)): y,
-        ((0, 1), (1, 0)): y,
-        ((1, 0), (0, 1)): _ONE,
-        ((1, 0), (1, 0)): _ONE - x * y,
-        ((1, 1), (1, 1)): _ONE,
-    }
+# kind -> (line 1's model and spectral parameter, line 2's, and the five
+# crossing weights in _CROSSINGS order).
+_YB_CASES = {
+    # R carries rational entries x_j/x_i; we store the x_i-cleared table and
+    # compare both Yang-Baxter sides after the same clearing.
+    "RLL_L": (model_L(), _X1, model_L(), _X2,
+              (_X1, _X2, _X1, _X1 - _X2, _X2)),
+    # x_j-cleared crossing for two dual rows, spectral ratio x_i/x_j.  In the
+    # dual pairing the two corner entries of the plain R-matrix trade places;
+    # the middle block (1, x_i/x_j, 1 - x_i/x_j) is unchanged.
+    "RLL_Lstar": (model_Lstar(), _X1, model_Lstar(), _X2,
+                  (_X1, _X1, _X2, _X2 - _X1, _X2)),
+    "rll_Ell": (model_Ell(), _X1, model_Ell(), _X2,
+                (_ONE, _ONE, _ONE, _X1 - _X2, _ONE)),
+    # frak-R crossing of a dual row (spectral y) over an Ell(-a) row (x).
+    # Index order in the keys is (dual-line state, Ell-line state).
+    "frakRLell": (model_Lstar(), _Y, model_Ell(-1), _X1,
+                  (_Y, _Y, _ONE, _ONE - _X1 * _Y, _ONE)),
+}
+YB_KINDS = tuple(_YB_CASES)
 
 
 # -- grids ----------------------------------------------------------------
@@ -407,32 +386,15 @@ def yang_baxter_check(kind: str, perturb: Optional[str] = None,
     Returns (ok, witness); witness is (alpha, beta, lhs, rhs) for the first
     failing boundary.
     """
-    xi, xj = MultiPoly.var(xv(1)), MultiPoly.var(xv(2))
-    yy = MultiPoly.var(yv(1))
-    a = MultiPoly.var(av(0))
-    if kind == "RLL_L":
-        v1 = v2 = model_L()
-        cross = cross_R_cleared(xi, xj)
-        p1, p2 = xi, xj
-    elif kind == "RLL_Lstar":
-        v1 = v2 = model_Lstar()
-        cross = cross_R_dual(xi, xj)
-        p1, p2 = xi, xj
-    elif kind == "rll_Ell":
-        v1 = v2 = model_Ell()
-        cross = cross_r_small(xi, xj)
-        p1, p2 = xi, xj
-    elif kind == "frakRLell":
-        v1 = model_Lstar()      # line 1: the dual row with spectral y
-        v2 = model_Ell(-1)      # line 2: ell in the -a convention
-        cross = cross_frakR(xi, yy)
-        p1, p2 = yy, xi
-    else:
+    if kind not in _YB_CASES:
         raise ValueError(f"unknown Yang-Baxter kind {kind!r}")
+    v1, p1, v2, p2, weights = _YB_CASES[kind]
+    cross = dict(zip(_CROSSINGS, weights))
     if perturb is not None:
         # a one-sided perturbation: even degenerations to other integrable
         # tables (a1 -> 1) then fail to balance against the clean line.
         v1 = v1.perturbed(perturb, perturb_mode)
+    a = MultiPoly.var(av(0))
     t1, t2 = v1.table(p1, a), v2.table(p2, a)
     ok = True
     witness = None
@@ -606,6 +568,5 @@ __all__ = [
     "partition_function", "maya_bits",
     "transfer_row", "deformed_diagonals", "edge_schur_lattice",
     "factorial_schur_lattice", "yang_baxter_check", "commutation_check",
-    "cauchy_check", "free_fermion_check",
-    "cross_R_cleared", "cross_r_small", "cross_frakR",
+    "cauchy_check", "free_fermion_check", "YB_KINDS",
 ]

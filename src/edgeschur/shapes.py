@@ -101,12 +101,6 @@ class SkewShape:
     def extent(self) -> int:
         return max(self.outer.extent, self.inner.extent)
 
-    def size(self) -> int:
-        return self.outer.size() - self.inner.size()
-
-    def has_cell(self, i: int, j: int) -> bool:
-        return 1 <= j <= self.outer.part(i) and j > self.inner.part(i)
-
     def to_json(self) -> dict:
         return {"outer": self.outer.to_json(), "inner": self.inner.to_json()}
 

@@ -91,24 +91,6 @@ class EdgeLabeledTableau:
 
     # -- validity ------------------------------------------------------
 
-    def legal_edge_position(self, i: int, j: int) -> bool:
-        """Edges adjacent to the filled region, the lower staircase of the
-        inner shape, or the zeroth row right of the outer shape."""
-        if j < 1 or i < 1 or i > self.extent + 1:
-            return False
-        m, M = self.window
-        if not (m <= j - i <= M):
-            return False
-        sh = self.shape
-        if sh.has_cell(i, j) or sh.has_cell(i - 1, j):
-            return True
-        inner = sh.inner
-        if i >= 2 and inner.part(i - 1) >= j and sh.outer.part(i) < j:
-            return True  # lower boundary of the inner shape
-        if i == 1 and sh.outer.part(1) < j:
-            return True  # zeroth row, right of the outer shape
-        return False
-
     def _table(self) -> "_ShapeTable":
         """The shape table of this tableau's shape, extent and window."""
         sh = self.shape
@@ -276,7 +258,7 @@ class _ShapeTable(NamedTuple):
     and window."""
     shape: SkewShape
     cells: frozenset               # the cells of the shape
-    legal: frozenset               # every (i, j) legal_edge_position allows
+    legal: frozenset               # the edges that may carry labels
     diagonals: dict                # content -> outer's cells, bottom to top
     key_tail: str                  # key() after the entries
 
@@ -288,18 +270,19 @@ def _shape_table(outer: tuple[int, ...], inner: tuple[int, ...], extent: int,
     of the 3x3 box).  It is keyed on plain tuples, which hash about four
     times faster than the frozen dataclasses."""
     shape = SkewShape(Partition(outer), Partition(inner))
-    probe = EdgeLabeledTableau(shape, extent, window, (), ())
-    m, M = window
-    # legal_edge_position allows no edge outside rows 1..extent + 1, columns
-    # from 1 and diagonals m..M, and below row 1 none right of the row above
-    right = (M + 1,) + outer + (0,) * extent
-    legal = frozenset((i, j) for i in range(1, extent + 2)
-                      for j in range(max(1, m + i),
-                                     min(M + i, right[i - 1]) + 1)
-                      if probe.legal_edge_position(i, j))
-    lo = inner + (0,) * len(outer)
+    lo = inner + (0,) * (len(outer) + 1)
     cells = frozenset((i, j) for i, hi in enumerate(outer, start=1)
                       for j in range(lo[i - 1] + 1, hi + 1))
+    # the legal edges: the upper and lower edges of each cell, the lower
+    # boundary of the inner shape and row 0 right of the outer shape, cut to
+    # rows 1..extent + 1 and diagonals m..M
+    edges = {(i + k, j) for i, j in cells for k in (0, 1)}
+    edges.update((i + 1, j) for i, hi in enumerate(inner, start=1)
+                 for j in range(lo[i] + 1, hi + 1))
+    m, M = window
+    edges.update((1, j) for j in range(outer[0] + 1 if outer else 1, M + 2))
+    legal = frozenset((i, j) for i, j in edges
+                      if 1 <= i <= extent + 1 and m <= j - i <= M)
     diagonals: dict[int, list[Cell]] = {}
     for r in range(len(outer), 0, -1):
         for c in range(1, outer[r - 1] + 1):

@@ -11,6 +11,7 @@ from edgeschur.poly import MultiPoly, canonical_string, parse
 from edgeschur.schur import (EdgeSchurParams, NotSymmetric, edge_schur,
                              variation)
 from edgeschur.shapes import SkewShape
+from edgeschur.tableaux import EdgeLabeledTableau
 
 
 def run(capsys, *argv):
@@ -388,6 +389,54 @@ class TestCrystalAndUncrowd:
         code, out = run(capsys, "uncrowd", "--in", str(f), "--roundtrip")
         assert code == 0
         assert "round trip ok" in out
+
+    def test_uncrowd_roundtrip_compares_tableaux(self, capsys, monkeypatch,
+                                                 tmp_path):
+        blob = {
+            "shape": {"outer": {"parts": [2], "extent": 1},
+                      "inner": {"parts": [], "extent": 1}},
+            "extent": 1, "window": [-1, 2],
+            "entries": [[1, 1, 1], [1, 2, 1]],
+            "edges": [[2, 1, [2]]],
+        }
+        f = tmp_path / "t.json"
+        f.write_text(json.dumps(blob))
+        real = uncrowding.crowd
+
+        def shifted(pair, lam, window, extent):
+            # the same tableau on a wider window: equal but for its window
+            t = real(pair, lam, window, extent)
+            return EdgeLabeledTableau(t.shape, t.extent, (-1, 3), t.entries,
+                                      t.edge_sets)
+        monkeypatch.setattr(uncrowding, "crowd", shifted)
+        code = main(["uncrowd", "--in", str(f), "--roundtrip"])
+        assert code == 1
+        assert capsys.readouterr().err == ("round trip FAILED: crowd gave "
+                                           "another tableau\n")
+
+    @pytest.mark.parametrize("option", [
+        ["--window", "-1:1"], ["--window=-1:1"], ["--format", "text"],
+        ["--format", "json"], ["--limit", "0"]],
+        ids=["window", "window-fused", "format-text", "format-json", "limit"])
+    def test_tableaux_refuses_edge_options_without_edges(self, capsys,
+                                                         option):
+        # each was accepted and read by nothing: the SSYT count printed
+        code = main(["tableaux", "--lambda", "2,1", "--n", "3", *option])
+        assert code == 2
+        name = option[0].split("=")[0]
+        assert capsys.readouterr().err == (f"error: {name} applies only to "
+                                           f"--edges\n")
+
+    def test_tableaux_defaults(self, capsys):
+        code, out = run(capsys, "tableaux", "--lambda", "2,1", "--n", "3")
+        assert code == 0 and out == "8 semistandard tableaux"
+        # --edges lists at most 20 tableaux unless --limit says otherwise
+        code, out = run(capsys, "tableaux", "--lambda", "2,1", "--n", "3",
+                        "--edges")
+        assert code == 0 and out.count("weight:") == 20
+        code, out = run(capsys, "tableaux", "--lambda", "2,1", "--n", "3",
+                        "--edges", "--format", "json", "--limit", "3")
+        assert code == 0 and len(json.loads(out[out.index("["):])) == 3
 
     def test_uncrowd_malformed_json(self, capsys, tmp_path):
         f = tmp_path / "t.json"

@@ -293,6 +293,29 @@ class TestGraph:
         assert not graphs_isomorphic(b2, hw2, b3, hw3)
         assert not graphs_isomorphic(b3, hw3, b2, hw2)
 
+    def test_tableaux_are_their_own_keys(self):
+        """Over every nonempty straight shape of the 3x3 box, n in {2, 3}:
+        two vertices share a key() iff they are equal, and the arcs have the
+        SHA-256 recorded when the graph indexed its vertices by key()."""
+        h = hashlib.sha256()
+        vertices = arcs = 0
+        for lam in partitions_in_box(3, 3):
+            if not lam.size():
+                continue
+            for n in (2, 3):
+                g = crystal_graph(lam, EdgeSchurParams(
+                    n, (-lam.extent, lam.first()), lam.extent))
+                keys = [t.key() for t in g.vertices]
+                pairs = set(zip(keys, g.vertices))
+                assert len(pairs) == len(set(keys)) == len(set(g.vertices))
+                h.update(f"{lam.parts} {n} {sorted(g.arcs.items())}\n"
+                         .encode())
+                vertices += len(g.vertices)
+                arcs += len(g.arcs)
+        assert (vertices, arcs) == (15204, 14955)
+        assert h.hexdigest() == ("3af0397ed848e3d054ccfeccb1d9747d"
+                                 "e10d749a532ea59d6ea001be155106bb")
+
     def test_dot_deterministic(self):
         g = crystal_graph(Partition.of((1,)), EdgeSchurParams(2, (0, 0), 1))
         assert dot_export(g) == dot_export(g)
