@@ -24,6 +24,7 @@ a run of one box is the plain entry change.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -74,7 +75,9 @@ def e_elt(t: EdgeLabeledTableau, i: int) -> Optional[EdgeLabeledTableau]:
 def _act(t: EdgeLabeledTableau, i: int,
          up: bool) -> Optional[EdgeLabeledTableau]:
     """f_i (up) or e_i on t: the letter the signature picks turns old into
-    new, and a box letter carries its run's markers and bumps with it."""
+    new, and a box letter carries its run's markers and bumps with it.  The
+    result keeps t's sorted entries, only the run's values changed, so they
+    need no second sort; its edge sets are normalised as `of` does."""
     word = reading_word(t)
     letters = [v for v, _ in word]
     minus, plus = signature(letters, i)
@@ -83,22 +86,30 @@ def _act(t: EdgeLabeledTableau, i: int,
     pos = minus[-1] if up else plus[0]
     old, new = (i, i + 1) if up else (i + 1, i)
     _, loc = word[pos]
-    em = t.entry_map()
+    entries = t.entries
     edges = {p: list(vs) for p, vs in t.edge_sets}
     if loc[0] == "edge":
         vals = edges[(loc[1], loc[2])]
         vals[vals.index(old)] = new
     else:
         _, r, c = loc
-        cend = c
-        while (em.get((r, cend + 1)) == i if up
-               else i in edges.get((r, cend), ())):
-            cend += 1
-        if any(em.get((r, j)) != old for j in range(c, cend + 1)):
+        # the run is entries[k:end], (r, c) and the boxes after it in the
+        # row-major entries
+        k = bisect_left(entries, ((r, c),))
+        end = k + 1
+        if up:      # it extends while the next box holds i
+            while end < len(entries) and entries[end] == ((r, c + end - k), i):
+                end += 1
+        else:       # it extends while the edge above its last box carries i
+            while i in edges.get((r, c + end - k - 1), ()):
+                end += 1
+        cend = c + end - k - 1
+        run = tuple(((r, j), old) for j in range(c, cend + 1))
+        if entries[k:end] != run:
             raise AssertionError(f"run ({r}, {c})..({r}, {cend}) does not "
                                  f"hold {old} throughout")
-        for j in range(c, cend + 1):
-            em[(r, j)] = new
+        entries = (entries[:k] + tuple((cell, new) for cell, _ in run)
+                   + entries[end:])
         markers = [((r, j), i) for j in range(c, cend)]
         bumps = [((r + 1, j), i + 1) for j in range(c + 1, cend + 1)]
         gone, added = (bumps, markers) if up else (markers, bumps)
@@ -108,7 +119,11 @@ def _act(t: EdgeLabeledTableau, i: int,
             edges[edge].remove(v)
         for edge, v in added:
             edges.setdefault(edge, []).append(v)
-    out = EdgeLabeledTableau.of(t.shape, t.extent, t.window, em, edges)
+    out = EdgeLabeledTableau(
+        t.shape, t.extent, t.window, entries,
+        tuple(sorted((p, tuple(sorted(set(vs))))
+                     for p, vs in edges.items() if vs)))
+    out.validate()
     letters[pos] = new
     if [v for v, _ in reading_word(out)] != letters:
         raise AssertionError(

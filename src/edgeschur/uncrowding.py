@@ -16,16 +16,17 @@ P's column heights counted in one pass over its rows.  The original shape's
 cells by diagonal come from the shape table of `tableaux` (one bounded
 cache per shape, extent and window), not from a walk over the shape.
 
-So every column of Q on the image weakly decreases downwards, and the
-inverse gives each index back on its own diagonal: it first refuses a
-column of Q that does not.  It then buckets the cells of Q and of the
-original shape by diagonal index, sorts them top diagonal first and, within
-a diagonal, right column first, and visits only those: each marks the cell
-at the bottom of its column of P, which must end its row; reverse bumping
-a diagonal's rows, bottom row first, gives back its word, and a diagonal
-without cells costs nothing.  Then it splits the words over boxes and
-edges with no search, lowest diagonal first.  Diagonal
-c's word reads, bottom to top, the labels under each cell and then its
+So every column of Q on the image fills the bottom of P's column and
+weakly decreases downwards, and the inverse gives each index back on its
+own diagonal (index i is diagonal i - l, l the shape's nonzero rows): it
+first refuses a column of Q that does not.  It then buckets the cells of Q
+and of the original shape by diagonal index, sorts them top diagonal first
+and, within a diagonal, right column first, and visits only those: each
+marks the cell at the bottom of its column of P, which must end its row;
+reverse bumping a diagonal's rows, bottom row first, gives back its word,
+and a diagonal without cells costs nothing.  Then it splits the words over
+boxes and edges with no search, lowest diagonal first.  Diagonal c's word
+reads, bottom to top, the labels under each cell and then its
 entry, and last the labels on the row-0 edge (1, c).  A cell (r, j) with
 j > 1 has its left neighbour (r, j - 1), on diagonal c - 1, already filled,
 say with z.  Rows weakly increase, so the cell's entry, and the labels under
@@ -33,10 +34,41 @@ it, are >= z; the letters read next (the labels on the edge above (r, j - 1),
 else the entry above it) are < z.  So the cell takes the longest run of the
 remaining letters that are >= z, its entry last; a cell in column 1 takes
 every remaining letter, and what the top cell leaves goes to edge (1, c).
-On the image this split is the true one.  Off it, crowd raises
-MalformedPair when P and Q do not unwind, when a cell's run is empty, when
-the result is not a valid tableau, or when uncrowding it does not give the
-pair back.
+On the image this split is the true one.
+
+Off it, crowd refuses with MalformedPair when P and Q do not unwind, when
+a cell's run is empty, when the result is not a valid tableau, and, by
+name, when
+  (a) a row of P is empty or a column of P does not strictly increase
+      downwards (its rows must weakly increase and weakly shrink),
+  (b) a cell of Q repeats,
+  (c) a column of Q is not exactly the bottom cells of P's column of that
+      index (so a column outside 1..width of P holds no cell of Q), or
+  (d) a diagonal word from the reverse bumps does not strictly decrease.
+It does not uncrowd its result again, because a pair passing these checks
+is the pair of that result t.  By (a) P is semistandard, and reverse
+bumping a corner of a semistandard tableau leaves one whose row insertion
+of the bumped letter gives the tableau back, the new cell at that corner
+(the row-bumping lemma).  So every stage of the unwind is semistandard, and
+inserting the words again, lowest index first and each in the order it was
+cut, rebuilds P stage by stage, at index i adding exactly the cells the
+unwind took off for i.  By (d) the split keeps every letter: an edge's run
+strictly decreases, so reversed it is the edge's label set, sorted with no
+letter lost, and t's reading word on index i's diagonal is word i; t has no
+other letters.  So uncrowd(t) inserts the same words into the same stages
+and ends at P.  At index i its new cells are, column for column, the cells
+of Q holding i and the cells of the shape on the diagonal, so each cell of
+the shape pops an i just pushed, and column j of Q ends with Q's indices
+in column j, increasing upwards.  uncrowd puts them at the bottom of P's
+column j; by (b), (c) and the order check on Q's columns, that is Q.  Each refusal by name is also a pair
+uncrowd never gives: its P is an insertion tableau, its Q has distinct
+cells at the bottom of P's columns, and the words it inserts are a valid
+tableau's diagonal words, which strictly decrease and which the unwind of
+its pair gives back.  (d) itself follows from (a) and the unwind's one cell
+per row: its corners come off bottom row first, so inserting the word puts
+each new cell strictly below the one before, which by the same lemma needs
+a strictly decreasing word.  crowd checks it all the same, as the premise
+of the split.
 """
 
 from __future__ import annotations
@@ -44,7 +76,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import ge, gt, itemgetter, le
 
 from .shapes import Partition, SkewShape
 from .tableaux import (EdgeLabeledTableau, ValidationError, _reading_order,
@@ -161,67 +193,97 @@ def uncrowd(t: EdgeLabeledTableau, with_trace: bool = False):
 def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
           extent: int) -> EdgeLabeledTableau:
     """The edge labeled tableau of shape lam, window and extent that uncrowds
-    to the pair, split by the module docstring's rule; else MalformedPair."""
+    to the pair, split by the module docstring's rule; else MalformedPair.
+    The docstring's checks (a) to (d) prove that the result uncrowds to the
+    pair, so it is not uncrowded again."""
     lengths = list(map(len, pair.P))
     if lengths != sorted(lengths, reverse=True):
         raise MalformedPair("rows of P do not weakly shrink downwards")
     for r, row in enumerate(pair.P, 1):
-        if list(row) != sorted(row):
+        if not row:
+            raise MalformedPair(f"row {r} of P is empty")
+        if any(map(gt, row, row[1:])):
             raise MalformedPair(f"row {r} of P does not weakly increase: {row}")
+    for upper, lower in zip(pair.P, pair.P[1:]):
+        if any(map(ge, upper, lower)):
+            j = list(map(ge, upper, lower)).index(True) + 1
+            raise MalformedPair(
+                f"column {j} of P does not strictly increase downwards")
+    q = dict(pair.Q)
+    if len(q) != len(pair.Q):
+        seen = set()
+        for cell, _ in pair.Q:
+            if cell in seen:
+                raise MalformedPair(f"cell {cell} of Q is repeated")
+            seen.add(cell)
     # the table of SkewShape.of(lam.parts, (), extent=extent)
     outer = (lam.parts if lam.extent == extent
              else Partition.of(lam.parts, extent).parts)
     table = _shape_table(outer, (0,) * extent, extent, tuple(window))
     diagonals = table.diagonals
-    q = dict(pair.Q)
     c_min = 1 - lam.length()
     i_max = max([0, lam.first() - c_min] + list(q.values()))
     rows = [list(row) for row in pair.P]
-    width = lam.first() + len(q) + 1
+    width = max(lam.first(), lengths[0] if lengths else 0)
     p_cols = _column_heights(rows, width)
     # Each cell of Q and of lam takes one cell of P off when its diagonal
     # index i is undone: uncrowd stacks indices on a column of Q in
-    # increasing order, so a column that weakly decreases downwards gives
-    # each back on its own diagonal.  A cell beyond the columns is caught by
-    # the last check; an index below 1 is never undone.
+    # increasing order at the bottom of P's column, so a column that fills
+    # that bottom and weakly decreases downwards gives each back on its own
+    # diagonal.  An index below 1 is never undone.
     undo = [(c - c_min + 1, j - 1) for c, cells in diagonals.items()
             for _, j in cells]
-    stranded = 0
-    above: dict[int, int] = {}
+    q_cols: dict[int, list[tuple[int, int]]] = {}   # column -> (row, index)
     for (r, cc), v in sorted(q.items()):
-        if not 1 <= cc <= width:
-            continue
-        if above.get(cc, v) < v:
+        q_cols.setdefault(cc, []).append((r, v))
+    stranded = 0
+    for cc, cells in q_cols.items():
+        h = p_cols[cc - 1] if 1 <= cc <= width else 0
+        top = h - len(cells) + 1
+        if top < 1 or [r for r, _ in cells] != list(range(top, h + 1)):
             raise MalformedPair(
-                f"column {cc} of Q does not weakly decrease downwards")
-        above[cc] = v
-        if v < 1:
-            stranded += 1
-        else:
-            undo.append((v, cc - 1))
+                f"column {cc} of Q is not the bottom of column {cc} of P")
+        above = cells[0][1]
+        for _, v in cells:
+            if v > above:
+                raise MalformedPair(
+                    f"column {cc} of Q does not weakly decrease downwards")
+            above = v
+            if v < 1:
+                stranded += 1
+            else:
+                undo.append((v, cc - 1))
 
     # undo uncrowd one diagonal at a time, top diagonal first, and within
     # it a row's last cell first
     undo.sort(reverse=True)
     words: dict[int, list[int]] = {}
     for i, group in itertools.groupby(undo, key=itemgetter(0)):
-        added: set[int] = set()               # rows of P that lose a cell
+        added: list[int] = []                 # rows of P that lose a cell
         for _, j in group:
             p_cols[j] -= 1
-            if p_cols[j] in added:
+            r = p_cols[j]
+            if r in added:
                 raise MalformedPair(
                     "diagonal strip removes two cells in a row")
-            if p_cols[j] < 0 or len(rows[p_cols[j]]) != j + 1:
+            if r < 0 or len(rows[r]) != j + 1:
                 raise MalformedPair("recording data inconsistent with P")
-            added.add(p_cols[j])
-        words[i] = [_reverse_bump(rows, r)
-                    for r in sorted(added, reverse=True)][::-1]
+            added.append(r)
+        added.sort(reverse=True)
+        word = [_reverse_bump(rows, r) for r in added]
+        word.reverse()
+        if any(map(le, word, word[1:])):
+            raise MalformedPair(
+                f"diagonal word {word} of index {i} does not strictly "
+                f"decrease")
+        words[i] = word
     if any(rows) or stranded:
         raise MalformedPair("leftover cells after unwinding all diagonals")
 
-    # split each diagonal word over boxes and edges, lowest diagonal first
+    # split each diagonal word over boxes and edges, lowest diagonal first;
+    # by (d) a run of labels reversed is the sorted set `of` would store
     em: dict[tuple[int, int], int] = {}
-    edges: dict[tuple[int, int], list[int]] = {}
+    edges: dict[tuple[int, int], tuple[int, ...]] = {}
     for i in range(1, i_max + 1):
         c = c_min + i - 1
         word = words.get(i, [])
@@ -234,16 +296,18 @@ def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
             if end == k:
                 raise MalformedPair(f"no letters left for cell {(r, j)}")
             em[(r, j)] = word[end - 1]
-            edges[(r + 1, j)] = word[k:end - 1]     # `of` drops empty sets
+            if end - 1 > k:
+                edges[(r + 1, j)] = tuple(word[k:end - 1][::-1])
             k = end
-        edges[(1, c)] = word[k:]
+        if k < len(word):
+            edges[(1, c)] = tuple(word[k:][::-1])
+    t = EdgeLabeledTableau(table.shape, extent, window,
+                           tuple(sorted(em.items())),
+                           tuple(sorted(edges.items())))
     try:
-        t = EdgeLabeledTableau.of(table.shape, extent, window, em, edges)
+        t.validate()
     except ValidationError as exc:
         raise MalformedPair(f"reconstruction is not a tableau: {exc}") from exc
-    if uncrowd(t) != RSKPair(pair.P, tuple(sorted(pair.Q))):
-        raise MalformedPair("uncrowding the reconstruction does not give "
-                            "the pair back; pair is not in the image")
     return t
 
 

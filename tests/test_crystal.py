@@ -141,7 +141,8 @@ class TestEltOperators:
         """f_i and e_i on every tableau of every nonempty straight shape in
         the 3x3 box (n = 3, window (-extent, lam1)), hashed; the census
         counts the boxes each result changes, so runs of 2 and 3 boxes are
-        covered both ways."""
+        covered both ways.  Each result, built from t's sorted entries
+        without `of`, equals `EdgeLabeledTableau.of` on its own maps."""
         h = hashlib.sha256()
         tableaux = 0
         census = collections.Counter()
@@ -160,6 +161,9 @@ class TestEltOperators:
                     before = t.entry_map()
                     for name, out in (("f", f), ("e", e)):
                         if out is not None:
+                            assert out == EdgeLabeledTableau.of(
+                                out.shape, out.extent, out.window,
+                                out.entry_map(), out.edge_map())
                             after = out.entry_map()
                             census[name, sum(before[c] != after[c]
                                              for c in before)] += 1

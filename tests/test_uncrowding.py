@@ -1,8 +1,10 @@
 import hashlib
 import random
+import re
 
 import pytest
 
+from edgeschur import uncrowding
 from edgeschur.shapes import Partition, SkewShape, partitions_in_box
 from edgeschur.tableaux import EdgeLabeledTableau, enumerate_elt
 from edgeschur.uncrowding import (MalformedPair, RSKPair, _reverse_bump,
@@ -176,7 +178,7 @@ class TestBijection:
                            "is not decreasing"):
             uncrowd(t)
 
-    def test_off_image_raises(self, example_tableau):
+    def test_off_image_raises(self, example_tableau, monkeypatch):
         with pytest.raises(MalformedPair):
             crowd(RSKPair(((1,),), ()), Partition.of((2,)), (-1, 2), 1)
         with pytest.raises(MalformedPair):
@@ -224,6 +226,44 @@ class TestBijection:
             with pytest.raises(MalformedPair):
                 crowd(RSKPair(pair.P, tuple(sorted(pair.Q + (extra,)))),
                       Partition.of((3, 3, 2, 2)), (-4, 3), 4)
+        # (a) a trailing empty row of P
+        with pytest.raises(MalformedPair, match="row 2 of P is empty"):
+            crowd(RSKPair(((1,), ()), ()), Partition.of((1,)), (-1, 1), 1)
+        # (a) column 2 of P holds 2 over 2
+        with pytest.raises(MalformedPair, match="column 2 of P does not "
+                           "strictly increase downwards"):
+            crowd(RSKPair(((1, 2), (2, 2)), ()), Partition.of((2, 2)),
+                  (-2, 2), 2)
+        # (b) one cell of Q twice, with the same index and with another
+        lam, window = Partition.of((3, 3, 2, 2)), (-4, 3)
+        cell, v = pair.Q[0]
+        for again in (v, v + 1):
+            with pytest.raises(MalformedPair, match=re.escape(
+                    f"cell {cell} of Q is repeated")):
+                crowd(RSKPair(pair.P, pair.Q + ((cell, again),)), lam,
+                      window, 4)
+        # (c) a cell of Q right of P (P is 3 wide), left of it, and one
+        # above the bottom of P's column 1 (P's column 1 is 2 high)
+        for extra, col in ((((1, 4), 6), 4), (((1, 40), 6), 40),
+                           (((1, 0), 1), 0)):
+            with pytest.raises(MalformedPair, match=f"column {col} of Q is "
+                               f"not the bottom of column {col} of P"):
+                crowd(RSKPair(pair.P, tuple(sorted(pair.Q + (extra,)))),
+                      lam, window, 4)
+        with pytest.raises(MalformedPair, match="column 1 of Q is not the "
+                           "bottom of column 1 of P"):
+            crowd(RSKPair(((1, 2), (3,)), (((1, 1), 1),)),
+                  Partition.of((1,)), (-2, 2), 1)
+        # (d) follows from (a) and one cell per row, so no pair reaches it;
+        # a reverse bump that reads every letter as 1 does
+        def bump_to_one(rows, r):
+            _reverse_bump(rows, r)
+            return 1
+
+        monkeypatch.setattr(uncrowding, "_reverse_bump", bump_to_one)
+        with pytest.raises(MalformedPair, match=r"diagonal word \[1, 1, 1\] "
+                           "of index 6 does not strictly decrease"):
+            crowd(pair, lam, window, 4)
 
 
 def _edit(rng: random.Random, rows: list[list[int]], q: dict) -> None:
@@ -302,9 +342,13 @@ class TestOffImage:
         verdicts = []
         for pair, lam, window in crowd_cases(16, 3000):
             try:
-                verdicts.append(crowd(pair, lam, window, lam.extent).key())
+                t = crowd(pair, lam, window, lam.extent)
             except MalformedPair:
                 verdicts.append("refused")
+                continue
+            # the check crowd proves instead of running
+            assert uncrowd(t) == RSKPair(pair.P, tuple(sorted(pair.Q)))
+            verdicts.append(t.key())
         assert 150 < len(verdicts) - verdicts.count("refused") < 500
         digest = hashlib.sha256("\n".join(verdicts).encode()).hexdigest()
         assert digest == ("f18df04639f2d2d9b0b95bf42343bd9c"
