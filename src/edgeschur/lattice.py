@@ -27,10 +27,16 @@ which holds the vacuum below every particle and the path of the particle of
 lam_1, and a column outside the window [m, M] carries a = 0: the label rule
 of the edge Schur function, under which L's a1 weight 1 + a x becomes 1.
 On a window that already spans both ends the grid is the window itself.
+
+_weight_table builds each table once per process, in a cache of at most
+256 keyed by the model, both parameters' terms and truncations, and trunc.
+The tables are shared and read only.  A model equals only itself, so a
+perturbed or a test's own model never picks up a stock model's table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -56,13 +62,14 @@ VERTEX_ROLES: dict[str, Config] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexModel:
     """A named Boltzmann weight table.
 
     weights maps a role name to a function (row_param, col_param) -> poly;
     missing roles and non-conserving configurations weigh zero.  table()
-    is the one evaluation of these functions.
+    is the one evaluation of these functions.  A model equals only itself;
+    the stock models are one instance each (model_Ell one per sign).
     """
     name: str
     weights: dict
@@ -95,6 +102,7 @@ class VertexModel:
         return VertexModel(f"{self.name}~{role}", new, self.left, self.right)
 
 
+@functools.cache
 def model_L() -> VertexModel:
     return VertexModel("L", {
         "a1": lambda x, a: _ONE + a * x,
@@ -105,6 +113,7 @@ def model_L() -> VertexModel:
     }, left=0, right=0)
 
 
+@functools.cache
 def model_Lstar() -> VertexModel:
     return VertexModel("Lstar", {
         "b2": lambda x, a: _ONE + a * x,
@@ -117,6 +126,11 @@ def model_Lstar() -> VertexModel:
 
 def model_Ell(sign: int = 1) -> VertexModel:
     """Factorial-Schur weight table; sign=-1 replaces a by -a."""
+    return _model_Ell(sign)
+
+
+@functools.cache
+def _model_Ell(sign: int) -> VertexModel:
     return VertexModel("Ell" if sign == 1 else "Ell(-a)", {
         "a1": lambda x, a: _ONE,
         "a2": lambda x, a: _ONE,
@@ -194,9 +208,19 @@ class GridSpec:
 
 def _weight_table(row: GridRow, a: MultiPoly,
                   trunc: Optional[int]) -> dict[Config, MultiPoly]:
-    """The row's table cut to trunc (zeros were left out before); 1 is _ONE."""
+    """The row's table cut to trunc (zeros were left out before); 1 is _ONE.
+    Shared and read only: the module docstring's cache of 256, whose key
+    holds each parameter as its (terms, trunc) by value."""
+    keys = [(tuple(p.terms.items()), p.trunc) for p in (row.param, a)]
+    return _cached_table(row.model, *keys, trunc)
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_table(model: VertexModel, x: tuple, a: tuple,
+                  trunc: Optional[int]) -> dict[Config, MultiPoly]:
     table = {}
-    for cfg, wt in row.model.table(row.param, a).items():
+    for cfg, wt in model.table(MultiPoly(dict(x[0]), x[1]),
+                               MultiPoly(dict(a[0]), a[1])).items():
         if trunc is not None and (wt.trunc is None or wt.trunc > trunc):
             wt = wt.truncate(trunc)  # a tighter cutoff of its own stays
         unit = wt.terms == _ONE.terms and wt.trunc in (None, trunc)

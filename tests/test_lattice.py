@@ -366,6 +366,63 @@ class TestSweep:
             (False, witness)
 
 
+class TestTableCache:
+    """_weight_table's tables are built once per process and shared, so the
+    cache must key on the model object and hand out tables nobody changes."""
+
+    def test_stock_models_are_one_instance_each(self):
+        assert model_L() is model_L() and model_Lstar() is model_Lstar()
+        assert model_Ell(-1) is model_Ell(-1) and model_Ell() is model_Ell(1)
+        assert model_Ell() is not model_Ell(-1)
+
+    def test_perturbed_models_get_their_own_tables(self):
+        # the stock model runs first, then mode 'one', then 'double' (both
+        # named like "L~a1"): a table an earlier model left in the cache
+        # and a later one read would break the later model's brute Z on
+        # the grids where the two models differ
+        differ = {"one": 0, "double": 0}
+        for model, role in ((model_L(), "a1"), (model_Lstar(), "b2"),
+                            (model_Ell(-1), "b2"), (model_Ell(-1), "c1")):
+            models = [model] + [model.perturbed(role, mode) for mode in differ]
+            for bottom in itertools.product((0, 1), repeat=3):
+                for top in itertools.product((0, 1), repeat=3):
+                    zs = []
+                    for m in models:
+                        rows = (GridRow(m, V(xv(1))), GridRow(m, V(xv(2))))
+                        g = GridSpec(rows, (-1, 1), bottom, top, trunc=3)
+                        z = partition_function(g)
+                        assert z == partition_function_brute(g).truncate(3)
+                        zs.append(z)
+                    for mode, z in zip(differ, zs[1:]):
+                        differ[mode] += z != zs[0]
+        assert min(differ.values()) >= 20
+
+    def test_tables_are_shared_and_left_unchanged(self):
+        rows = (GridRow(model_Ell(-1), V(xv(1))), GridRow(model_L(), V(yv(1))),
+                GridRow(model_Lstar(), V(xv(2))))
+        g = GridSpec(rows, (-2, 2), (1, 0, 1, 0, 0), (1, 1, 0, 0, 1),
+                     labels=(-1, 1), trunc=3)
+
+        def tables():
+            return [t for row in TestSweep.tables(g) for t in row]
+
+        def snapshot(ts):
+            return [{cfg: (dict(wt.terms), wt.trunc)
+                     for cfg, wt in t.items()} for t in ts]
+
+        shared = tables()
+        before = snapshot(shared)
+        z1, z2 = partition_function(g), partition_function(g)
+        assert z1 == z2 and len(z1.terms) == 20
+        assert all(z is not wt for z in (z1, z2)
+                   for t in shared for wt in t.values())
+        assert all(t is u for t, u in zip(tables(), shared))
+        assert snapshot(shared) == before
+
+    def test_cache_is_bounded(self):
+        assert lattice._cached_table.cache_info().maxsize == 256
+
+
 class TestEdgeSchurLattice:
     def test_two_row_shape(self):
         shape = SkewShape.of((2,), (), extent=2)

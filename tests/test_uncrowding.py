@@ -90,6 +90,13 @@ class TestRSK:
         with pytest.raises(MalformedPair, match="not an outer corner"):
             rsk_remove(((1,), (2,)), (1, 1))
 
+    def test_reverse_bump_refuses_when_no_entry_above_is_smaller(self):
+        # crowd's checks refuse such a P first, so only a direct call
+        # reaches this guard: 1 leaves row 1 and row 0 holds only 2
+        with pytest.raises(MalformedPair,
+                           match="reverse bump found no smaller entry"):
+            _reverse_bump([[2], [1]], 1)
+
     def test_remove_inverts_insert(self):
         rng = random.Random(53)
         for _ in range(50):
