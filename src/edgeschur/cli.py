@@ -22,8 +22,7 @@ from functools import cache, partial
 from . import lattice
 from . import uncrowding
 from .crystal import component_decomposition, crystal_graph, dot_export
-from .poly import (MultiPoly, canonical_string, parse, sorted_terms,
-                   swap_x_vars)
+from .poly import canonical_string, first_difference, parse, swap_x_vars
 from .schur import (EdgeSchurParams, NotSymmetric, dual_schur,
                     dual_schur_alpha, edge_schur, edge_schur_brute,
                     factorial_schur, schur_expand, variation)
@@ -111,10 +110,15 @@ def _params(args, lam: Partition) -> EdgeSchurParams:
     return EdgeSchurParams(args.n, window, extent, args.trunc)
 
 
-def cmd_expand(args) -> int:
-    lam = parse_partition(getattr(args, "lam"), args.extent)
+def _shape(args) -> SkewShape:
+    """The skew shape --lambda / --mu at the --extent."""
+    lam = parse_partition(args.lam, args.extent)
     mu = parse_partition(args.mu)
-    shape = SkewShape.of(lam.parts, mu.parts, extent=args.extent or lam.extent)
+    return SkewShape.of(lam.parts, mu.parts, extent=args.extent or lam.extent)
+
+
+def cmd_expand(args) -> int:
+    shape = _shape(args)
     fam = args.family
     for option, value, owner in (("--alpha", args.alpha, "dualschur"),
                                  ("--sign", args.sign, "factorial")):
@@ -126,11 +130,11 @@ def cmd_expand(args) -> int:
     elif fam == "factorial":
         poly = factorial_schur(shape, args.n, sign=args.sign or 1)
     elif fam == "edge":
-        poly = edge_schur(shape, _params(args, lam))
+        poly = edge_schur(shape, _params(args, shape.outer))
     elif fam in ("ebar", "dualfact", "scripte", "hatscripte"):
         kind = {"ebar": "EBar", "dualfact": "DualFact",
                 "scripte": "ScriptE", "hatscripte": "HatScriptE"}[fam]
-        poly = variation(kind, shape, _params(args, lam))
+        poly = variation(kind, shape, _params(args, shape.outer))
     elif fam == "dualschur":
         if args.trunc is None:
             raise ValueError("dualschur needs --trunc")
@@ -149,6 +153,8 @@ def cmd_expand(args) -> int:
                 print(f"s{nu}: {canonical_string(c)}")
             if not rem.is_zero():
                 print(f"remainder: {canonical_string(rem)}")
+            elif not coeffs:
+                print("0")
         return 0
     if args.format == "json":
         print(json.dumps({"family": fam, "value": canonical_string(poly)}))
@@ -170,13 +176,6 @@ def _verify_yb(args) -> tuple[bool, str]:
     return True, "all Yang-Baxter checks behaved as expected"
 
 
-def _first_difference(p: MultiPoly, q: MultiPoly) -> tuple[str, int, int]:
-    """The lowest-degree monomial where p and q differ, and both of its
-    coefficients."""
-    m = sorted_terms(p - q)[0][0]
-    return canonical_string(MultiPoly.monomial(m)), p.coeff(m), q.coeff(m)
-
-
 def _verify_symmetry(args) -> tuple[bool, str]:
     r, c = args.box
     window = args.window or (-r, c)
@@ -186,7 +185,7 @@ def _verify_symmetry(args) -> tuple[bool, str]:
         for i in range(1, args.n):
             swapped = swap_x_vars(e, i, i + 1)
             if swapped != e:
-                at, ours, theirs = _first_difference(e, swapped)
+                at, ours, theirs = first_difference(e, swapped)
                 return False, (f"E^{lam} not symmetric under x{i} <-> "
                                f"x{i+1}: the lowest-degree difference is at "
                                f"{at}, where E has {ours} and its swap "
@@ -215,7 +214,7 @@ def _verify_equivalence(args) -> tuple[bool, str]:
                   "Tstar": lattice.edge_schur_lattice(shape, p, "Tstar")}
         bad = next((r for r, z in routes.items() if z != closed), None)
         if bad is not None:
-            at, ours, theirs = _first_difference(routes[bad], closed)
+            at, ours, theirs = first_difference(routes[bad], closed)
             return False, (f"case {case}: {lam}/{mu} n={n} window={window}: "
                            f"the lowest-degree difference is at {at}, where "
                            f"{bad} has {ours} and the closed form {theirs}, "
@@ -238,7 +237,7 @@ def _verify_commutation(args) -> tuple[bool, str]:
     if 2 * window[1] - 2 * c < T - 1:
         raise _too_narrow(window, T, "when 2M - 2*box_cols >= T - 1",
                           f"M >= {c + T // 2}")
-    at, lhs, rhs = _first_difference(parse(wit[2]), parse(wit[3]))
+    at, lhs, rhs = first_difference(parse(wit[2]), parse(wit[3]))
     return False, (f"failed at lam={wit[0]}, mu={wit[1]}: the lowest-degree "
                    f"difference is at {at}, where (1 - xy) T* t has {lhs} "
                    f"and t T* has {rhs}")
@@ -305,7 +304,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_crystal(args) -> int:
-    lam = parse_partition(getattr(args, "lam"))
+    lam = parse_partition(args.lam)
     g = crystal_graph(lam, _params(args, lam))
     comps = component_decomposition(g)
     summary = []
@@ -345,11 +344,9 @@ def cmd_uncrowd(args) -> int:
 
 
 def cmd_tableaux(args) -> int:
-    lam = parse_partition(getattr(args, "lam"), args.extent)
-    mu = parse_partition(args.mu)
-    shape = SkewShape.of(lam.parts, mu.parts, extent=args.extent or lam.extent)
+    shape = _shape(args)
     if args.edges:
-        window = args.window or (-shape.extent, lam.first())
+        window = args.window or (-shape.extent, shape.outer.first())
         tabs = list(enumerate_elt(shape, args.n, window, shape.extent))
         limit = 20 if args.limit is None else args.limit
         print(f"{len(tabs)} edge labeled tableaux")

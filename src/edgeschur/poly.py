@@ -439,6 +439,13 @@ def sorted_terms(p: MultiPoly) -> list[tuple[Monomial, int]]:
     return [(m, c) for _, m, c in _ordered(p)[1]]
 
 
+def first_difference(p: MultiPoly, q: MultiPoly) -> tuple[str, int, int]:
+    """The lowest-degree monomial where p and q differ, printed, and its
+    coefficient in each."""
+    m = sorted_terms(p - q)[0][0]
+    return canonical_string(MultiPoly.monomial(m)), p.coeff(m), q.coeff(m)
+
+
 # Print order inside one monomial: a-parameters first, then alpha, x, y.
 _PRINT_RANK = {_RANK_A: 0, _RANK_ALPHA: 1, _RANK_X: 2, _RANK_Y: 3}
 

@@ -28,9 +28,9 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .poly import (ALPHA, Monomial, MultiPoly, av, family, map_vars,
-                   monomial_degree, series_inverse, split_x_part,
-                   x_exponent_vector, xv, yv)
+from .poly import (ALPHA, MultiPoly, av, family, first_difference,
+                   map_vars, monomial_degree, series_inverse, split_x_part,
+                   swap_x_vars, x_exponent_vector, xv, yv)
 from .shapes import Partition, SkewShape, deformed_diagonals
 from .tableaux import _checked_chains
 
@@ -235,59 +235,46 @@ def schur_substituted(lam: Partition, m: int, T: int) -> MultiPoly:
     return map_vars(s, fn, T).truncate(T)
 
 
-# -- Schur expansion by greedy peeling ----------------------------------
+# -- Schur expansion by the bialternant formula -------------------------
 
 
 def schur_expand(f: MultiPoly, n: int, max_size: int):
-    """Expand f = sum c_nu(a) s_nu(x_n) by peeling deg-lex leading terms.
+    """Expand f = sum c_nu(a) s_nu(x_n) by Jacobi's bialternant formula.
+
+    With delta = (n-1, ..., 1, 0), s_nu = a_{nu+delta} / a_delta, where
+    a_gamma is the alternant sum_w sgn(w) x^{w(gamma)} and a_delta =
+    prod_{i<j} (x_i - x_j) (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.3).  So f * a_delta = sum c_nu a_{nu+delta}, and as only
+    the identity term of an alternant has strictly decreasing exponents,
+    c_nu is the coefficient of x^{nu+delta} in f * a_delta.
 
     Returns (coeffs, remainder): coeffs maps Partition -> MultiPoly in the
-    a-parameters, covering all nu with |nu| <= max_size; the remainder
-    holds every term of x-degree > max_size.
+    a-parameters, one nonzero entry per nu with |nu| <= max_size; the
+    remainder holds every term of x-degree > max_size.  Raises NotSymmetric
+    if the terms of x-degree <= max_size are not symmetric in x_1..x_n.
     """
+    low, high = MultiPoly(), MultiPoly()
+    for m, c in f.terms.items():
+        part = low if monomial_degree(split_x_part(m)[0]) <= max_size else high
+        part.terms[m] = c
+    # an x past x_n is a usage error, whether or not low is symmetric
+    top = max((v[1] for v in low.variables() if family(v) == "x"), default=0)
+    if top > n:
+        raise ValueError(f"x{top} outside declared range n={n}")
+    for i in range(1, n):
+        swapped = swap_x_vars(low, i, i + 1)
+        if swapped != low:
+            at, ours, theirs = first_difference(low, swapped)
+            raise NotSymmetric(f"f is not symmetric under x{i} <-> x{i+1}: "
+                               f"the lowest-degree difference is at {at}, "
+                               f"where f has {ours} and its swap {theirs}")
+    a_delta = MultiPoly.one()
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        a_delta = a_delta * (MultiPoly.var(xv(i)) - MultiPoly.var(xv(j)))
     coeffs: dict[Partition, MultiPoly] = {}
-    work = MultiPoly(dict(f.terms))
-    # work's terms as {x-monomial: {rest: coeff}}, split once and then kept
-    # in step with work at the monomials each peel touches
-    groups: dict[Monomial, dict[Monomial, int]] = {}
-    for m, cf in work.terms.items():
-        xs, rest = split_x_part(m)
-        groups.setdefault(xs, {})[rest] = cf
-    while True:
-        best = None
-        for xmono in groups:
-            deg = monomial_degree(xmono)
-            if deg > max_size:
-                continue
-            vec = x_exponent_vector(xmono, n)
-            key = (deg, tuple(-e for e in vec))
-            if best is None or key < best[0]:
-                best = (key, xmono, vec)
-        if best is None:
-            break
-        _, xmono, vec = best
-        if any(vec[i] < vec[i + 1] for i in range(n - 1)):
-            raise NotSymmetric(
-                f"leading x-monomial exponents {vec} are not a partition")
-        nu = Partition(tuple(vec))
-        c = MultiPoly(groups.pop(xmono))
-        s = schur(SkewShape.of([p for p in nu.parts if p > 0],
-                               (), extent=n), n)
-        work._accumulate(-c, s)
-        # c holds no x and s only x, so each term of c*s is xs + rest
-        for xs in s.terms:
-            row = groups.setdefault(xs, {})
-            for rest in c.terms:
-                cf = work.terms.get(xs + rest)
-                if cf:
-                    row[rest] = cf
-                else:
-                    row.pop(rest, None)
-            if not row:
-                del groups[xs]
-        if nu in coeffs:
-            raise NotSymmetric(f"peeling revisited {nu}; f is not symmetric")
-        coeffs[nu] = c
-        if xmono in groups:
-            raise NotSymmetric(f"subtracting s_{nu} did not clear its leading term")
-    return coeffs, work
+    for m, c in (low * a_delta).terms.items():
+        gamma = x_exponent_vector(m, n)
+        if all(gamma[i] > gamma[i + 1] for i in range(n - 1)):
+            nu = Partition(tuple(g - (n - 1 - i) for i, g in enumerate(gamma)))
+            coeffs.setdefault(nu, MultiPoly()).terms[split_x_part(m)[1]] = c
+    return coeffs, high

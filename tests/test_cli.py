@@ -168,6 +168,19 @@ class TestExpand:
         assert code == 0
         assert "s(1,1): a(-1) + a0 + a1" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["--lambda", "1,1", "--extent", "2", "--n", "1"],
+        ["--lambda", "2,1", "--n", "2", "--trunc", "2"]])
+    def test_schur_expand_of_zero(self, capsys, argv):
+        # no coefficient and no remainder: the text form still prints 0
+        argv = ["expand", "--family", "edge", *argv]
+        assert run(capsys, *argv) == (0, "0")
+        expand = [*argv, "--schur-expand", "3"]
+        assert run(capsys, *expand) == (0, "0")
+        code, out = run(capsys, *expand, "--format", "json")
+        assert (code, json.loads(out)) == (0, {"coefficients": {},
+                                               "remainder": "0"})
+
 
 def broken_invariant(args):
     raise AssertionError("frontier lost a state")

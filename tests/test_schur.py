@@ -469,7 +469,15 @@ def _swap_one_term(e):
 
 
 class TestSchurExpandReference:
-    """schur_expand against the regroup-per-peel loop it replaced."""
+    """schur_expand against the peel, which subtracts c_nu * s_nu for one
+    leading term at a time and shares no step with the bialternant."""
+
+    @staticmethod
+    def assert_agrees(f, n, max_size):
+        ours = _peel_outcome(schur_expand, f, n, max_size)
+        assert ours == _peel_outcome(_schur_expand_reference, f, n, max_size)
+        assert ours[0] != "NotSymmetric"
+        return ours
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("window", [(-2, 2), (-3, 1)])
@@ -478,19 +486,55 @@ class TestSchurExpandReference:
         for lam in partitions_in_box(2, 3):
             e = edge_schur(SkewShape.of(lam.parts, (), extent=2),
                            EdgeSchurParams(n, window, 2, trunc))
-            for size in (lam.size(), lam.size() + 2):
-                ours = _peel_outcome(schur_expand, e, n, size)
-                assert ours == _peel_outcome(_schur_expand_reference, e, n,
-                                             size), (lam, size)
-                assert ours[0] != "NotSymmetric"
+            for size in (0, lam.size(), lam.size() + 2):
+                self.assert_agrees(e, n, size)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_skew(self, n):
+        """Littlewood-Richardson coefficients of skew s and, with a-valued
+        coefficients, of skew factorial s."""
+        box = list(partitions_in_box(3, 2))
+        for lam, mu in itertools.product(box, box):
+            if not lam.contains(mu):
+                continue
+            shape = SkewShape.of(lam.parts, mu.parts, extent=3)
+            size = lam.size() - mu.size()
+            for f in (schur(shape, n), factorial_schur(shape, n, sign=-1)):
+                for max_size in (0, size, size + 1):
+                    self.assert_agrees(f, n, max_size)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_y_only_is_one_constant_coefficient(self, n):
+        shape = SkewShape.of((2,), (), extent=2)
+        p = EdgeSchurParams(n, (-2, 2), 2, 4)
+        for f in (variation("ScriptE", shape, p), dual_schur(shape, n, 4)):
+            assert f and not f.variables() & {xv(1), xv(2)}
+            for max_size in (0, 3):
+                ours = self.assert_agrees(f, n, max_size)
+                assert ours == ({Partition((0,) * n): canonical_string(f)},
+                                "0")
 
     def test_not_symmetric(self):
         e = edge_schur(SkewShape.of((2, 1), (), extent=2),
                        EdgeSchurParams(2, (-2, 2), 2))
-        for f in (V(xv(2)), parse("x1^2 + x2"), _swap_one_term(e)):
-            ours = _peel_outcome(schur_expand, f, 2, 5)
-            assert ours[0] == "NotSymmetric", f
-            assert ours == _peel_outcome(_schur_expand_reference, f, 2, 5)
+        first = ("f is not symmetric under x1 <-> x2: the lowest-degree "
+                 "difference is at x1, where f has 0 and its swap 1")
+        for f, message in (
+                (V(xv(2)), first),
+                (parse("x1^2 + x2"), first),
+                (_swap_one_term(e),
+                 "f is not symmetric under x1 <-> x2: the lowest-degree "
+                 "difference is at x1^2*x2, where f has 0 and its swap 2")):
+            assert _peel_outcome(schur_expand, f, 2, 5) == ("NotSymmetric",
+                                                            message)
+            assert _peel_outcome(_schur_expand_reference, f, 2,
+                                 5)[0] == "NotSymmetric", f
+
+    def test_x_outside_range_refused_before_symmetry(self):
+        # x3 with n = 2: a usage error, as the peel found it first
+        for expand in (schur_expand, _schur_expand_reference):
+            with pytest.raises(ValueError, match="x3 outside declared range"):
+                expand(parse("x1 + x3"), 2, 5)
 
 
 def test_hatscripte_rejects_skew():
