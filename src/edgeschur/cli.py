@@ -120,11 +120,17 @@ def _shape(args) -> SkewShape:
 def cmd_expand(args) -> int:
     shape = _shape(args)
     fam = args.family
-    for option, value, owner in (("--alpha", args.alpha, "dualschur"),
-                                 ("--sign", args.sign, "factorial")):
-        if value is not None and fam != owner:
-            raise ValueError(f"{option} applies only to --family {owner}, "
-                             f"not --family {fam}")
+    windowed = ("edge", "ebar", "dualfact", "scripte", "hatscripte")
+    for option, value, owners in (
+            ("--alpha", args.alpha, ("dualschur",)),
+            ("--sign", args.sign, ("factorial",)),
+            ("--window", args.window, windowed),
+            ("--trunc", args.trunc, windowed + ("dualschur",)),
+            ("--schur-expand", args.schur_expand,
+             ("schur", "factorial", "edge"))):
+        if value is not None and fam not in owners:
+            raise ValueError(f"{option} applies only to --family "
+                             f"{'|'.join(owners)}, not --family {fam}")
     if fam == "schur":
         poly = schur_fn(shape, args.n)
     elif fam == "factorial":
@@ -408,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
               "kind": dict(default=None, choices=lattice.YB_KINDS),
               "perturb": dict(default=None),
               "perturb-mode": dict(default="one", choices=["one", "double"]),
-              "seed": dict(type=int, default=20240805),
+              "seed": dict(type=_int, default=20240805),
               "count": dict(type=positive_int, default=30)}
 
     def common(p, *names):

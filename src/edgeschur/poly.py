@@ -62,6 +62,7 @@ _FIELD_MASK = (1 << FIELD_BITS) - 1  # also the mask of the degree field
 # the registry: _VARS[k] owns the field at bit (k + 1) * FIELD_BITS
 _SHIFT: dict[VarKey, int] = {}
 _VARS: list[VarKey] = []
+_X_FIELDS: list[tuple[int, int]] = []  # (i, bit offset) of each registered x_i
 
 
 class NotInvertible(ValueError):
@@ -112,6 +113,8 @@ def _register(v: VarKey) -> int:
     """Give v the next free field; return its bit offset (never 0)."""
     _VARS.append(v)
     s = _SHIFT[v] = len(_VARS) * FIELD_BITS
+    if v[0] == _RANK_X:
+        _X_FIELDS.append((v[1], s))
     return s
 
 
@@ -567,14 +570,16 @@ def parse(s: str, trunc: Optional[int] = None) -> MultiPoly:
 
 def split_x_part(m: Monomial) -> tuple[Monomial, Monomial]:
     """Split a monomial into its x-variable part and everything else."""
-    xs = _encode((v, e) for v, e in _decode(m) if v[0] == _RANK_X)
+    fields = [((m >> s) & _FIELD_MASK, s) for _, s in _X_FIELDS]
+    xs = sum(e << s for e, s in fields) | sum(e for e, _ in fields)
     return xs, m - xs
 
 
 def x_exponent_vector(m: Monomial, n: int) -> tuple[int, ...]:
     exps = [0] * n
-    for (rank, idx), e in _decode(m):
-        if rank == _RANK_X:
+    for idx, s in _X_FIELDS:
+        e = (m >> s) & _FIELD_MASK
+        if e:
             if idx > n:
                 raise ValueError(f"x{idx} outside declared range n={n}")
             exps[idx - 1] = e

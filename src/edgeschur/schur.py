@@ -79,8 +79,8 @@ def _branch(shape: SkewShape, n: int,
             return MultiPoly.one(trunc) if nu == mu else MultiPoly.zero(trunc)
         out = MultiPoly.zero(trunc)
         for parts in itertools.product(*(
-                range(max(mu.part(k), nu.part(k + 1)), nu.part(k) + 1)
-                for k in range(1, ext + 1))):
+                range(max(m, nxt), top + 1) for m, nxt, top in
+                zip(mu.parts, nu.parts[1:] + (0,), nu.parts))):
             below = Partition(parts)
             prev = lower(below, v - 1)
             if prev:
@@ -110,8 +110,8 @@ def factorial_schur(shape: SkewShape, n: int, sign: int = 1,
 
     def row(top: Partition, bottom: Partition, v: int) -> MultiPoly:
         out = MultiPoly.one()
-        for i in range(1, top.extent + 1):
-            for j in range(bottom.part(i) + 1, top.part(i) + 1):
+        for i, (lo, hi) in enumerate(zip(bottom.parts, top.parts), start=1):
+            for j in range(lo + 1, hi + 1):
                 out = out * (MultiPoly.var(xv(v))
                              - MultiPoly.var(av(v + j - i + index_shift)) * sign)
         return out
@@ -201,15 +201,14 @@ def dual_schur(shape: SkewShape, m: int, T: int) -> MultiPoly:
     def row(top: Partition, bottom: Partition, v: int) -> MultiPoly:
         y = MultiPoly.var(yv(v))
         out = MultiPoly.one(T)
-        for i in range(1, top.extent + 1):
-            for j in range(bottom.part(i) + 1, top.part(i) + 1):
+        for i, (lo, hi) in enumerate(zip(bottom.parts, top.parts), start=1):
+            for j in range(lo + 1, hi + 1):
                 out = out * y * _geom(j - i, v, T)
         # telescoped correction prod_k (1-a_{mu_k-k} y)/(1-a_{bottom_k-k} y)
-        for k in range(1, top.extent + 1):
-            if mu.part(k) != bottom.part(k):
-                out = out * (MultiPoly.one(T)
-                             - MultiPoly.var(av(mu.part(k) - k)) * y)
-                out = out * _geom(bottom.part(k) - k, v, T)
+        for k, (a, b) in enumerate(zip(mu.parts, bottom.parts), start=1):
+            if a != b:
+                out = out * (MultiPoly.one(T) - MultiPoly.var(av(a - k)) * y)
+                out = out * _geom(b - k, v, T)
         return out
 
     return _branch(shape, m, row, T)

@@ -62,8 +62,8 @@ class Partition:
         return Partition.of(self.parts, extent)
 
     def contains(self, other: "Partition") -> bool:
-        return all(self.part(k) >= other.part(k)
-                   for k in range(1, max(self.extent, other.extent) + 1))
+        return all(a >= b for a, b in itertools.zip_longest(
+            self.parts, other.parts, fillvalue=0))
 
     def cells(self) -> Iterator[tuple[int, int]]:
         for i, p in enumerate(self.parts, start=1):
@@ -113,24 +113,21 @@ class SkewShape:
         return f"{self.outer}/{self.inner}"
 
 
-def maya_bit(lam: Partition, pos: int) -> int:
-    """1 iff some particle of lam (zero-padded to infinity) sits at pos."""
-    if pos < -lam.extent:
-        return 1  # vacuum tail
-    # lambda_k - k is strictly decreasing in k; scan the finite range.
-    for k in range(1, lam.extent + 1):
-        if lam.part(k) - k == pos:
-            return 1
-        if lam.part(k) - k < pos:
-            return 0
-    return 0
-
-
 def maya_bits(lam: Partition, window: tuple[int, int],
               shift: int = 0) -> tuple[int, ...]:
-    """Shifted Maya bits: bit at column p is maya_bit(lam, p - shift)."""
-    return tuple(maya_bit(lam, p - shift) for p in
-                 range(window[0], window[1] + 1))
+    """Shifted Maya bits: bit at column p is 1 iff a particle of lam sits
+    at p - shift.
+
+    The particles are lam_k - k for k <= extent; zero-padded to infinity,
+    lam also has one at every position below -extent (the vacuum tail)."""
+    particles = {p - k for k, p in enumerate(lam.parts, start=1)}
+    return tuple(int(p - shift in particles or p - shift < -lam.extent)
+                 for p in range(window[0], window[1] + 1))
+
+
+def maya_bit(lam: Partition, pos: int) -> int:
+    """1 iff some particle of lam (zero-padded to infinity) sits at pos."""
+    return maya_bits(lam, (pos, pos))[0]
 
 
 def horizontal_strips_between(inner: Partition, outer: Partition) -> Iterator[Partition]:
@@ -138,67 +135,51 @@ def horizontal_strips_between(inner: Partition, outer: Partition) -> Iterator[Pa
 
     nu_k runs over [inner_k, min(outer_k, inner_{k-1})]; any choice is a
     partition, since nu_{k+1} <= inner_k <= nu_k."""
-    n = max(outer.extent, inner.extent)
-    his = (outer.part(k) if k == 1 else min(outer.part(k), inner.part(k - 1))
-           for k in range(1, n + 1))
-    for combo in itertools.product(*(range(inner.part(k), hi + 1)
-                                     for k, hi in enumerate(his, start=1))):
+    rows = list(itertools.zip_longest(inner.parts, outer.parts, fillvalue=0))
+    caps = [outer.first()] + [lo for lo, _ in rows]  # row k: inner_{k-1}
+    for combo in itertools.product(*(range(lo, min(hi, cap) + 1)
+                                     for (lo, hi), cap in zip(rows, caps))):
         yield Partition(combo)
 
 
 def strip_chains(shape: SkewShape, n: int) -> list[tuple[Partition, ...]]:
-    """All chains mu = nu^0 <= ... <= nu^n = lambda of horizontal strips."""
+    """All chains mu = nu^0 <= ... <= nu^n = lambda of horizontal strips.
+
+    Every nu^v has the shape's extent.  Chains come in lexicographic order
+    of (nu^1, ..., nu^n), each nu^v in horizontal_strips_between order:
+    every chain is extended by one strip per step, and those that end at
+    lambda are kept."""
     if n < 0:
         raise ValueError(f"number of steps must be >= 0, got {n}")
-    ext = shape.extent
-    lam = shape.outer.with_extent(ext)
-    mu = shape.inner.with_extent(ext)
-    chains: list[tuple[Partition, ...]] = []
-
-    def go(prefix: tuple[Partition, ...], steps_left: int):
-        cur = prefix[-1]
-        if steps_left == 0:
-            if cur == lam:
-                chains.append(prefix)
-            return
-        for nu in horizontal_strips_between(cur, lam):
-            go(prefix + (nu,), steps_left - 1)
-
-    go((mu,), n)
-    return chains
+    lam = shape.outer.with_extent(shape.extent)
+    chains = [(shape.inner.with_extent(shape.extent),)]
+    for _ in range(n):
+        chains = [c + (nu,) for c in chains
+                  for nu in horizontal_strips_between(c[-1], lam)]
+    return [c for c in chains if c[-1] == lam]
 
 
 def deformed_diagonals(top: Partition, bottom: Partition,
                        window: tuple[int, int]) -> set[int]:
     """Columns of [m, M] untouched by any particle moving bottom -> top.
 
-    Particle k travels from bottom_k - k to top_k - k; both partitions are
-    zero-padded as far as the window reaches, so the vacuum tail blocks its
-    own columns.  Caller guarantees top/bottom is a horizontal strip.
+    Particle k travels from bottom_k - k to top_k - k.  Zero-padded to
+    infinity, both partitions hold the vacuum tail: a particle at every
+    column below -extent, which no strip moves, so those columns are never
+    deformed.  Caller guarantees top/bottom is a horizontal strip.
     """
     m, M = window
-    out = set(range(m, M + 1))
-    kmax = max(top.extent, bottom.extent, -m if m < 0 else 0) + 1
-    for k in range(1, kmax + 1):
-        lo, hi = bottom.part(k) - k, top.part(k) - k
-        for d in range(max(lo, m), min(hi, M) + 1):
-            out.discard(d)
+    out = set(range(max(m, -max(top.extent, bottom.extent)), M + 1))
+    for k, (lo, hi) in enumerate(itertools.zip_longest(
+            bottom.parts, top.parts, fillvalue=0), start=1):
+        out.difference_update(range(lo - k, hi - k + 1))
     return out
 
 
 def partitions_in_box(rows: int, cols: int) -> list[Partition]:
-    """All partitions fitting in a rows x cols box, with extent rows."""
+    """All partitions fitting in a rows x cols box, with extent rows, in
+    lexicographically decreasing order."""
     if rows < 0 or cols < 0:
         raise ValueError(f"box {rows}x{cols} has a negative side")
-    out = []
-
-    def go(prefix: list[int], k: int):
-        if k == rows:
-            out.append(Partition(tuple(prefix)))
-            return
-        hi = prefix[-1] if prefix else cols
-        for v in range(hi, -1, -1):
-            go(prefix + [v], k + 1)
-
-    go([], 0)
-    return out
+    return [Partition(p) for p in itertools.combinations_with_replacement(
+        range(cols, -1, -1), rows)]

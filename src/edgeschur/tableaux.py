@@ -48,8 +48,8 @@ def _chain_entries(chain) -> dict[Cell, int]:
     em: dict[Cell, int] = {}
     for v in range(1, len(chain)):
         lo, hi = chain[v - 1], chain[v]
-        for i in range(1, hi.extent + 1):
-            for j in range(lo.part(i) + 1, hi.part(i) + 1):
+        for i, (a, b) in enumerate(zip(lo.parts, hi.parts), start=1):
+            for j in range(a + 1, b + 1):
                 em[(i, j)] = v
     return em
 
@@ -60,7 +60,7 @@ def _label_edge(nu: Partition, d: int) -> Cell:
     It is the upper edge of the first cell of diagonal d outside nu: row i,
     where i - 1 particles of nu (particle k at nu_k - k) sit right of d.
     """
-    i = 1 + sum(1 for k in range(1, nu.extent + 1) if nu.part(k) - k > d)
+    i = 1 + sum(1 for k, p in enumerate(nu.parts, start=1) if p - k > d)
     return (i, d + i)
 
 

@@ -149,17 +149,26 @@ class TestExpand:
 
     @pytest.mark.parametrize("family, option", [
         ("edge", ["--alpha"]), ("factorial", ["--alpha"]),
-        ("dualschur", ["--sign", "-1"]), ("edge", ["--sign", "1"])])
+        ("dualschur", ["--sign", "-1"]), ("edge", ["--sign", "1"]),
+        ("dualschur", ["--schur-expand", "2"]),
+        ("scripte", ["--schur-expand", "2"]),
+        ("schur", ["--window", "-1:1"]), ("dualschur", ["--window", "-1:1"]),
+        ("factorial", ["--trunc", "0"])])
     def test_refuses_an_option_of_another_family(self, capsys, family,
                                                  option):
-        # each exited 0 with the option ignored: edge --alpha printed a_d
-        owner = "dualschur" if option[0] == "--alpha" else "factorial"
+        # each exited 0 with the option ignored: edge --alpha printed a_d,
+        # dualschur --schur-expand 2 one s(0,0) coefficient in y, and
+        # schur --window -1:1 the plain Schur polynomial
+        windowed = "edge|ebar|dualfact|scripte|hatscripte"
+        owners = {"--alpha": "dualschur", "--sign": "factorial",
+                  "--window": windowed, "--trunc": windowed + "|dualschur",
+                  "--schur-expand": "schur|factorial|edge"}
         code = main(["expand", "--family", family, "--lambda", "1", "--n",
                      "2", "--trunc", "3", *option])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: {option[0]} applies only to --family {owner}, not "
-            f"--family {family}\n")
+            f"error: {option[0]} applies only to --family {owners[option[0]]},"
+            f" not --family {family}\n")
 
     def test_schur_expand_option(self, capsys):
         code, out = run(capsys, "expand", "--family", "edge", "--lambda", "1",
@@ -580,9 +589,11 @@ class TestExitCodes:
          "argument --schur-expand: must be an integer, got 'x'"),
         (["verify", "all", "--count", "0"],
          "argument --count: must be >= 1, got 0"),
+        (["verify", "equivalence", "--seed", "x"],
+         "argument --seed: must be an integer, got 'x'"),
     ], ids=["negative-count", "zero-count", "negative-limit",
             "negative-schur-expand", "non-integer-count",
-            "non-integer-schur-expand", "zero-count-all"])
+            "non-integer-schur-expand", "zero-count-all", "non-integer-seed"])
     def test_count_options_refuse_negatives(self, capsys, argv, message):
         # unchecked, --count -3 reports "-3 random instances agree",
         # --limit -1 silently drops the last tableau and --schur-expand -1

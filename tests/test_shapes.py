@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeschur.shapes import (Partition, SkewShape, deformed_diagonals,
-                              horizontal_strips_between, maya_bits,
+                              horizontal_strips_between, maya_bit, maya_bits,
                               partitions_in_box, strip_chains)
 from edgeschur.tableaux import enumerate_ssyt
 
@@ -55,6 +55,20 @@ class TestPartition:
         with pytest.raises(ValueError, match="negative side"):
             partitions_in_box(rows, cols)
 
+    @pytest.mark.parametrize("rows, cols, expect", [
+        (2, 2, [(2, 2), (2, 1), (2, 0), (1, 1), (1, 0), (0, 0)]),
+        (0, 3, [()]), (2, 0, [(0, 0)])])
+    def test_box_order(self, rows, cols, expect):
+        assert [lam.parts for lam in partitions_in_box(rows, cols)] == expect
+
+    @pytest.mark.parametrize("outer, inner, expect", [
+        ((2, 1), (2, 1, 0), True), ((2, 1, 0), (2, 1), True),
+        ((2, 1, 0, 0), (2,), True), ((1,), (0, 0, 0), True),
+        ((2,), (2, 1), False), ((), (1,), False), ((1, 1), (2,), False)])
+    def test_contains_across_extents(self, outer, inner, expect):
+        # parts beyond a partition's extent count as zeros
+        assert Partition(outer).contains(Partition(inner)) is expect
+
     def test_content_sum(self):
         # sum of contents = sum_j C(lam'_j, 2) - sum_i C(lam_i, 2)
         for lam in partitions_in_box(4, 4):
@@ -86,6 +100,14 @@ class TestMaya:
         hi = lam.first() + pad_hi
         assert sum(maya_bits(lam, (lo, hi))) == -lo
 
+    def test_maya_bit_reads_one_column(self):
+        window = (-5, 4)
+        for lam in partitions_in_box(3, 3) + partitions_in_box(1, 2):
+            for shift in (0, 2):
+                bits = maya_bits(lam, window, shift)
+                assert bits == tuple(maya_bit(lam, p - shift)
+                                     for p in range(window[0], window[1] + 1))
+
     def test_injective_full_5x5_box(self):
         for lo, hi in ((-5, 5), (-6, 7)):
             seen = {maya_bits(lam, (lo, hi)) for lam in partitions_in_box(5, 5)}
@@ -110,6 +132,13 @@ class TestStrips:
         assert len(strip_chains(shape, 2)) == 3
         shape2 = SkewShape.of((2, 1))
         assert len(strip_chains(shape2, 2)) == len(enumerate_ssyt(shape2, 2))
+
+    def test_chain_order(self):
+        # lexicographic in (nu^1, ..., nu^n), every nu^v at the extent
+        chains = strip_chains(SkewShape.of((2, 1), (1,)), 2)
+        assert [[nu.parts for nu in c] for c in chains] == [
+            [(1, 0), (1, 0), (2, 1)], [(1, 0), (1, 1), (2, 1)],
+            [(1, 0), (2, 0), (2, 1)], [(1, 0), (2, 1), (2, 1)]]
 
     def test_constant_chain(self):
         lam = Partition.of((2, 1))
@@ -137,6 +166,18 @@ class TestDeformedDiagonals:
         lam = Partition.of((2,), extent=2)
         # columns beyond lambda_1 - 1 are free, particle spots are not
         assert deformed_diagonals(lam, lam, (-2, 3)) == {-1, 0, 2, 3}
+
+    @pytest.mark.parametrize("top, bottom, extent, window, expect", [
+        ((2,), (), 2, (-5, 3), {2, 3}),
+        ((2, 1), (1,), 3, (-6, 1), set()),
+        ((2, 1), (1,), 2, (0, -1), set())],
+        ids=["vacuum-tail", "all-covered", "empty-window"])
+    def test_window_below_the_extent(self, top, bottom, extent, window,
+                                     expect):
+        # columns below -extent hold the vacuum tail and are never deformed
+        assert deformed_diagonals(Partition.of(top, extent),
+                                  Partition.of(bottom, extent),
+                                  window) == expect
 
     def test_brute_force_states(self):
         # oracle: a column is deformed iff no particle of any index occupies it
