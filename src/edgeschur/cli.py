@@ -127,10 +127,14 @@ def cmd_expand(args) -> int:
             ("--window", args.window, windowed),
             ("--trunc", args.trunc, windowed + ("dualschur",)),
             ("--schur-expand", args.schur_expand,
-             ("schur", "factorial", "edge"))):
+             ("schur", "factorial", "edge")),
+            ("--n", args.n, ("schur", "factorial") + windowed),
+            ("--m", args.m, ("dualschur",))):
         if value is not None and fam not in owners:
             raise ValueError(f"{option} applies only to --family "
                              f"{'|'.join(owners)}, not --family {fam}")
+    # unset until here, so that the loop above sees only a typed --n or --m
+    args.n, args.m = args.n or 2, args.m or 1
     if fam == "schur":
         poly = schur_fn(shape, args.n)
     elif fam == "factorial":
@@ -436,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--schur-expand", type=nonnegative_int, default=None,
                     metavar="SIZE")
     pe.add_argument("--format", choices=["text", "json"], default="text")
+    pe.set_defaults(n=None, m=None)  # cmd_expand fills them in
 
     suites = sub.add_parser("verify", help="run a verification suite") \
         .add_subparsers(dest="suite", required=True, parser_class=parser)

@@ -351,22 +351,11 @@ def map_vars(p: MultiPoly, fn: Callable[[VarKey], MultiPoly],
     images = {v: fn(v).truncate(trunc) for v in p.variables()}
     if all(len(q.terms) == 1 for q in images.values()):
         return _rename(p, images, trunc)
-    cache: dict[tuple[VarKey, int], MultiPoly] = {}
-
-    def power(v: VarKey, e: int) -> MultiPoly:
-        key = (v, e)
-        if key not in cache:
-            if e == 1:
-                cache[key] = images[v]
-            else:
-                cache[key] = power(v, e - 1) * power(v, 1)
-        return cache[key]
-
     out = MultiPoly.zero(trunc)
     for m, c in p.terms.items():
         term = MultiPoly.const(c, trunc)
         for v, e in _decode(m):
-            term = term * power(v, e)
+            term = term * images[v] ** e
         out._accumulate(term)
     return out
 
@@ -482,86 +471,49 @@ def canonical_string(p: MultiPoly) -> str:
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<var>a\(-?\d+\)|a-\d+|a\d+|alpha|x\d+|y\d+)"
-    r"|(?P<int>\d+)"
-    r"|(?P<op>[-+*^]))")
-
-
-def _tokenize(s: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
-        if m is None:
-            if s[pos:].strip() == "":
-                break
-            raise ParseError(f"cannot tokenize {s[pos:]!r}")
-        pos = m.end()
-        for kind in ("var", "int", "op"):
-            if m.group(kind) is not None:
-                tokens.append((kind, m.group(kind)))
-                break
-    return tokens
+    r"(?:\s*\^\s*(?P<exp>\d+))?|(?P<int>\d+)|(?P<op>[-+*]))")
 
 
 def _var_from_token(tok: str) -> VarKey:
     if tok == "alpha":
         return ALPHA
-    if tok.startswith("a("):
-        return av(int(tok[2:-1]))
-    if tok.startswith("a"):
-        return av(int(tok[1:]))
-    if tok.startswith("x"):
-        return xv(int(tok[1:]))
-    return yv(int(tok[1:]))
+    return {"a": av, "x": xv, "y": yv}[tok[0]](int(tok[1:].strip("()")))
 
 
 def parse(s: str, trunc: Optional[int] = None) -> MultiPoly:
-    """Parse the output grammar of canonical_string (sums of integer terms)."""
-    tokens = _tokenize(s)
-    if not tokens:
-        raise ParseError("empty input")
+    """Read a polynomial in the output grammar of canonical_string.
+
+    The input is a sum of terms.  A term is any number of signs (+ or -),
+    then one or more factors, joined by * or set side by side; a factor is an
+    integer or a variable (x1, y2, alpha, a3, a-3 or a(-3)) with an optional
+    ^ and integer exponent.  Blanks may stand between tokens.  One loop reads
+    one token per step and keeps the current term's sign, coefficient and
+    factors; a + or - after a factor starts the next term."""
     out = MultiPoly.zero(trunc)
-    i = 0
-    n = len(tokens)
-    while i < n:
-        sign = 1
-        while i < n and tokens[i] == ("op", "+") or i < n and tokens[i] == ("op", "-"):
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        coeff = None
-        factors: list[tuple[VarKey, int]] = []
-        expect_factor = True
-        while i < n:
-            kind, tok = tokens[i]
-            if kind == "op" and tok in "+-" and not expect_factor:
-                break
-            if kind == "op" and tok == "*":
-                i += 1
-                expect_factor = True
-                continue
-            if kind == "int":
-                coeff = (coeff if coeff is not None else 1) * int(tok)
-                i += 1
-                expect_factor = False
-                continue
-            if kind == "var":
-                v = _var_from_token(tok)
-                e = 1
-                if i + 1 < n and tokens[i + 1] == ("op", "^"):
-                    if i + 2 >= n or tokens[i + 2][0] != "int":
-                        raise ParseError("expected integer exponent after ^")
-                    e = int(tokens[i + 2][1])
-                    i += 2
-                factors.append((v, e))
-                i += 1
-                expect_factor = False
-                continue
-            raise ParseError(f"unexpected token {tok!r}")
-        if expect_factor:
-            raise ParseError("dangling operator")
-        c = sign * (coeff if coeff is not None else 1)
-        out._accumulate(MultiPoly.monomial(_encode(factors), c, trunc))
+    sign, coeff, factors, last = 1, 1, [], "+"  # last: an operator or "factor"
+    s, pos = s.rstrip(), 0
+    while pos < len(s):
+        tok = _TOKEN_RE.match(s, pos)
+        if tok is None:
+            raise ParseError(f"cannot read {s[pos:]!r}")
+        pos = tok.end()
+        var, exp, num, op = tok.group("var", "exp", "int", "op")
+        if var:
+            factors.append((_var_from_token(var), int(exp or 1)))
+        elif num:
+            coeff *= int(num)
+        elif last == "*" or op == "*" and last != "factor":
+            raise ParseError(f"unexpected {op!r} in {s!r}")
+        elif last != "factor":  # a sign before the term's first factor
+            sign = -sign if op == "-" else sign
+        elif op != "*":  # a + or - after a factor starts the next term
+            out._accumulate(MultiPoly.monomial(_encode(factors), sign * coeff,
+                                               trunc))
+            sign, coeff, factors = -1 if op == "-" else 1, 1, []
+        last = op or "factor"
+    if last != "factor":
+        raise ParseError(f"no factor at the end of {s!r}")
+    out._accumulate(MultiPoly.monomial(_encode(factors), sign * coeff, trunc))
     return out
 
 

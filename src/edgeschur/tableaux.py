@@ -124,17 +124,11 @@ class EdgeLabeledTableau:
 
     def weight(self) -> MultiPoly:
         """Single monomial: x per entry, x_v * a_{j-i} per label v at (i, j)."""
-        x_exp: dict[int, int] = {}
-        for _, v in self.entries:
-            x_exp[v] = x_exp.get(v, 0) + 1
-        a_exp: dict[int, int] = {}
+        pairs = [(xv(v), 1) for _, v in self.entries]
         for (i, j), vals in self.edge_sets:
-            for v in vals:
-                x_exp[v] = x_exp.get(v, 0) + 1
-            a_exp[j - i] = a_exp.get(j - i, 0) + len(vals)
-        return MultiPoly.monomial(_encode(
-            [*((xv(v), e) for v, e in x_exp.items()),
-             *((av(d), e) for d, e in a_exp.items())]))
+            pairs += [(xv(v), 1) for v in vals]
+            pairs.append((av(j - i), len(vals)))
+        return MultiPoly.monomial(_encode(pairs))
 
     def a_monomial(self) -> MultiPoly:
         """The a-part of the weight: a_{j-i} per label at (i, j)."""

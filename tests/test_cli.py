@@ -8,10 +8,10 @@ from edgeschur import cli, lattice, uncrowding
 from edgeschur.cli import (_fuse_window, build_parser, main, parse_box,
                            parse_partition, parse_window)
 from edgeschur.poly import MultiPoly, canonical_string, parse
-from edgeschur.schur import (EdgeSchurParams, NotSymmetric, edge_schur,
-                             variation)
+from edgeschur.schur import (EdgeSchurParams, NotSymmetric, dual_schur_alpha,
+                             edge_schur, factorial_schur, variation)
 from edgeschur.shapes import SkewShape
-from edgeschur.tableaux import EdgeLabeledTableau
+from edgeschur.tableaux import EdgeLabeledTableau, enumerate_elt
 
 
 def run(capsys, *argv):
@@ -125,6 +125,30 @@ class TestExpand:
                 else variation("DualFact", shape, p))
         assert code == 0 and out == canonical_string(want)
 
+    @pytest.mark.parametrize("sign", [[], ["--sign", "-1"]])
+    def test_factorial(self, capsys, sign):
+        code, out = run(capsys, "expand", "--family", "factorial", "--lambda",
+                        "2,1", "--n", "3", *sign)
+        want = factorial_schur(SkewShape.of((2, 1), (), extent=2), 3,
+                               sign=-1 if sign else 1)
+        assert code == 0 and out == canonical_string(want)
+
+    def test_dualschur_alpha(self, capsys):
+        code, out = run(capsys, "expand", "--family", "dualschur", "--lambda",
+                        "2,1", "--m", "2", "--trunc", "5", "--alpha")
+        want = dual_schur_alpha(SkewShape.of((2, 1), (), extent=2), 2, 5)
+        assert code == 0 and out == canonical_string(want)
+
+    def test_json_value(self, capsys):
+        code, out = run(capsys, "expand", "--family", "edge", "--lambda",
+                        "2,1", "--extent", "2", "--n", "2", "--window", "-2:2",
+                        "--format", "json")
+        want = edge_schur(SkewShape.of((2, 1), (), extent=2),
+                          EdgeSchurParams(2, (-2, 2), 2))
+        assert code == 0
+        assert json.loads(out) == {"family": "edge",
+                                   "value": canonical_string(want)}
+
     @pytest.mark.parametrize("flag,value", [("--n", "-1"), ("--m", "0"),
                                             ("--trunc", "-1")])
     def test_rejects_nonpositive_count(self, capsys, flag, value):
@@ -153,16 +177,19 @@ class TestExpand:
         ("dualschur", ["--schur-expand", "2"]),
         ("scripte", ["--schur-expand", "2"]),
         ("schur", ["--window", "-1:1"]), ("dualschur", ["--window", "-1:1"]),
-        ("factorial", ["--trunc", "0"])])
+        ("factorial", ["--trunc", "0"]), ("edge", ["--m", "3"]),
+        ("dualschur", ["--n", "5"])])
     def test_refuses_an_option_of_another_family(self, capsys, family,
                                                  option):
         # each exited 0 with the option ignored: edge --alpha printed a_d,
-        # dualschur --schur-expand 2 one s(0,0) coefficient in y, and
-        # schur --window -1:1 the plain Schur polynomial
+        # dualschur --schur-expand 2 one s(0,0) coefficient in y,
+        # schur --window -1:1 the plain Schur polynomial, and edge --m 3
+        # and dualschur --n 5 the value they give without the option
         windowed = "edge|ebar|dualfact|scripte|hatscripte"
         owners = {"--alpha": "dualschur", "--sign": "factorial",
                   "--window": windowed, "--trunc": windowed + "|dualschur",
-                  "--schur-expand": "schur|factorial|edge"}
+                  "--schur-expand": "schur|factorial|edge",
+                  "--n": "schur|factorial|" + windowed, "--m": "dualschur"}
         code = main(["expand", "--family", family, "--lambda", "1", "--n",
                      "2", "--trunc", "3", *option])
         assert code == 2
@@ -531,6 +558,19 @@ class TestCrystalAndUncrowd:
                         "--limit", "0")
         assert code == 0
         assert out.startswith("12 edge labeled tableaux")
+
+    def test_tableaux_skew_edges(self, capsys):
+        # the inner cells render as "."
+        code, out = run(capsys, "tableaux", "--lambda", "2,1", "--mu", "1",
+                        "--n", "2", "--edges")
+        tabs = list(enumerate_elt(SkewShape.of((2, 1), (1,), extent=2), 2,
+                                  (-2, 2), 2))
+        listed = "".join(f"{t.render()}\nweight: "
+                         f"{canonical_string(t.weight())}\n\n"
+                         for t in tabs[:20])
+        assert code == 0
+        assert out == f"{len(tabs)} edge labeled tableaux\n{listed}".strip()
+        assert all("." in t.render() for t in tabs[:20])
 
     def test_tableaux_json_limit(self, capsys):
         code, out = run(capsys, "tableaux", "--lambda", "1", "--n", "2",

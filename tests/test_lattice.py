@@ -567,6 +567,14 @@ class TestFactorialLattice:
             assert factorial_schur_lattice(shape, n, k0) == want
             assert factorial_schur_lattice(shape, n, k0 + 1) == want
 
+    @pytest.mark.parametrize("lam, n, kappa", [
+        ((1, 1, 1), 1, 1), ((2, 1, 1), 1, 0), ((1, 1, 1, 1), 2, 1)])
+    def test_more_parts_than_kappa_plus_n(self, lam, n, kappa):
+        # no semistandard filling in n letters: the early return's zero
+        shape = SkewShape.of(lam, (), extent=len(lam))
+        got = factorial_schur_lattice(shape, n, kappa)
+        assert got == factorial_schur(shape, n) and got.is_zero()
+
     def test_kappa_guard(self):
         with pytest.raises(WindowError):
             factorial_schur_lattice(SkewShape.of((2, 1), (1,)), 1, 0)

@@ -151,6 +151,30 @@ class TestCanonicalString:
             assert parse(canonical_string(p)) == p
 
 
+class TestParse:
+    @pytest.mark.parametrize("s, value", [
+        ("a-3*x1", V(av(-3)) * V(xv(1))),
+        ("alpha-x1", V(ALPHA) - V(xv(1))),
+        ("x1 - -x2", V(xv(1)) + V(xv(2))),
+        ("2*3*x1", 6 * V(xv(1))),
+        ("x1 ^ 2", V(xv(1)) ** 2),
+        ("-0", MultiPoly.zero()),
+        ("+x1", V(xv(1)))])
+    def test_accepts(self, s, value):
+        assert parse(s) == value
+
+    @pytest.mark.parametrize("s", ["", "  ", "-", "x1 *", "x1^", "x1 + ",
+                                   "x1*-x2", "b1"])
+    def test_refuses(self, s):
+        with pytest.raises(poly.ParseError):
+            parse(s)
+
+    @pytest.mark.parametrize("s", ["*x1", "x1**x2", "+ *x1"])
+    def test_refuses_a_star_after_no_factor(self, s):
+        with pytest.raises(poly.ParseError):
+            parse(s)
+
+
 # -- the reference printer: each monomial decoded for the sort key and again
 # for its text, with a tuple key per term --------------------------------
 

@@ -640,3 +640,15 @@ def test_from_json_refuses_repeated_positions(field, rows, message):
     blob[field] = rows
     with pytest.raises(ValidationError, match=message):
         EdgeLabeledTableau.from_json(blob)
+
+
+def test_from_json_refuses_an_extent_below_the_shape():
+    blob = {"shape": {"outer": {"parts": [2, 1], "extent": 2},
+                      "inner": {"parts": [], "extent": 2}},
+            "extent": 1, "window": [-1, 2],
+            "entries": [[1, 1, 1], [1, 2, 1], [2, 1, 2]], "edges": []}
+    with pytest.raises(ValidationError,
+                       match="declared extent smaller than the shape"):
+        EdgeLabeledTableau.from_json(blob)
+    blob["extent"] = 2
+    EdgeLabeledTableau.from_json(blob)

@@ -176,6 +176,13 @@ class TestBijection:
         for t in tabs:
             assert crowd(uncrowd(t), lam, (-2, 1), 2).key() == t.key()
 
+    def test_skew_shape_refused(self):
+        shape = SkewShape.of((2, 1), (1,))
+        t = next(iter(enumerate_elt(shape, 2, (-2, 2), 2)))
+        with pytest.raises(MalformedPair,
+                           match="uncrowding is defined for straight shapes"):
+            uncrowd(t)
+
     def test_equal_letters_on_a_diagonal(self):
         # label 1 under entry 1, built without validation: the diagonal
         # word 1, 1 would insert as if it decreased
