@@ -22,12 +22,13 @@ from functools import cache, partial
 from . import lattice
 from . import uncrowding
 from .crystal import component_decomposition, crystal_graph, dot_export
-from .poly import canonical_string, first_difference, parse, swap_x_vars
+from .poly import (MAX_DEGREE, canonical_string, first_difference, parse,
+                   swap_x_vars)
 from .schur import (EdgeSchurParams, NotSymmetric, dual_schur,
                     dual_schur_alpha, edge_schur, edge_schur_brute,
                     factorial_schur, schur_expand, variation)
 from .schur import schur as schur_fn
-from .shapes import Partition, SkewShape, partitions_in_box
+from .shapes import Partition, SkewShape, WindowError, partitions_in_box
 from .tableaux import EdgeLabeledTableau, enumerate_elt, enumerate_ssyt
 
 
@@ -110,11 +111,23 @@ def _params(args, lam: Partition) -> EdgeSchurParams:
     return EdgeSchurParams(args.n, window, extent, args.trunc)
 
 
+def _lambda(args) -> Partition:
+    """--lambda at the --extent, which must hold its parts."""
+    lam = parse_partition(args.lam)
+    if args.extent is None:
+        return lam
+    if args.extent < lam.length():
+        raise ValueError(f"--extent {args.extent} is less than the "
+                         f"{lam.length()} parts of --lambda {args.lam}")
+    return lam.with_extent(args.extent)
+
+
 def _shape(args) -> SkewShape:
     """The skew shape --lambda / --mu at the --extent."""
-    lam = parse_partition(args.lam, args.extent)
-    mu = parse_partition(args.mu)
-    return SkewShape.of(lam.parts, mu.parts, extent=args.extent or lam.extent)
+    lam, mu = _lambda(args), parse_partition(args.mu)
+    if not lam.contains(mu):
+        raise ValueError(f"--mu {mu} is not contained in --lambda {lam}")
+    return SkewShape.of(lam.parts, mu.parts, extent=lam.extent)
 
 
 def cmd_expand(args) -> int:
@@ -256,7 +269,10 @@ def _verify_commutation(args) -> tuple[bool, str]:
 def _verify_cauchy(args) -> tuple[bool, str]:
     mu, eta = parse_partition(args.mu), parse_partition(args.eta)
     window, T = args.window, args.trunc
-    rep = lattice.cauchy_check(mu, eta, args.n, args.m, window, T)
+    try:
+        rep = lattice.cauchy_check(mu, eta, args.n, args.m, window, T)
+    except WindowError as exc:
+        raise ValueError(f"--window {window[0]}:{window[1]}: {exc}") from None
     # the grids are exact only below degree 2(M0+1) - (eta1 + n) - mu1:
     # a failure at or past it is a window too narrow for T
     firsts = eta.first() + args.n + mu.first()
@@ -314,7 +330,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_crystal(args) -> int:
-    lam = parse_partition(args.lam)
+    lam = _lambda(args)
     g = crystal_graph(lam, _params(args, lam))
     comps = component_decomposition(g)
     summary = []
@@ -500,6 +516,10 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a degree the packed monomials cannot hold
+        print(f"error: {exc}: degrees above MAX_DEGREE = {MAX_DEGREE} are "
+              "not represented", file=sys.stderr)
         return 2
 
 

@@ -11,13 +11,13 @@ program, one vertex at a time with states merged after every vertex; the
 tests check it against a brute-force state enumeration of their own.
 
 One sweep serves a set of top profiles: from one bottom profile it returns
-Z for each top of the set it reaches, with weight tables the caller builds
-(partition_function once per call, commutation_check once per check).  It
-carries polynomials only for states that can still reach one of those
-tops.  Before it starts, a backward pass over bits alone (no weights)
-runs from the tops down through the rows and right to left through the
-columns, and marks each (h, profile) state that some chain of table keys
-connects to a top; the forward sweep drops every unmarked state.
+Z for each top of the set it reaches.  It carries polynomials only for
+states that can still reach one of those tops.  Before it starts, a
+backward pass over bits alone (no weights) runs from the tops down through
+the rows and right to left through the columns, and marks each (h, profile)
+state that some chain of table keys connects to a top; the forward sweep
+drops every unmarked state.  The marks depend only on the rows and tops, so
+commutation_check marks once per row order for all its bottom profiles.
 This is the forward-backward trimming of a transfer-matrix DP, here over
 the row transfer matrices of Brubaker-Bump-Friedberg, "Schur polynomials
 and the Yang-Baxter equation" (CMP 2011).
@@ -28,10 +28,13 @@ lam_1, and a column outside the window [m, M] carries a = 0: the label rule
 of the edge Schur function, under which L's a1 weight 1 + a x becomes 1.
 On a window that already spans both ends the grid is the window itself.
 
-_weight_table builds each table once per process, in a cache of at most
-256 keyed by the model, both parameters' terms and truncations, and trunc.
-The tables are shared and read only.  A model equals only itself, so a
-perturbed or a test's own model never picks up a stock model's table.
+A row's per-column tables are built once per process, in a cache of at
+most 256 rows keyed by value (model, row parameter, window, labels, trunc)
+over one of at most 256 tables keyed by (model, x, a, trunc).  Each table
+carries its keys indexed once, by (e, n) for the backward marks and by
+(h, s) for the forward moves.  Both are shared and read only.  A model
+equals only itself, so a perturbed or a test's own model never picks up a
+stock model's row or table.
 """
 
 from __future__ import annotations
@@ -201,30 +204,58 @@ class GridSpec:
 
     def col_param(self, d: int) -> MultiPoly:
         """a_d, or 0 on a column outside labels (None labels every column)."""
-        if self.labels is None or self.labels[0] <= d <= self.labels[1]:
-            return MultiPoly.var(av(d))
-        return _ZERO
+        return _col_param(self.labels, d)
 
 
-def _weight_table(row: GridRow, a: MultiPoly,
-                  trunc: Optional[int]) -> dict[Config, MultiPoly]:
-    """The row's table cut to trunc (zeros were left out before); 1 is _ONE.
-    Shared and read only: the module docstring's cache of 256, whose key
-    holds each parameter as its (terms, trunc) by value."""
-    keys = [(tuple(p.terms.items()), p.trunc) for p in (row.param, a)]
-    return _cached_table(row.model, *keys, trunc)
+def _col_param(labels: Optional[tuple[int, int]], d: int) -> MultiPoly:
+    if labels is None or labels[0] <= d <= labels[1]:
+        return MultiPoly.var(av(d))
+    return _ZERO
+
+
+def _poly_key(p: MultiPoly) -> tuple:
+    return tuple(p.terms.items()), p.trunc
+
+
+class _Table(dict):
+    """{(h, s, e, n): weight}; moves[h + 2s] lists (e - h, n - s, weight)
+    per key, e = 0 first, and back[e + 2n] lists (h - e, s - n)."""
+    __slots__ = ("moves", "back")
+
+
+def _grid_tables(rows: tuple[GridRow, ...], window: tuple[int, int],
+                 labels, trunc) -> list[tuple[_Table, ...]]:
+    """Each row's per-column tables cut to trunc: the module's row cache."""
+    return [_row_tables(row.model, _poly_key(row.param), window, labels,
+                        trunc) for row in rows]
+
+
+@functools.lru_cache(maxsize=256)
+def _row_tables(model: VertexModel, x: tuple, window: tuple[int, int],
+                labels: Optional[tuple[int, int]],
+                trunc: Optional[int]) -> tuple[_Table, ...]:
+    return tuple(_cached_table(model, x, _poly_key(_col_param(labels, d)),
+                               trunc)
+                 for d in range(window[0], window[1] + 1))
 
 
 @functools.lru_cache(maxsize=256)
 def _cached_table(model: VertexModel, x: tuple, a: tuple,
-                  trunc: Optional[int]) -> dict[Config, MultiPoly]:
-    table = {}
+                  trunc: Optional[int]) -> _Table:
+    """model's table at (x, a) cut to trunc (zeros were left out before)."""
+    table = _Table()
     for cfg, wt in model.table(MultiPoly(dict(x[0]), x[1]),
                                MultiPoly(dict(a[0]), a[1])).items():
         if trunc is not None and (wt.trunc is None or wt.trunc > trunc):
             wt = wt.truncate(trunc)  # a tighter cutoff of its own stays
         unit = wt.terms == _ONE.terms and wt.trunc in (None, trunc)
         table[cfg] = _ONE if unit else wt
+    cfgs = sorted(table, key=lambda cfg: cfg[2])
+    table.moves = tuple(tuple((e - h, n - s, table[h, s, e, n])
+                              for h, s, e, n in cfgs if h + 2 * s == i)
+                        for i in range(4))
+    table.back = tuple(tuple((h - e, s - n) for h, s, e, n in cfgs
+                             if e + 2 * n == i) for i in range(4))
     return table
 
 
@@ -247,10 +278,10 @@ def _merge(parts: list[tuple[MultiPoly, MultiPoly]],
 
 
 def _live_states(rows: tuple[GridRow, ...],
-                 tables: list[list[dict[Config, MultiPoly]]],
-                 tops: set[int]) -> list[list[set]]:
-    """live[r][c]: the (h, profile) states leaving column c of row r from
-    which a path still reaches one of the top profiles.
+                 tables: list[tuple[_Table, ...]],
+                 tops: set[int]) -> list[list[set[int]]]:
+    """live[r][c]: the states leaving column c of row r from which a path
+    still reaches one of the top profiles.
 
     A pass over bits only, top row first and right to left: the states
     leaving a row's last column are its right boundary label over a profile
@@ -262,58 +293,56 @@ def _live_states(rows: tuple[GridRow, ...],
     after = tops
     for row, row_tables in zip(reversed(rows), reversed(tables)):
         left, right = row.bounds()
-        states = {(right, prof) for prof in after}
+        states = {prof << 1 | right for prof in after}
         marks = []
         for c in range(len(row_tables) - 1, -1, -1):
             marks.append(states)
-            states = {(h, prof + ((s - n_) << c))
-                      for e, prof in states for h, s, e_, n_ in row_tables[c]
-                      if e_ == e and n_ == prof >> c & 1}
+            back = row_tables[c].back
+            states = {st + dh + (ds << c + 1) for st in states
+                      for dh, ds in back[st & 1 | st >> c & 2]}
         live.append(marks[::-1])
-        after = {prof for h, prof in states if h == left}
+        after = {st >> 1 for st in states if st & 1 == left}
     return live[::-1]
 
 
-def _sweep(rows: tuple[GridRow, ...],
-           tables: list[list[dict[Config, MultiPoly]]], bottom: int,
-           tops: set[int], trunc: Optional[int]) -> dict[int, MultiPoly]:
+def _sweep(rows: tuple[GridRow, ...], tables: list[tuple[_Table, ...]],
+           bottom: int, tops: set[int], trunc: Optional[int],
+           live: Optional[list[list[set[int]]]] = None
+           ) -> dict[int, MultiPoly]:
     """{top: Z} for every profile in tops that the bottom profile reaches.
 
     A column-sweep profile DP, bottom row first, merged after every vertex.
-    Entering column c a state is (h, profile): the horizontal label, and the
-    emitted top bits below bit c over the bottom bits not yet consumed.
-    tables[r][c] is row r's weight table at column c, built by the caller,
-    and the sweep keeps only the states _live_states marks from tops."""
-    live = _live_states(rows, tables, tops)
+    Entering column c a state is (h, profile), the int profile << 1 | h:
+    the horizontal label, and the emitted top bits below bit c over the
+    bottom bits not yet consumed.  tables[r][c] is row r's table at column
+    c, and the sweep keeps only the states marked in live (by default
+    _live_states of rows, tables and tops)."""
+    if live is None:
+        live = _live_states(rows, tables, tops)
     frontier = {bottom: MultiPoly.one(trunc)}
     for row, row_tables, row_live in zip(rows, tables, live):
         left, right = row.bounds()
-        states = {(left, prof): acc for prof, acc in frontier.items()}
+        states = {prof << 1 | left: acc for prof, acc in frontier.items()}
         for c, (table, marked) in enumerate(zip(row_tables, row_live)):
-            inflow: dict[tuple[int, int], list] = {}
-            for (h, prof), acc in states.items():
-                s = prof >> c & 1
-                for e in (0, 1):
-                    n_ = h + s - e
-                    wt = table.get((h, s, e, n_))
-                    if wt is not None:
-                        key = (e, prof + ((n_ - s) << c))
-                        if key in marked:
-                            inflow.setdefault(key, []).append((wt, acc))
+            inflow: dict[int, list] = {}
+            moves = table.moves
+            for st, acc in states.items():
+                for de, dn, wt in moves[st & 1 | st >> c & 2]:
+                    key = st + de + (dn << c + 1)
+                    if key in marked:
+                        inflow.setdefault(key, []).append((wt, acc))
             states = {key: _merge(parts, trunc)
                       for key, parts in inflow.items()}
-        frontier = {prof: z for (h, prof), z in states.items() if h == right}
+        frontier = {st >> 1: z for st, z in states.items() if st & 1 == right}
     return {prof: z for prof, z in frontier.items() if prof in tops}
 
 
 def partition_function(g: GridSpec) -> MultiPoly:
-    """Z of the grid: one _sweep to the single top profile g.top, with each
-    (row, column) weight table built once, up front."""
+    """Z of the grid: one _sweep to the single top profile g.top."""
     ncols = g.window[1] - g.window[0] + 1
     if len(g.bottom) != ncols or len(g.top) != ncols:
         raise ValueError("boundary bit count does not match the window")
-    tables = [[_weight_table(row, g.col_param(d), g.trunc)
-               for d in g.columns()] for row in g.rows]
+    tables = _grid_tables(g.rows, g.window, g.labels, g.trunc)
     top = _profile(g.top)
     return _sweep(g.rows, tables, _profile(g.bottom), {top},
                   g.trunc).get(top, _ZERO)
@@ -446,8 +475,8 @@ def commutation_check(box: tuple[int, int], window: tuple[int, int],
     window must satisfy 2*M - 2*box_cols >= T - 1 for a truncation-T check.
     Flipping the t-row right boundary to 1 readmits the escape state and
     breaks the relation.  Both grids are cut at T inside the DP, which is
-    exact: truncation by total degree is a ring map.  The row tables are
-    built once per check; each bottom mu gets one sweep per row order and
+    exact: truncation by total degree is a ring map.  Each row order marks
+    its live states once; each bottom mu gets one sweep per row order and
     every lam is read off its frontier (2 * #box sweeps, not 2 * #box^2).
     Returns (ok, witness), the witness at the first failing (lam, mu) in
     lam-major order.
@@ -455,15 +484,18 @@ def commutation_check(box: tuple[int, int], window: tuple[int, int],
     x, y = MultiPoly.var(xv(1)), MultiPoly.var(yv(1))
     rows = (GridRow(model_Ell(-1), x, right=1 if flip_t_right else None),
             GridRow(model_Lstar(), y))
-    tables = [[_weight_table(row, MultiPoly.var(av(d)), T)
-               for d in range(window[0], window[1] + 1)] for row in rows]
+    tables = _grid_tables(rows, window, None, T)
     shapes = partitions_in_box(*box)
     # with the escape readmitted the particle count no longer grows
     tops = [_profile(maya_bits(lam, window, shift=0 if flip_t_right else 1))
             for lam in shapes]
-    # per mu: {top: Z} with the t-row below the Tstar-row, then above it
-    sweeps = [[_sweep(rows[::k], tables[::k], _profile(maya_bits(mu, window)),
-                      set(tops), T) for k in (1, -1)] for mu in shapes]
+    # the t-row below the Tstar-row, then above it
+    orders = [(rows[::k], tables[::k]) for k in (1, -1)]
+    lives = [_live_states(*order, set(tops)) for order in orders]
+    # per mu: {top: Z} in each row order
+    sweeps = [[_sweep(*order, _profile(maya_bits(mu, window)), set(tops), T,
+                      live) for order, live in zip(orders, lives)]
+              for mu in shapes]
     kernel = _ONE - x * y
     ok = True
     witness = None
@@ -505,8 +537,10 @@ def cauchy_check(mu: Partition, eta: Partition, n: int, m: int,
     |mu| + |eta| - 2|kap| > T.
     """
     m0, M0 = window
-    if m0 > -mu.extent or m0 > -eta.extent:
-        raise WindowError("window must cover the vacuum of mu and eta")
+    low = -max(mu.extent, eta.extent)
+    if m0 > low:
+        raise WindowError("the window must cover the vacuum of mu and eta: "
+                          f"m <= -max(extent of mu, eta) = {low}, got m = {m0}")
     x_rows = tuple(GridRow(model_Ell(-1), MultiPoly.var(xv(i)))
                    for i in range(1, n + 1))
     y_rows_desc = tuple(GridRow(model_Lstar(), MultiPoly.var(yv(j)))

@@ -477,7 +477,10 @@ _TOKEN_RE = re.compile(
 def _var_from_token(tok: str) -> VarKey:
     if tok == "alpha":
         return ALPHA
-    return {"a": av, "x": xv, "y": yv}[tok[0]](int(tok[1:].strip("()")))
+    try:
+        return {"a": av, "x": xv, "y": yv}[tok[0]](int(tok[1:].strip("()")))
+    except ValueError as exc:  # an x or y index below 1
+        raise ParseError(f"cannot read {tok!r}: {exc}") from None
 
 
 def parse(s: str, trunc: Optional[int] = None) -> MultiPoly:

@@ -82,6 +82,38 @@ class TestParsing:
         assert parse_window("0:-1") == (0, -1)
         assert parse_box("0:0") == (0, 0)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["expand", "--family", "edge", "--lambda", "2,1", "--extent", "1"],
+         "--extent 1 is less than the 2 parts of --lambda 2,1"),
+        (["crystal", "--lambda", "1,1,1", "--extent", "2", "--n", "2"],
+         "--extent 2 is less than the 3 parts of --lambda 1,1,1"),
+        (["tableaux", "--lambda", "1", "--mu", "1,1"],
+         "--mu (1,1) is not contained in --lambda (1)"),
+        (["expand", "--family", "schur", "--lambda", "2,0", "--mu", "3"],
+         "--mu (3) is not contained in --lambda (2,0)"),
+        (["verify", "cauchy", "--mu", "1,1", "--window", "-1:3"],
+         "--window -1:3: the window must cover the vacuum of mu and eta: "
+         "m <= -max(extent of mu, eta) = -2, got m = -1"),
+    ], ids=["extent-expand", "extent-crystal", "mu-parts", "mu-part",
+            "window-cauchy-vacuum"])
+    def test_refusal_names_its_option(self, capsys, argv, message):
+        # each named no option: "extent k < number of parts p", "inner (...)
+        # not contained in outer (...)" and "window must cover the vacuum of
+        # mu and eta"
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {message}\n"
+
+    def test_degree_above_the_limit_is_refused(self, capsys):
+        # ended in a bare OverflowError traceback with exit 1
+        code = main(["expand", "--family", "schur", "--lambda", "40000",
+                     "--n", "1"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err == ("error: product degree 32768 exceeds 32767: degrees"
+                           " above MAX_DEGREE = 32767 are not represented\n")
+        assert "Traceback" not in out.err
+
 
 class TestExpand:
     def test_edge_paper_example(self, capsys):

@@ -303,8 +303,7 @@ class TestSweep:
 
     @staticmethod
     def tables(g):
-        return [[lattice._weight_table(row, g.col_param(d), g.trunc)
-                 for d in g.columns()] for row in g.rows]
+        return lattice._grid_tables(g.rows, g.window, g.labels, g.trunc)
 
     @pytest.mark.parametrize("kind", ["L", "Lstar", "Ell(-a)", "mixed"])
     def test_every_top_equals_partition_function_and_brute(self, kind):
@@ -367,7 +366,7 @@ class TestSweep:
 
 
 class TestTableCache:
-    """_weight_table's tables are built once per process and shared, so the
+    """_cached_table's tables are built once per process and shared, so the
     cache must key on the model object and hand out tables nobody changes."""
 
     def test_stock_models_are_one_instance_each(self):
@@ -421,6 +420,88 @@ class TestTableCache:
 
     def test_cache_is_bounded(self):
         assert lattice._cached_table.cache_info().maxsize == 256
+
+
+class TestRowCache:
+    """_grid_tables reads each row's per-column tables from one bounded
+    cache keyed by value, and each table carries its keys indexed once."""
+
+    GRID = GridSpec((GridRow(model_Ell(-1), V(xv(1))),
+                     GridRow(model_Lstar(), V(yv(1))),
+                     GridRow(model_L(), V(xv(2)), left=1)),
+                    (-2, 2), (1, 0, 1, 0, 0), (1, 1, 0, 0, 1),
+                    labels=(-1, 1), trunc=3)
+
+    @staticmethod
+    def snapshot(rows):
+        return [[({cfg: (dict(wt.terms), wt.trunc) for cfg, wt in t.items()},
+                  [[(de, dn, dict(wt.terms)) for de, dn, wt in m]
+                   for m in t.moves], t.back) for t in row] for row in rows]
+
+    def test_cache_is_bounded(self):
+        assert lattice._row_tables.cache_info().maxsize == 256
+
+    def test_rows_are_shared_and_left_unchanged(self):
+        g = self.GRID
+        rows = TestSweep.tables(g)
+        before = self.snapshot(rows)
+        assert partition_function(g) == partition_function_brute(g).truncate(3)
+        assert all(r is s for r, s in zip(TestSweep.tables(g), rows))
+        assert self.snapshot(rows) == before
+        # the table of a column is the one _cached_table holds for it
+        for row, tables in zip(g.rows, rows):
+            assert len(tables) == 5
+            for d, t in zip(g.columns(), tables):
+                assert t is lattice._cached_table(
+                    row.model, lattice._poly_key(row.param),
+                    lattice._poly_key(g.col_param(d)), g.trunc)
+
+    def test_index_lists_every_key_in_sweep_order(self):
+        for row in TestSweep.tables(self.GRID):
+            for t in row:
+                moves = [[] for _ in range(4)]
+                back = [[] for _ in range(4)]
+                for e in (0, 1):  # the order the sweep tried keys in
+                    for (h, s, e_, n), wt in t.items():
+                        if e_ == e:
+                            moves[h + 2 * s].append((e - h, n - s, wt))
+                            back[e + 2 * n].append((h - e, s - n))
+                assert [list(m) for m in t.moves] == moves
+                assert sorted(map(sorted, t.back)) == sorted(map(sorted, back))
+
+    def test_perturbed_model_gets_its_own_row(self):
+        g = self.GRID
+        stock = model_Lstar()
+        for mode in ("one", "double"):
+            model = stock.perturbed("b2", mode)
+            rows = (GridRow(model, V(yv(1))),)
+            [own] = lattice._grid_tables(rows, g.window, g.labels, g.trunc)
+            [theirs] = lattice._grid_tables((GridRow(stock, V(yv(1))),),
+                                            g.window, g.labels, g.trunc)
+            assert own is not theirs
+            for d, t in zip(g.columns(), own):
+                want = model.table(V(yv(1)), g.col_param(d))
+                assert {cfg: wt.truncate(3) for cfg, wt in t.items()} == \
+                    {cfg: wt.truncate(3) for cfg, wt in want.items()}
+            # on a labeled column b2 = 1 + a*y differs from 1 and 2 + 2*a*y
+            assert any(t != u for t, u in zip(own, theirs))
+
+    def test_commutation_marks_liveness_once_per_row_order(self, monkeypatch):
+        calls = []
+        real = lattice._live_states
+
+        def counting(rows, tables, tops):
+            calls.append(len(rows))
+            return real(rows, tables, tops)
+
+        monkeypatch.setattr(lattice, "_live_states", counting)
+        for box, window, T, flip in (((2, 2), (-2, 5), 6, False),
+                                     ((2, 2), (-2, 5), 6, True),
+                                     ((1, 3), (-1, 5), 4, False)):
+            del calls[:]
+            ok, _ = commutation_check(box, window, T, flip_t_right=flip)
+            assert ok != flip
+            assert calls == [2, 2]
 
 
 class TestEdgeSchurLattice:

@@ -174,6 +174,12 @@ class TestParse:
         with pytest.raises(poly.ParseError):
             parse(s)
 
+    @pytest.mark.parametrize("s, token", [("x0", "x0"), ("2*y0^2 + x1", "y0")])
+    def test_refuses_an_index_below_one_naming_its_token(self, s, token):
+        with pytest.raises(poly.ParseError, match=f"cannot read '{token}': "
+                           "[xy]-index must be >= 1, got 0"):
+            parse(s)
+
 
 # -- the reference printer: each monomial decoded for the sort key and again
 # for its text, with a tuple key per term --------------------------------
