@@ -351,7 +351,12 @@ def cmd_crystal(args) -> int:
 
 def cmd_uncrowd(args) -> int:
     with open(args.infile) as fh:
-        t = EdgeLabeledTableau.from_json(json.load(fh))
+        try:
+            blob = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"--in {args.infile}: JSON nested too deeply "
+                             "to read") from None
+    t = EdgeLabeledTableau.from_json(blob)
     pair = uncrowding.uncrowd(t)
     print(json.dumps({
         "P": [list(r) for r in pair.P],

@@ -2,8 +2,8 @@
 
 All families are exact MultiPoly values.  The four closed forms are one
 branching rule, E_{lam/mu}(x_1..x_n) = sum_nu E_{nu/mu}(x_1..x_{n-1}) *
-R(lam/nu, x_n), summed by one memoized engine, _branch.  Each family gives
-only its row weight R for a horizontal strip filled with the letter v:
+R(lam/nu, x_n), summed level by level, v = 1..n, by _branch.  Each family
+gives only its row weight R for a horizontal strip filled with the letter v:
 x_v^|strip| (schur); prod over strip cells of (x_v - sign*a_{v+content+shift})
 (factorial_schur); x_v^|strip| prod over deformed diagonals d of
 (1 + sign*a_{d+shift} x_v) (edge_schur); prod over strip cells of
@@ -23,7 +23,6 @@ Series-valued variations carry a mandatory total-degree truncation.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -63,31 +62,30 @@ def _branch(shape: SkewShape, n: int,
     """Sum over chains mu = nu^0 <= ... <= nu^n = lam of horizontal strips
     of prod_v row(nu^v, nu^(v-1), v), mod total degree trunc.
 
-    lower(nu, v) sums the chains of v strips from mu up to nu.  Its step
-    visits every nu' with nu'_k in [max(mu_k, nu_{k+1}), nu_k], which is
-    exactly mu <= nu' <= nu with nu/nu' a horizontal strip.
+    Level v maps each nu reached from mu by v strips to the sum of its
+    chains.  From each `below` the step visits every nu with nu_k in
+    [max(below_k, lam_{k+n-v}), min(lam_k, below_{k-1})], below_0 = lam_1:
+    exactly the horizontal strips over `below` from which lam is still
+    reachable in the n - v strips left.  Zero sums are dropped.
     """
     if n < 0:
         raise ValueError(f"number of steps must be >= 0, got {n}")
     ext = shape.extent
     lam = shape.outer.with_extent(ext)
-    mu = shape.inner.with_extent(ext)
-
-    @functools.lru_cache(maxsize=None)
-    def lower(nu: Partition, v: int) -> MultiPoly:
-        if v == 0:
-            return MultiPoly.one(trunc) if nu == mu else MultiPoly.zero(trunc)
-        out = MultiPoly.zero(trunc)
-        for parts in itertools.product(*(
-                range(max(m, nxt), top + 1) for m, nxt, top in
-                zip(mu.parts, nu.parts[1:] + (0,), nu.parts))):
-            below = Partition(parts)
-            prev = lower(below, v - 1)
-            if prev:
-                out._accumulate(prev, row(nu, below, v))
-        return out
-
-    return lower(lam, n)
+    level = {shape.inner.with_extent(ext): MultiPoly.one(trunc)}
+    for v in range(1, n + 1):
+        floor = lam.parts[n - v:] + (0,) * ext
+        nxt: dict[Partition, MultiPoly] = {}
+        for below, acc in level.items():
+            for parts in itertools.product(*(
+                    range(max(lo, f), min(hi, up) + 1) for lo, f, hi, up in
+                    zip(below.parts, floor, lam.parts,
+                        lam.parts[:1] + below.parts))):
+                nu = Partition(parts)
+                nxt.setdefault(nu, MultiPoly.zero(trunc))._accumulate(
+                    acc, row(nu, below, v))
+        level = {nu: total for nu, total in nxt.items() if total}
+    return level.get(lam, MultiPoly.zero(trunc))
 
 
 def _var(kind: str, i: int) -> MultiPoly:

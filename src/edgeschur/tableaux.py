@@ -296,16 +296,27 @@ def _partition_key(parts: tuple[int, ...]) -> str:
 
 
 def _ints(value) -> bool:
-    """An int or nested lists of ints; bool and float are not ints here."""
-    return type(value) is int or (type(value) is list
-                                  and all(map(_ints, value)))
+    """An int or nested lists of ints; bool and float are not ints here.
+    Walked with a stack, so no nesting depth recurses."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if type(value) is list:
+            stack.extend(value)
+        elif type(value) is not int:
+            return False
+    return True
 
 
 def _by_position(rows: list, what: str) -> dict:
     """{(i, j): value} of JSON [i, j, value] rows.  A repeated (i, j) is
     refused: a dict would keep its last value and load another tableau."""
     out = {}
-    for i, j, value in rows:
+    for number, row in enumerate(rows, start=1):
+        if type(row) is not list or len(row) != 3:
+            raise ValidationError(f"{what} row number {number} is not "
+                                  "[i, j, value]")
+        i, j, value = row
         if (i, j) in out:
             raise ValidationError(f"repeated {what} position {(i, j)}")
         out[i, j] = value

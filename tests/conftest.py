@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import edgeschur
 from edgeschur.poly import MultiPoly, av, xv, yv
 
 
@@ -23,6 +28,22 @@ def A():
 @pytest.fixture
 def one():
     return MultiPoly.one()
+
+
+@pytest.fixture
+def fresh_python():
+    """Run Python source in a new interpreter; return (exit code, stdout,
+    stderr).  For inputs with hundreds of variables: the packed-monomial
+    registry is process-wide, so x_1..x_600 registered in the test process
+    would widen every monomial of the tests after it."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(edgeschur.__file__).parents[1])}
+
+    def run(source: str):
+        proc = subprocess.run([sys.executable, "-c", source], env=env,
+                              capture_output=True, text=True, timeout=300)
+        return proc.returncode, proc.stdout, proc.stderr
+    return run
 
 
 def random_poly(rng: random.Random, nvars: int = 3, max_deg: int = 3,

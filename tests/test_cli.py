@@ -126,6 +126,15 @@ class TestExpand:
                        " + a1*x1*x2^2 + a(-1)*a0*x1^2*x2^2"
                        " + a(-1)*a1*x1^2*x2^2 + a0*a1*x1^2*x2^2")
 
+    def test_schur_has_no_depth_limit_on_n(self, fresh_python):
+        # the recursive branching engine raised RecursionError from n = 495
+        code, out, err = fresh_python(
+            "import sys\nfrom edgeschur.cli import main\n"
+            "sys.exit(main(['expand', '--family', 'schur', '--lambda', '1',"
+            " '--n', '600']))")
+        assert code == 0 and err == ""
+        assert out.strip().split(" + ") == [f"x{i}" for i in range(1, 601)]
+
     def test_empty_schur(self, capsys):
         code, out = run(capsys, "expand", "--family", "schur", "--lambda", "")
         assert code == 0 and out == "1"
@@ -583,6 +592,25 @@ class TestCrystalAndUncrowd:
         out = capsys.readouterr()
         assert code == 2 and out.out == ""
         assert out.err == message + "\n"
+
+    @pytest.mark.parametrize("depth, message", [
+        (900, "edge row number 1 is not [i, j, value]"),
+        (5000, "--in {}: JSON nested too deeply to read"),
+    ], ids=["checked", "decoded"])
+    def test_uncrowd_deep_nesting(self, capsys, tmp_path, depth, message):
+        # both ended in a bare RecursionError traceback with exit 1: 900
+        # deep in the int check, 5,000 deep in json.load itself
+        blob = {"shape": {"outer": {"parts": [2], "extent": 1},
+                          "inner": {"parts": [], "extent": 1}},
+                "extent": 1, "window": [-1, 2],
+                "entries": [[1, 1, 1], [1, 2, 1]]}
+        f = tmp_path / "t.json"
+        f.write_text(json.dumps(blob)[:-1] + ', "edges": '
+                     + "[" * depth + "]" * depth + "}")
+        code = main(["uncrowd", "--in", str(f)])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err == "error: " + message.format(f) + "\n"
 
     def test_tableaux_count(self, capsys):
         code, out = run(capsys, "tableaux", "--lambda", "2,0", "--extent",

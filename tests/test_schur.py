@@ -336,7 +336,8 @@ def test_closed_forms_use_no_other_route(monkeypatch):
     for mod in [m for name, m in sys.modules.items()
                 if name.split(".")[0] == "edgeschur"]:
         for name in ("enumerate_elt", "enumerate_ssyt", "strip_chains",
-                     "partition_function"):
+                     "partition_function", "horizontal_strips_between",
+                     "_checked_chains", "_sweep"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)
     shape = SkewShape.of((2, 1), (1,), extent=2)
@@ -346,6 +347,49 @@ def test_closed_forms_use_no_other_route(monkeypatch):
     assert not edge_schur(shape, p).is_zero()
     assert not dual_schur(shape, 2, 4).is_zero()
     assert not variation("ScriptE", shape, p).is_zero()
+
+
+class TestBranchEngine:
+    @pytest.mark.parametrize("outer, inner, calls", [
+        ((3, 2, 1), (1,), (38, 38, 88)),
+        ((3, 3), (), (18, 18, 48)),
+        ((2, 2, 1), (1, 1), (17, 17, 32)),
+    ], ids=["321-1", "33", "221-11"])
+    def test_row_calls_are_pinned(self, monkeypatch, outer, inner, calls):
+        """The engine visits only the strips from which lam is still
+        reachable: without the lam_{k+n-v} floor these read 90/90/141,
+        59/59/94 and 31/31/46."""
+        module = sys.modules["edgeschur.schur"]
+        branch = module._branch
+        count = [0]
+
+        def counting(shape, n, row, trunc=None):
+            def counted(*args):
+                count[0] += 1
+                return row(*args)
+            return branch(shape, n, counted, trunc)
+
+        monkeypatch.setattr(module, "_branch", counting)
+        shape = SkewShape.of(outer, inner, extent=3)
+        got = []
+        for form in (lambda: edge_schur(shape, EdgeSchurParams(3, (-3, 3), 3)),
+                     lambda: factorial_schur(shape, 3),
+                     lambda: schur(shape, 4)):
+            count[0] = 0
+            form()
+            got.append(count[0])
+        assert tuple(got) == calls
+
+    def test_no_depth_limit_on_n(self, fresh_python):
+        # the recursive engine raised RecursionError from n = 495
+        code, out, err = fresh_python(
+            "from edgeschur import canonical_string, schur, SkewShape\n"
+            "for parts, n in [((), 1500), ((1,), 600)]:\n"
+            "    print(canonical_string(schur(SkewShape.of(parts, (),"
+            " extent=1), n)))\n")
+        assert code == 0, err
+        assert out.splitlines() == [
+            "1", " + ".join(f"x{i}" for i in range(1, 601))]
 
 
 def test_brute_oracle_uses_no_other_route(monkeypatch):

@@ -642,6 +642,24 @@ def test_from_json_refuses_repeated_positions(field, rows, message):
         EdgeLabeledTableau.from_json(blob)
 
 
+@pytest.mark.parametrize("field, rows, message", [
+    ("entries", [[1, 1]], r"entry row number 1 is not \[i, j, value\]"),
+    ("entries", [[1, 1, 1, 1]],
+     r"entry row number 1 is not \[i, j, value\]"),
+    ("edges", [2], r"edge row number 1 is not \[i, j, value\]"),
+], ids=["short", "long", "int"])
+def test_from_json_refuses_a_row_not_a_triple(field, rows, message):
+    # unpacked as i, j, value, these raised Python's "not enough values to
+    # unpack (expected 3, got 2)" and "too many values to unpack"
+    blob = {"shape": {"outer": {"parts": [2], "extent": 1},
+                      "inner": {"parts": [], "extent": 1}},
+            "extent": 1, "window": [-1, 2],
+            "entries": [[1, 1, 1], [1, 2, 1]], "edges": []}
+    blob[field] = rows
+    with pytest.raises(ValidationError, match=message):
+        EdgeLabeledTableau.from_json(blob)
+
+
 def test_from_json_refuses_an_extent_below_the_shape():
     blob = {"shape": {"outer": {"parts": [2, 1], "extent": 2},
                       "inner": {"parts": [], "extent": 2}},
