@@ -47,7 +47,8 @@ from typing import Optional
 from .poly import MultiPoly, av, canonical_string, series_inverse, xv, yv
 from .shapes import (Partition, SkewShape, WindowError, deformed_diagonals,
                      maya_bits, partitions_in_box)
-from .schur import EdgeSchurParams, edge_schur, factorial_schur
+from .schur import (EdgeSchurParams, _edge_row, _factorial_row, _levels,
+                    edge_schur, factorial_schur)
 
 Config = tuple[int, int, int, int]  # (west, south, east, north)
 
@@ -534,7 +535,14 @@ def cauchy_check(mu: Partition, eta: Partition, n: int, m: int,
     s_{A/B} is homogeneous of degree |A/B| and E^{A/B} has no term below
     that degree, so the sums skip, before computing them, the terms that
     truncation at T cuts: lam with 2|lam| - |mu| - |eta| > T and kap with
-    |mu| + |eta| - 2|kap| > T.
+    |mu| + |eta| - 2|kap| > T.  This size bound is tested before
+    containment, as it is cheaper and cuts more.
+
+    sum_a reads every surviving lam off two level maps of the branching
+    rule (schur._levels): the factorial one from mu, then the edge one from
+    eta over the lam whose factorial part is nonzero, with the row weights
+    that factorial_schur and edge_schur build by subset doubling.  sum_b
+    computes each kap's pair of closed forms on its own.
     """
     m0, M0 = window
     low = -max(mu.extent, eta.extent)
@@ -562,27 +570,27 @@ def cauchy_check(mu: Partition, eta: Partition, n: int, m: int,
     report = {"product": (kernel * grid_a) == grid_b}
 
     ext_lam = n - m0
-    sum_a = MultiPoly.zero(T)
+    sizes = mu.size() + eta.size()
     # no partition fits a box of negative width
-    for lam in (partitions_in_box(ext_lam, M0 - n + 1) if M0 >= n - 1 else ()):
-        if (not lam.contains(mu) or not lam.contains(eta)
-                or 2 * lam.size() - mu.size() - eta.size() > T):
-            continue
-        s_part = factorial_schur(SkewShape(lam, mu.with_extent(ext_lam)), n,
-                                 sign=-1, index_shift=-1).truncate(T)
-        if s_part.is_zero():
-            continue
-        e_part = edge_schur(SkewShape(lam, eta.with_extent(ext_lam)),
-                            EdgeSchurParams(m, (m0 - n, M0 - n), ext_lam, T),
-                            var_kind="y", index_shift=n)
-        sum_a._accumulate(s_part, e_part)
+    lams = [lam for lam in (partitions_in_box(ext_lam, M0 - n + 1)
+                            if M0 >= n - 1 else ())
+            if 2 * lam.size() - sizes <= T
+            and lam.contains(mu) and lam.contains(eta)]
+    s_parts = _levels(mu.with_extent(ext_lam), lams, n,
+                      _factorial_row(sign=-1, index_shift=-1), T)
+    lams = [lam for lam in lams if s_parts[lam]]
+    e_parts = _levels(eta.with_extent(ext_lam), lams, m,
+                      _edge_row((m0 - n, M0 - n), "y", index_shift=n), T)
+    sum_a = MultiPoly.zero(T)
+    for lam in lams:
+        sum_a._accumulate(s_parts[lam], e_parts[lam])
     report["sum_a"] = sum_a == grid_a
 
     ext_kap = -m0
     sum_b = MultiPoly.zero(T)
     for kap in partitions_in_box(ext_kap, max(mu.first(), eta.first())):
-        if (not (mu.contains(kap) and eta.contains(kap))
-                or mu.size() + eta.size() - 2 * kap.size() > T):
+        if (sizes - 2 * kap.size() > T
+                or not (mu.contains(kap) and eta.contains(kap))):
             continue
         ext_eta = max(ext_kap, eta.extent)
         s_part = factorial_schur(SkewShape(eta.with_extent(ext_eta),

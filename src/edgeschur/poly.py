@@ -137,6 +137,11 @@ def _words(m: Monomial, nbytes: int = 0) -> memoryview:
     return memoryview(m.to_bytes(nbytes, sys.byteorder)).cast("H")
 
 
+def var_code(v: VarKey) -> Monomial:
+    """The code of the monomial v, registering v on first use."""
+    return (1 << (_SHIFT.get(v) or _register(v))) | 1
+
+
 def _decode(m: Monomial) -> list[tuple[VarKey, int]]:
     """(v, e) pairs with e > 0, in registry order."""
     return [(_VARS[k], e) for k, e in enumerate(_words(m)[1:]) if e]
@@ -182,8 +187,7 @@ class MultiPoly:
 
     @staticmethod
     def var(v: VarKey, trunc: Optional[int] = None) -> "MultiPoly":
-        return MultiPoly({(1 << (_SHIFT.get(v) or _register(v))) | 1: 1},
-                         trunc)
+        return MultiPoly({var_code(v): 1}, trunc)
 
     @staticmethod
     def monomial(m: Monomial, coeff: int = 1,

@@ -2,12 +2,20 @@
 
 All families are exact MultiPoly values.  The four closed forms are one
 branching rule, E_{lam/mu}(x_1..x_n) = sum_nu E_{nu/mu}(x_1..x_{n-1}) *
-R(lam/nu, x_n), summed level by level, v = 1..n, by _branch.  Each family
-gives only its row weight R for a horizontal strip filled with the letter v:
+R(lam/nu, x_n), summed level by level, v = 1..n, by _levels.  One level
+map serves every lam of one mu at once (cauchy_check reads its sums off
+it); _branch reads it at a single lam.  Each family gives only its row
+weight R for a horizontal strip filled with the letter v:
 x_v^|strip| (schur); prod over strip cells of (x_v - sign*a_{v+content+shift})
 (factorial_schur); x_v^|strip| prod over deformed diagonals d of
 (1 + sign*a_{d+shift} x_v) (edge_schur); prod over strip cells of
 y_v/(1 - a_content y_v) times a telescoped mu-correction (dual_schur).
+The first three are built on packed monomial codes with no intermediate
+MultiPoly, by subset doubling: the cells of a horizontal strip have
+distinct contents and its deformed diagonals are distinct, so every
+factor carries a variable of its own, each subset of factors gives its
+own monomial, and one pass per factor adds to every term so far the term
+times that factor's second summand.
 The engine enumerates no tableau or chain and runs no lattice, so the
 brute ELT sum, the lattice partition functions and the closed forms stay
 three independent routes.
@@ -27,9 +35,9 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .poly import (ALPHA, MultiPoly, av, family, first_difference,
+from .poly import (ALPHA, MAX_DEGREE, MultiPoly, av, family, first_difference,
                    map_vars, monomial_degree, series_inverse, split_x_part,
-                   swap_x_vars, x_exponent_vector, xv, yv)
+                   swap_x_vars, var_code, x_exponent_vector, xv, yv)
 from .shapes import Partition, SkewShape, deformed_diagonals
 from .tableaux import _checked_chains
 
@@ -56,48 +64,93 @@ class EdgeSchurParams:
                              f" and a window m:M with M >= m - 1")
 
 
-def _branch(shape: SkewShape, n: int,
-            row: Callable[[Partition, Partition, int], MultiPoly],
-            trunc: Optional[int] = None) -> MultiPoly:
-    """Sum over chains mu = nu^0 <= ... <= nu^n = lam of horizontal strips
-    of prod_v row(nu^v, nu^(v-1), v), mod total degree trunc.
+# a row weight R(top/bottom) for the strip top/bottom filled with the letter v
+Row = Callable[[Partition, Partition, int], MultiPoly]
 
-    Level v maps each nu reached from mu by v strips to the sum of its
-    chains.  From each `below` the step visits every nu with nu_k in
-    [max(below_k, lam_{k+n-v}), min(lam_k, below_{k-1})], below_0 = lam_1:
-    exactly the horizontal strips over `below` from which lam is still
-    reachable in the n - v strips left.  Zero sums are dropped.
+
+def _levels(inner: Partition, targets: list[Partition], n: int, row: Row,
+            trunc: Optional[int] = None) -> dict[Partition, MultiPoly]:
+    """{lam: sum over chains inner = nu^0 <= ... <= nu^n = lam of horizontal
+    strips of prod_v row(nu^v, nu^(v-1), v), mod total degree trunc} over
+    the targets lam, all of inner's extent: one level map read many times.
+
+    Level v maps each nu reached from inner by v strips to the sum of its
+    chains.  With top the componentwise max of the targets and floor^v the
+    componentwise min of their (lam_{1+n-v}, lam_{2+n-v}, ...), zero-padded,
+    the step from each `below` visits every nu with nu_k in
+    [max(below_k, floor^v_k), min(top_k, below_{k-1})], below_0 = top_1:
+    the horizontal strips over `below` from which a target may still be
+    reached in the n - v strips left.  Zero sums are dropped, so a target
+    no chain reaches reads zero.
     """
     if n < 0:
         raise ValueError(f"number of steps must be >= 0, got {n}")
-    ext = shape.extent
-    lam = shape.outer.with_extent(ext)
-    level = {shape.inner.with_extent(ext): MultiPoly.one(trunc)}
+    if not targets:
+        return {}
+    lams = [lam.parts for lam in targets]
+    top = tuple(map(max, zip(*lams)))
+    pad = (0,) * inner.extent
+    level = {inner: MultiPoly.one(trunc)}
     for v in range(1, n + 1):
-        floor = lam.parts[n - v:] + (0,) * ext
+        floor = tuple(map(min, zip(*(lam[n - v:] + pad for lam in lams))))
         nxt: dict[Partition, MultiPoly] = {}
         for below, acc in level.items():
             for parts in itertools.product(*(
                     range(max(lo, f), min(hi, up) + 1) for lo, f, hi, up in
-                    zip(below.parts, floor, lam.parts,
-                        lam.parts[:1] + below.parts))):
+                    zip(below.parts, floor, top, top[:1] + below.parts))):
                 nu = Partition(parts)
                 nxt.setdefault(nu, MultiPoly.zero(trunc))._accumulate(
                     acc, row(nu, below, v))
         level = {nu: total for nu, total in nxt.items() if total}
-    return level.get(lam, MultiPoly.zero(trunc))
+    return {lam: level.get(lam, MultiPoly.zero(trunc)) for lam in targets}
 
 
-def _var(kind: str, i: int) -> MultiPoly:
-    return MultiPoly.var(xv(i) if kind == "x" else yv(i))
+def _branch(shape: SkewShape, n: int, row: Row,
+            trunc: Optional[int] = None) -> MultiPoly:
+    """The branching rule for one skew shape: _levels read at lam."""
+    lam = shape.outer.with_extent(shape.extent)
+    return _levels(shape.inner.with_extent(shape.extent), [lam], n, row,
+                   trunc)[lam]
+
+
+# -- row weights, by subset doubling (module docstring) -----------------
+
+
+def _fits(degree: int) -> None:
+    """Refuse a row of top degree past MAX_DEGREE before any code is
+    formed, as k * code would carry into the next field."""
+    if degree > MAX_DEGREE:
+        raise OverflowError(f"product degree {degree} exceeds {MAX_DEGREE}")
+
+
+def _letter(var_kind: str, v: int) -> int:
+    return var_code(xv(v) if var_kind == "x" else yv(v))
 
 
 def schur(shape: SkewShape, n: int, var_kind: str = "x") -> MultiPoly:
     """Skew Schur polynomial as the tableau generating series."""
     def row(top: Partition, bottom: Partition, v: int) -> MultiPoly:
-        return _var(var_kind, v) ** (top.size() - bottom.size())
+        k = top.size() - bottom.size()
+        _fits(k)
+        return MultiPoly({k * _letter(var_kind, v): 1})
 
     return _branch(shape, n, row)
+
+
+def _factorial_row(sign: int, index_shift: int) -> Row:
+    """prod over strip cells (i, j) of (x_v - sign*a_{v+j-i+index_shift})."""
+    def row(top: Partition, bottom: Partition, v: int) -> MultiPoly:
+        contents = [c for i, (lo, hi) in enumerate(
+            zip(bottom.parts, top.parts), start=1)
+            for c in range(lo + 1 - i, hi + 1 - i)]
+        _fits(len(contents))
+        x = var_code(xv(v))
+        terms = {len(contents) * x: 1}
+        for c in contents:
+            step = var_code(av(v + c + index_shift)) - x
+            terms.update([(m + step, -sign * t) for m, t in terms.items()])
+        return MultiPoly(terms)
+    return row
 
 
 def factorial_schur(shape: SkewShape, n: int, sign: int = 1,
@@ -105,32 +158,33 @@ def factorial_schur(shape: SkewShape, n: int, sign: int = 1,
     """Sum over SSYT of prod (x_v - sign*a_{v + content + index_shift})."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    return _branch(shape, n, _factorial_row(sign, index_shift))
 
+
+def _edge_row(window: tuple[int, int], var_kind: str = "x", sign: int = 1,
+              index_shift: int = 0) -> Row:
+    """x_v^|strip| prod over deformed diagonals d of
+    (1 + sign*a_{d+index_shift} x_v)."""
     def row(top: Partition, bottom: Partition, v: int) -> MultiPoly:
-        out = MultiPoly.one()
-        for i, (lo, hi) in enumerate(zip(bottom.parts, top.parts), start=1):
-            for j in range(lo + 1, hi + 1):
-                out = out * (MultiPoly.var(xv(v))
-                             - MultiPoly.var(av(v + j - i + index_shift)) * sign)
-        return out
-
-    return _branch(shape, n, row)
+        k = top.size() - bottom.size()
+        diagonals = deformed_diagonals(top, bottom, window)
+        _fits(k + len(diagonals))
+        x = _letter(var_kind, v)
+        terms = {k * x: 1}
+        for d in diagonals:
+            step = var_code(av(d + index_shift)) + x
+            terms.update([(m + step, sign * t) for m, t in terms.items()])
+        return MultiPoly(terms)
+    return row
 
 
 def edge_schur(shape: SkewShape, p: EdgeSchurParams, var_kind: str = "x",
                sign: int = 1, index_shift: int = 0) -> MultiPoly:
     """Edge Schur function via the branching rule's closed row form."""
-    def row(top: Partition, bottom: Partition, v: int) -> MultiPoly:
-        x = _var(var_kind, v)
-        out = x ** (top.size() - bottom.size())
-        for d in deformed_diagonals(top, bottom, p.window):
-            out = out * (MultiPoly.one()
-                         + MultiPoly.var(av(d + index_shift)) * x * sign)
-        return out
-
     return _branch(SkewShape(shape.outer.with_extent(p.extent),
                              shape.inner.with_extent(p.extent)),
-                   p.num_vars, row, p.trunc)
+                   p.num_vars, _edge_row(p.window, var_kind, sign, index_shift),
+                   p.trunc)
 
 
 def edge_schur_brute(shape: SkewShape, p: EdgeSchurParams) -> MultiPoly:

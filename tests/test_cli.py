@@ -105,14 +105,30 @@ class TestParsing:
         assert out.out == "" and out.err == f"error: {message}\n"
 
     def test_degree_above_the_limit_is_refused(self, capsys):
-        # ended in a bare OverflowError traceback with exit 1
+        # ended in a bare OverflowError traceback with exit 1; the row's own
+        # degree is named, refused before any of its terms is formed
         code = main(["expand", "--family", "schur", "--lambda", "40000",
                      "--n", "1"])
         out = capsys.readouterr()
         assert code == 2 and out.out == ""
-        assert out.err == ("error: product degree 32768 exceeds 32767: degrees"
+        assert out.err == ("error: product degree 40000 exceeds 32767: degrees"
                            " above MAX_DEGREE = 32767 are not represented\n")
         assert "Traceback" not in out.err
+
+    @pytest.mark.parametrize("argv", [
+        "--family factorial --lambda 40000 --n 1",
+        "--family edge --lambda 40000 --n 1 --extent 1 --window 0:0",
+    ], ids=["factorial", "edge"])
+    def test_row_degree_is_checked_before_its_terms(self, fresh_python, argv):
+        # the factorial row multiplied out 2^k terms before any degree
+        # check and ran without end; in a new interpreter, a row that did
+        # register its 40000 a-variables widens no monomial of this process
+        code, out, err = fresh_python(
+            "import sys\nfrom edgeschur.cli import main\n"
+            f"sys.exit(main(['expand', *{argv.split()!r}]))\n")
+        assert code == 2 and out == ""
+        assert err == ("error: product degree 40000 exceeds 32767: degrees"
+                       " above MAX_DEGREE = 32767 are not represented\n")
 
 
 class TestExpand:

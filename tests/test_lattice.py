@@ -734,26 +734,32 @@ class TestCauchy:
         assert rep["ok"], rep
 
     def test_skips_terms_truncation_cuts(self, monkeypatch):
-        """No factorial Schur polynomial is computed for a term of degree
-        above T: s_{lam/mu} * E^{lam/eta} has degree >= 2|lam| - |mu| - |eta|,
-        s_{eta/kap} * E^{mu/kap} degree >= |mu| + |eta| - 2|kap|."""
-        shapes = []
+        """No closed form is computed for a term of degree above T:
+        s_{lam/mu} * E^{lam/eta} has degree >= 2|lam| - |mu| - |eta|,
+        s_{eta/kap} * E^{mu/kap} degree >= |mu| + |eta| - 2|kap|.  sum_a
+        reads its lam off one level map per side, sum_b computes each kap."""
+        lams, kaps = [], []
+        levels = lattice._levels
+
+        def recording_levels(inner, targets, *args, **kwargs):
+            lams.extend(targets)
+            return levels(inner, targets, *args, **kwargs)
 
         def recording(shape, *args, **kwargs):
-            shapes.append(shape)
+            kaps.append(shape)
             return factorial_schur(shape, *args, **kwargs)
 
+        monkeypatch.setattr(lattice, "_levels", recording_levels)
         monkeypatch.setattr(lattice, "factorial_schur", recording)
         mu, eta, T = Partition.of((2, 1)), Partition.of((1,)), 2
         assert cauchy_check(mu, eta, 2, 2, (-2, 5), T)["ok"]
-        # sum_a's shapes are lam/mu, sum_b's eta/kap with kap inside eta
-        in_a = [s for s in shapes if s.inner.size() == mu.size()]
-        in_b = [s for s in shapes if s.outer.size() == eta.size()]
-        assert in_a and in_b and len(in_a) + len(in_b) == len(shapes)
-        assert all(2 * s.outer.size() - mu.size() - eta.size() <= T
-                   for s in in_a)
+        # sum_b's shapes are eta/kap with kap inside eta
+        assert lams and kaps
+        assert all(s.outer.size() == eta.size() for s in kaps)
+        assert all(2 * lam.size() - mu.size() - eta.size() <= T
+                   for lam in lams)
         assert all(mu.size() + eta.size() - 2 * s.inner.size() <= T
-                   for s in in_b)
+                   for s in kaps)
 
 
 class TestFreeFermion:

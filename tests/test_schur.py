@@ -9,10 +9,12 @@ from edgeschur.poly import (MultiPoly, av, canonical_string, map_vars,
                             monomial_degree, parse, sorted_terms, split_x_part,
                             swap_x_vars, x_exponent_vector, xv, yv)
 from edgeschur.schur import (EdgeSchurParams, NotSymmetric, UnsupportedSkew,
+                             _branch, _edge_row, _factorial_row, _levels,
                              dual_schur, dual_schur_alpha, edge_schur,
                              edge_schur_brute, factorial_schur, schur,
                              schur_expand, schur_substituted, variation)
-from edgeschur.shapes import Partition, SkewShape, partitions_in_box
+from edgeschur.shapes import (Partition, SkewShape, deformed_diagonals,
+                              horizontal_strips_between, partitions_in_box)
 from edgeschur.tableaux import enumerate_ssyt
 
 
@@ -391,6 +393,74 @@ class TestBranchEngine:
         assert out.splitlines() == [
             "1", " + ".join(f"x{i}" for i in range(1, 601))]
 
+    def test_level_map_reads_every_target(self):
+        """One level map over many targets gives each the sum _branch gives
+        it alone, whether the targets are the whole box or the shapes of
+        one size, whose floors do not nest; a target no chain reaches, as
+        one not containing the inner shape or one past n strips, reads
+        zero."""
+        box = partitions_in_box(3, 3)
+        rows = [(_edge_row((-3, 3)), None), (_edge_row((-2, 1), "y", -1, 2), 3),
+                (_factorial_row(-1, -1), None)]
+        unreached = 0
+        for inner, n, (row, trunc) in itertools.product(box, (1, 2, 3), rows):
+            want = {lam: _branch(SkewShape(lam, inner), n, row, trunc)
+                    for lam in box if lam.contains(inner)}
+            unreached += sum(w.is_zero() for w in want.values())
+            for size in range(10):
+                targets = [lam for lam in box if lam.size() == size]
+                got = _levels(inner, targets, n, row, trunc)
+                assert list(got) == targets
+                assert all(got[lam] == want.get(lam, MultiPoly.zero())
+                           for lam in targets), (inner, n, size)
+            got = _levels(inner, box, n, row, trunc)
+            assert all(got[lam] == want.get(lam, MultiPoly.zero())
+                       for lam in box), (inner, n)
+        assert unreached
+        assert _levels(box[0], [], 2, rows[0][0]) == {}
+
+
+def _edge_row_reference(window, var_kind="x", sign=1, index_shift=0):
+    """The edge row as a product of MultiPoly factors."""
+    def row(top, bottom, v):
+        x = MultiPoly.var(xv(v) if var_kind == "x" else yv(v))
+        out = x ** (top.size() - bottom.size())
+        for d in deformed_diagonals(top, bottom, window):
+            out = out * (MultiPoly.one()
+                         + MultiPoly.var(av(d + index_shift)) * x * sign)
+        return out
+    return row
+
+
+def _factorial_row_reference(sign=1, index_shift=0):
+    """The factorial row as a product of MultiPoly factors."""
+    def row(top, bottom, v):
+        out = MultiPoly.one()
+        for i, (lo, hi) in enumerate(zip(bottom.parts, top.parts), start=1):
+            for j in range(lo + 1, hi + 1):
+                out = out * (MultiPoly.var(xv(v))
+                             - MultiPoly.var(av(v + j - i + index_shift)) * sign)
+        return out
+    return row
+
+
+def test_packed_rows_match_the_product_reference():
+    """The rows built on packed codes equal the products of their factors
+    on every horizontal strip of the 3x3 box."""
+    strips = [(top, bottom) for bottom in partitions_in_box(3, 3)
+              for top in horizontal_strips_between(bottom, Partition((3, 3, 3)))]
+    assert len(strips) == 84
+    for sign, shift in itertools.product((1, -1), (-1, 0, 2)):
+        cases = [(_factorial_row(sign, shift),
+                  _factorial_row_reference(sign, shift))]
+        for m, M, kind in itertools.product(range(-3, 1), range(-1, 4), "xy"):
+            cases.append((_edge_row((m, M), kind, sign, shift),
+                          _edge_row_reference((m, M), kind, sign, shift)))
+        for packed, reference in cases:
+            for top, bottom in strips:
+                assert packed(top, bottom, 2) == reference(top, bottom, 2), \
+                    (top, bottom, sign, shift)
+
 
 def test_brute_oracle_uses_no_other_route(monkeypatch):
     """The brute ELT sum runs with the branching engine and the lattice DP
@@ -407,7 +477,7 @@ def test_brute_oracle_uses_no_other_route(monkeypatch):
         want = want + t.weight()
     for mod in [m for name, m in sys.modules.items()
                 if name.split(".")[0] == "edgeschur"]:
-        for name in ("_branch", "partition_function"):
+        for name in ("_branch", "_levels", "partition_function"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)
     assert edge_schur_brute(shape, p) == want.truncate(4)
