@@ -47,8 +47,8 @@ from typing import Optional
 from .poly import MultiPoly, av, canonical_string, series_inverse, xv, yv
 from .shapes import (Partition, SkewShape, WindowError, deformed_diagonals,
                      maya_bits, partitions_in_box)
-from .schur import (EdgeSchurParams, _edge_row, _factorial_row, _levels,
-                    edge_schur, factorial_schur)
+from .schur import (EdgeSchurParams, edge_schur, edge_schurs,
+                    factorial_schur, factorial_schurs)
 
 Config = tuple[int, int, int, int]  # (west, south, east, north)
 
@@ -539,10 +539,10 @@ def cauchy_check(mu: Partition, eta: Partition, n: int, m: int,
     containment, as it is cheaper and cuts more.
 
     sum_a reads every surviving lam off two level maps of the branching
-    rule (schur._levels): the factorial one from mu, then the edge one from
-    eta over the lam whose factorial part is nonzero, with the row weights
-    that factorial_schur and edge_schur build by subset doubling.  sum_b
-    computes each kap's pair of closed forms on its own.
+    rule: factorial_schurs from mu, then edge_schurs from eta over the lam
+    whose factorial part is nonzero, each one map for all its lam, whose
+    rows are built by subset doubling (schur).  sum_b computes each kap's
+    pair of closed forms on its own.
     """
     m0, M0 = window
     low = -max(mu.extent, eta.extent)
@@ -576,11 +576,11 @@ def cauchy_check(mu: Partition, eta: Partition, n: int, m: int,
                             if M0 >= n - 1 else ())
             if 2 * lam.size() - sizes <= T
             and lam.contains(mu) and lam.contains(eta)]
-    s_parts = _levels(mu.with_extent(ext_lam), lams, n,
-                      _factorial_row(sign=-1, index_shift=-1), T)
+    s_parts = factorial_schurs(mu, lams, n, sign=-1, index_shift=-1, trunc=T)
     lams = [lam for lam in lams if s_parts[lam]]
-    e_parts = _levels(eta.with_extent(ext_lam), lams, m,
-                      _edge_row((m0 - n, M0 - n), "y", index_shift=n), T)
+    e_parts = edge_schurs(eta, lams,
+                          EdgeSchurParams(m, (m0 - n, M0 - n), ext_lam, T),
+                          var_kind="y", index_shift=n)
     sum_a = MultiPoly.zero(T)
     for lam in lams:
         sum_a._accumulate(s_parts[lam], e_parts[lam])

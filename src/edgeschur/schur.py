@@ -3,8 +3,9 @@
 All families are exact MultiPoly values.  The four closed forms are one
 branching rule, E_{lam/mu}(x_1..x_n) = sum_nu E_{nu/mu}(x_1..x_{n-1}) *
 R(lam/nu, x_n), summed level by level, v = 1..n, by _levels.  One level
-map serves every lam of one mu at once (cauchy_check reads its sums off
-it); _branch reads it at a single lam.  Each family gives only its row
+map serves every lam of one mu at once: factorial_schurs and edge_schurs
+read it at many lam (cauchy_check reads its sums off them), and the
+single-shape forms read it at one.  Each family gives only its row
 weight R for a horizontal strip filled with the letter v:
 x_v^|strip| (schur); prod over strip cells of (x_v - sign*a_{v+content+shift})
 (factorial_schur); x_v^|strip| prod over deformed diagonals d of
@@ -75,13 +76,17 @@ def _levels(inner: Partition, targets: list[Partition], n: int, row: Row,
     the targets lam, all of inner's extent: one level map read many times.
 
     Level v maps each nu reached from inner by v strips to the sum of its
-    chains.  With top the componentwise max of the targets and floor^v the
-    componentwise min of their (lam_{1+n-v}, lam_{2+n-v}, ...), zero-padded,
-    the step from each `below` visits every nu with nu_k in
-    [max(below_k, floor^v_k), min(top_k, below_{k-1})], below_0 = top_1:
-    the horizontal strips over `below` from which a target may still be
-    reached in the n - v strips left.  Zero sums are dropped, so a target
-    no chain reaches reads zero.
+    chains.  With r = n - v strips left, the step from each `below` visits
+    every nu with nu_k in [max(below_k, floor_k), min(top_k, below_{k-1})],
+    below_0 = top_1, where top is the componentwise max of the targets and
+    floor the componentwise min of their (lam_{1+r}, lam_{2+r}, ...),
+    zero-padded; the last level visits only the targets.  A target lam is
+    reachable from nu iff lam_{k+r} <= nu_k <= lam_k for every k, so for
+    one target the box is exact.  For many it also holds shapes from which
+    no target is reached; only at the last level are most of those, and
+    there they cost one set test.  Testing each nu against every target's
+    box cost more than the rows it saved, as each saved row is small.
+    Zero sums are dropped, so a target no chain reaches reads zero.
     """
     if n < 0:
         raise ValueError(f"number of steps must be >= 0, got {n}")
@@ -93,14 +98,16 @@ def _levels(inner: Partition, targets: list[Partition], n: int, row: Row,
     level = {inner: MultiPoly.one(trunc)}
     for v in range(1, n + 1):
         floor = tuple(map(min, zip(*(lam[n - v:] + pad for lam in lams))))
+        last = set(lams) if v == n else None
         nxt: dict[Partition, MultiPoly] = {}
         for below, acc in level.items():
             for parts in itertools.product(*(
                     range(max(lo, f), min(hi, up) + 1) for lo, f, hi, up in
                     zip(below.parts, floor, top, top[:1] + below.parts))):
-                nu = Partition(parts)
-                nxt.setdefault(nu, MultiPoly.zero(trunc))._accumulate(
-                    acc, row(nu, below, v))
+                if last is None or parts in last:
+                    nu = Partition(parts)
+                    nxt.setdefault(nu, MultiPoly.zero(trunc))._accumulate(
+                        acc, row(nu, below, v))
         level = {nu: total for nu, total in nxt.items() if total}
     return {lam: level.get(lam, MultiPoly.zero(trunc)) for lam in targets}
 
@@ -108,9 +115,17 @@ def _levels(inner: Partition, targets: list[Partition], n: int, row: Row,
 def _branch(shape: SkewShape, n: int, row: Row,
             trunc: Optional[int] = None) -> MultiPoly:
     """The branching rule for one skew shape: _levels read at lam."""
-    lam = shape.outer.with_extent(shape.extent)
-    return _levels(shape.inner.with_extent(shape.extent), [lam], n, row,
-                   trunc)[lam]
+    return _read(shape.inner, [shape.outer], shape.extent, n, row,
+                 trunc)[shape.outer]
+
+
+def _read(inner: Partition, outers: list[Partition], extent: int, n: int,
+          row: Row, trunc: Optional[int]) -> dict[Partition, MultiPoly]:
+    """_levels over the shapes lam/inner, all fitted to extent, keyed by the
+    given outer shapes."""
+    fitted = [lam.with_extent(extent) for lam in outers]
+    sums = _levels(inner.with_extent(extent), fitted, n, row, trunc)
+    return {lam: sums[fit] for lam, fit in zip(outers, fitted)}
 
 
 # -- row weights, by subset doubling (module docstring) -----------------
@@ -139,6 +154,9 @@ def schur(shape: SkewShape, n: int, var_kind: str = "x") -> MultiPoly:
 
 def _factorial_row(sign: int, index_shift: int) -> Row:
     """prod over strip cells (i, j) of (x_v - sign*a_{v+j-i+index_shift})."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+
     def row(top: Partition, bottom: Partition, v: int) -> MultiPoly:
         contents = [c for i, (lo, hi) in enumerate(
             zip(bottom.parts, top.parts), start=1)
@@ -156,9 +174,18 @@ def _factorial_row(sign: int, index_shift: int) -> Row:
 def factorial_schur(shape: SkewShape, n: int, sign: int = 1,
                     index_shift: int = 0) -> MultiPoly:
     """Sum over SSYT of prod (x_v - sign*a_{v + content + index_shift})."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     return _branch(shape, n, _factorial_row(sign, index_shift))
+
+
+def factorial_schurs(inner: Partition, outers: list[Partition], n: int,
+                     sign: int = 1, index_shift: int = 0,
+                     trunc: Optional[int] = None
+                     ) -> dict[Partition, MultiPoly]:
+    """{lam: factorial_schur(lam/inner) mod trunc} for every lam in outers
+    (each containing inner or reading zero), off one level map; the shapes
+    take the largest extent among them."""
+    return _read(inner, outers, max(lam.extent for lam in [inner, *outers]),
+                 n, _factorial_row(sign, index_shift), trunc)
 
 
 def _edge_row(window: tuple[int, int], var_kind: str = "x", sign: int = 1,
@@ -168,7 +195,7 @@ def _edge_row(window: tuple[int, int], var_kind: str = "x", sign: int = 1,
     def row(top: Partition, bottom: Partition, v: int) -> MultiPoly:
         k = top.size() - bottom.size()
         diagonals = deformed_diagonals(top, bottom, window)
-        _fits(k + len(diagonals))
+        _fits(k + 2 * len(diagonals))  # x^k prod_d a_d x_v
         x = _letter(var_kind, v)
         terms = {k * x: 1}
         for d in diagonals:
@@ -185,6 +212,15 @@ def edge_schur(shape: SkewShape, p: EdgeSchurParams, var_kind: str = "x",
                              shape.inner.with_extent(p.extent)),
                    p.num_vars, _edge_row(p.window, var_kind, sign, index_shift),
                    p.trunc)
+
+
+def edge_schurs(inner: Partition, outers: list[Partition], p: EdgeSchurParams,
+                var_kind: str = "x", sign: int = 1, index_shift: int = 0
+                ) -> dict[Partition, MultiPoly]:
+    """{lam: edge_schur(lam/inner, p)} for every lam in outers (each
+    containing inner or reading zero), off one level map at p.extent."""
+    return _read(inner, outers, p.extent, p.num_vars,
+                 _edge_row(p.window, var_kind, sign, index_shift), p.trunc)
 
 
 def edge_schur_brute(shape: SkewShape, p: EdgeSchurParams) -> MultiPoly:

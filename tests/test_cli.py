@@ -115,19 +115,29 @@ class TestParsing:
                            " above MAX_DEGREE = 32767 are not represented\n")
         assert "Traceback" not in out.err
 
-    @pytest.mark.parametrize("argv", [
-        "--family factorial --lambda 40000 --n 1",
-        "--family edge --lambda 40000 --n 1 --extent 1 --window 0:0",
-    ], ids=["factorial", "edge"])
-    def test_row_degree_is_checked_before_its_terms(self, fresh_python, argv):
+    @pytest.mark.parametrize("argv, degree", [
+        ("--family factorial --lambda 40000 --n 1", 40000),
+        ("--family edge --lambda 40000 --n 1 --extent 1 --window 0:0", 40000),
+        ("--family edge --lambda 32765 --n 1 --extent 1 --window 0:32766"
+         " --trunc 32767", 32769),
+        ("--family edge --lambda 32765,32765 --n 2 --extent 2"
+         " --window -2:32766 --trunc 32767", 32769),
+    ], ids=["factorial", "edge", "edge-labels", "edge-labels-carry"])
+    def test_row_degree_is_checked_before_its_terms(self, fresh_python, argv,
+                                                    degree):
         # the factorial row multiplied out 2^k terms before any degree
         # check and ran without end; in a new interpreter, a row that did
-        # register its 40000 a-variables widens no monomial of this process
+        # register its 40000 a-variables widens no monomial of this process.
+        # An edge row's top term x^k prod_d a_d x_v has degree k + 2D for D
+        # deformed diagonals: read as k + D, the row (32765)/() on [0, 32766]
+        # (D = 2) stored a term of degree 32769 and, with truncation at
+        # 32767, printed a cut polynomial with exit 0; over two such levels
+        # two stored degrees carried out of the degree field
         code, out, err = fresh_python(
             "import sys\nfrom edgeschur.cli import main\n"
             f"sys.exit(main(['expand', *{argv.split()!r}]))\n")
         assert code == 2 and out == ""
-        assert err == ("error: product degree 40000 exceeds 32767: degrees"
+        assert err == (f"error: product degree {degree} exceeds 32767: degrees"
                        " above MAX_DEGREE = 32767 are not represented\n")
 
 

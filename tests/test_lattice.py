@@ -739,17 +739,20 @@ class TestCauchy:
         s_{eta/kap} * E^{mu/kap} degree >= |mu| + |eta| - 2|kap|.  sum_a
         reads its lam off one level map per side, sum_b computes each kap."""
         lams, kaps = [], []
-        levels = lattice._levels
 
-        def recording_levels(inner, targets, *args, **kwargs):
-            lams.extend(targets)
-            return levels(inner, targets, *args, **kwargs)
+        def recording_many(many):
+            def recorded(inner, outers, *args, **kwargs):
+                lams.extend(outers)
+                return many(inner, outers, *args, **kwargs)
+            return recorded
 
         def recording(shape, *args, **kwargs):
             kaps.append(shape)
             return factorial_schur(shape, *args, **kwargs)
 
-        monkeypatch.setattr(lattice, "_levels", recording_levels)
+        for name in ("factorial_schurs", "edge_schurs"):
+            monkeypatch.setattr(lattice, name,
+                                recording_many(getattr(lattice, name)))
         monkeypatch.setattr(lattice, "factorial_schur", recording)
         mu, eta, T = Partition.of((2, 1)), Partition.of((1,)), 2
         assert cauchy_check(mu, eta, 2, 2, (-2, 5), T)["ok"]

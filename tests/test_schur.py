@@ -11,8 +11,9 @@ from edgeschur.poly import (MultiPoly, av, canonical_string, map_vars,
 from edgeschur.schur import (EdgeSchurParams, NotSymmetric, UnsupportedSkew,
                              _branch, _edge_row, _factorial_row, _levels,
                              dual_schur, dual_schur_alpha, edge_schur,
-                             edge_schur_brute, factorial_schur, schur,
-                             schur_expand, schur_substituted, variation)
+                             edge_schur_brute, edge_schurs, factorial_schur,
+                             factorial_schurs, schur, schur_expand,
+                             schur_substituted, variation)
 from edgeschur.shapes import (Partition, SkewShape, deformed_diagonals,
                               horizontal_strips_between, partitions_in_box)
 from edgeschur.tableaux import enumerate_ssyt
@@ -398,26 +399,63 @@ class TestBranchEngine:
         it alone, whether the targets are the whole box or the shapes of
         one size, whose floors do not nest; a target no chain reaches, as
         one not containing the inner shape or one past n strips, reads
-        zero."""
+        zero.  Its row calls hold the single-target ones, and at the last
+        level they are the union of those: a row into a shape that is no
+        target is never formed."""
         box = partitions_in_box(3, 3)
         rows = [(_edge_row((-3, 3)), None), (_edge_row((-2, 1), "y", -1, 2), 3),
                 (_factorial_row(-1, -1), None)]
+
+        def calls(inner, targets, n, row, trunc):
+            seen = []
+
+            def recorded(top, bottom, v):
+                seen.append((top, bottom, v))
+                return row(top, bottom, v)
+            return _levels(inner, targets, n, recorded, trunc), set(seen)
+
         unreached = 0
         for inner, n, (row, trunc) in itertools.product(box, (1, 2, 3), rows):
-            want = {lam: _branch(SkewShape(lam, inner), n, row, trunc)
-                    for lam in box if lam.contains(inner)}
+            want, single = {}, {}
+            for lam in box:
+                want[lam], single[lam] = calls(inner, [lam], n, row, trunc)
+                want[lam] = want[lam][lam]
+                if lam.contains(inner):
+                    assert want[lam] == _branch(SkewShape(lam, inner), n,
+                                                row, trunc)
+                else:
+                    assert want[lam].is_zero() and not single[lam]
             unreached += sum(w.is_zero() for w in want.values())
-            for size in range(10):
-                targets = [lam for lam in box if lam.size() == size]
-                got = _levels(inner, targets, n, row, trunc)
+            for targets in [box, *([lam for lam in box if lam.size() == size]
+                                   for size in range(10))]:
+                got, seen = calls(inner, targets, n, row, trunc)
                 assert list(got) == targets
-                assert all(got[lam] == want.get(lam, MultiPoly.zero())
-                           for lam in targets), (inner, n, size)
-            got = _levels(inner, box, n, row, trunc)
-            assert all(got[lam] == want.get(lam, MultiPoly.zero())
-                       for lam in box), (inner, n)
+                assert all(got[lam] == want[lam] for lam in targets), \
+                    (inner, n, targets)
+                union = set().union(*(single[lam] for lam in targets))
+                assert seen >= union
+                assert {c for c in seen if c[2] == n} == \
+                    {c for c in union if c[2] == n}
         assert unreached
         assert _levels(box[0], [], 2, rows[0][0]) == {}
+
+    def test_many_shape_forms_read_the_single_shape_ones(self):
+        """factorial_schurs and edge_schurs give, keyed by the outer shapes
+        as passed, what factorial_schur and edge_schur give each shape."""
+        inner = Partition.of((1,))
+        outers = [Partition.of(parts, 3) for parts in
+                  [(2, 1), (3, 1, 1), (2, 2), (1,), (4,)]] + [Partition.of((3,))]
+        p = EdgeSchurParams(2, (-3, 2), 3, 4)
+        fact = factorial_schurs(inner, outers, 2, -1, 1, trunc=3)
+        edge = edge_schurs(inner, outers, p, "y", -1, 2)
+        assert list(fact) == list(edge) == outers
+        for lam in outers:
+            shape = SkewShape.of(lam, inner)
+            assert fact[lam] == factorial_schur(shape, 2, -1, 1).truncate(3)
+            assert edge[lam] == edge_schur(shape, p, "y", -1, 2)
+        assert not fact[outers[0]].is_zero() and not edge[outers[0]].is_zero()
+        with pytest.raises(ValueError, match="sign"):
+            factorial_schurs(inner, outers, 2, sign=2)
 
 
 def _edge_row_reference(window, var_kind="x", sign=1, index_shift=0):
