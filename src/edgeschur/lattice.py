@@ -9,6 +9,12 @@ boundary labels; columns carry the diagonal-indexed a-parameters.
 The partition function is computed by a column-sweep profile dynamic
 program, one vertex at a time with states merged after every vertex; the
 tests check it against a brute-force state enumeration of their own.
+Each kept state's sum is built in place as its inflows arrive.  A lone
+inflow of weight 1 is handed on as it is.  Most weights are 1 + rest,
+as L's a1 = 1 + a_d x_i, so a sum starts as a plain copy of the inflow's
+terms and only rest is multiplied.  The copy needs no truncation: every
+inflow is MultiPoly.one(trunc) or was built by _accumulate under trunc,
+and the weights were cut to trunc when their table was built.
 
 One sweep serves a set of top profiles: from one bottom profile it returns
 Z for each top of the set it reaches.  It carries polynomials only for
@@ -44,7 +50,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .poly import MultiPoly, av, canonical_string, series_inverse, xv, yv
+from .poly import (UNIT_MONOMIAL, MultiPoly, av, canonical_string,
+                   series_inverse, xv, yv)
 from .shapes import (Partition, SkewShape, WindowError, deformed_diagonals,
                      maya_bits, partitions_in_box)
 from .schur import (EdgeSchurParams, edge_schur, edge_schurs,
@@ -219,8 +226,12 @@ def _poly_key(p: MultiPoly) -> tuple:
 
 
 class _Table(dict):
-    """{(h, s, e, n): weight}; moves[h + 2s] lists (e - h, n - s, weight)
-    per key, e = 0 first, and back[e + 2n] lists (h - e, s - n)."""
+    """{(h, s, e, n): weight}; moves[h + 2s] lists (e - h, n - s, unit,
+    rest) per key, e = 0 first, and back[e + 2n] lists (h - e, s - n).
+
+    A move's weight is split once: unit is True when it is 1 + rest with
+    no truncation of its own tighter than the sweep's, and rest is then
+    None for the weight 1; otherwise unit is False and rest is the weight."""
     __slots__ = ("moves", "back")
 
 
@@ -249,10 +260,9 @@ def _cached_table(model: VertexModel, x: tuple, a: tuple,
                                MultiPoly(dict(a[0]), a[1])).items():
         if trunc is not None and (wt.trunc is None or wt.trunc > trunc):
             wt = wt.truncate(trunc)  # a tighter cutoff of its own stays
-        unit = wt.terms == _ONE.terms and wt.trunc in (None, trunc)
-        table[cfg] = _ONE if unit else wt
+        table[cfg] = wt
     cfgs = sorted(table, key=lambda cfg: cfg[2])
-    table.moves = tuple(tuple((e - h, n - s, table[h, s, e, n])
+    table.moves = tuple(tuple((e - h, n - s, *_split(table[h, s, e, n], trunc))
                               for h, s, e, n in cfgs if h + 2 * s == i)
                         for i in range(4))
     table.back = tuple(tuple((h - e, s - n) for h, s, e, n in cfgs
@@ -260,21 +270,49 @@ def _cached_table(model: VertexModel, x: tuple, a: tuple,
     return table
 
 
+def _split(wt: MultiPoly, trunc: Optional[int]
+           ) -> tuple[bool, Optional[MultiPoly]]:
+    """(unit, rest) of a cut weight, as _Table.moves lists them."""
+    if wt.terms.get(UNIT_MONOMIAL) != 1 or wt.trunc not in (None, trunc):
+        return False, wt
+    rest = {m: c for m, c in wt.terms.items() if m != UNIT_MONOMIAL}
+    return True, MultiPoly(rest, wt.trunc) if rest else None
+
+
 def _profile(bits: tuple[int, ...]) -> int:
     return sum(b << c for c, b in enumerate(bits))
 
 
-def _merge(parts: list[tuple[MultiPoly, MultiPoly]],
-           trunc: Optional[int]) -> MultiPoly:
-    """sum of wt * acc over the parts; a lone unit weight passes acc on."""
-    if len(parts) == 1 and parts[0][0] is _ONE:
-        return parts[0][1]
-    out = MultiPoly.zero(trunc)
-    for wt, acc in parts:
-        if wt is _ONE:
-            out._accumulate(acc)
-        else:
-            out._accumulate(wt, acc)
+def _vertex(states: dict[int, MultiPoly], moves: tuple, c: int,
+            marked: set[int]) -> dict[int, MultiPoly]:
+    """The marked states leaving the vertex at column c, each with the sum
+    of weight * acc over its inflows, built in place (module docstring).
+    A handed-on acc is copied when a second inflow arrives, so no acc is
+    ever changed."""
+    out: dict[int, MultiPoly] = {}
+    lone = set()  # the states whose sum is a handed-on acc
+    for st, acc in states.items():
+        for de, dn, unit, rest in moves[st & 1 | st >> c & 2]:
+            key = st + de + (dn << c + 1)
+            if key not in marked:
+                continue
+            total = out.get(key)
+            if total is None and rest is None:
+                out[key] = acc
+                lone.add(key)
+                continue
+            if total is None:
+                total = out[key] = MultiPoly(dict(acc.terms) if unit else {},
+                                             acc.trunc)
+            else:
+                if key in lone:
+                    lone.remove(key)
+                    total = out[key] = MultiPoly(dict(total.terms),
+                                                 total.trunc)
+                if unit:
+                    total._accumulate(acc)
+            if rest is not None:
+                total._accumulate(rest, acc)
     return out
 
 
@@ -312,7 +350,8 @@ def _sweep(rows: tuple[GridRow, ...], tables: list[tuple[_Table, ...]],
            ) -> dict[int, MultiPoly]:
     """{top: Z} for every profile in tops that the bottom profile reaches.
 
-    A column-sweep profile DP, bottom row first, merged after every vertex.
+    A column-sweep profile DP, bottom row first, merged after every vertex
+    by _vertex, which builds each state's sum in place (module docstring).
     Entering column c a state is (h, profile), the int profile << 1 | h:
     the horizontal label, and the emitted top bits below bit c over the
     bottom bits not yet consumed.  tables[r][c] is row r's table at column
@@ -325,15 +364,7 @@ def _sweep(rows: tuple[GridRow, ...], tables: list[tuple[_Table, ...]],
         left, right = row.bounds()
         states = {prof << 1 | left: acc for prof, acc in frontier.items()}
         for c, (table, marked) in enumerate(zip(row_tables, row_live)):
-            inflow: dict[int, list] = {}
-            moves = table.moves
-            for st, acc in states.items():
-                for de, dn, wt in moves[st & 1 | st >> c & 2]:
-                    key = st + de + (dn << c + 1)
-                    if key in marked:
-                        inflow.setdefault(key, []).append((wt, acc))
-            states = {key: _merge(parts, trunc)
-                      for key, parts in inflow.items()}
+            states = _vertex(states, table.moves, c, marked)
         frontier = {st >> 1: z for st, z in states.items() if st & 1 == right}
     return {prof: z for prof, z in frontier.items() if prof in tops}
 

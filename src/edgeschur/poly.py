@@ -38,6 +38,7 @@ print order (a-parameters, alpha, x, y).
 from __future__ import annotations
 
 import re
+import struct
 import sys
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
@@ -131,9 +132,9 @@ def _encode(pairs: Iterable[tuple[VarKey, int]]) -> Monomial:
     return m | deg
 
 
-def _words(m: Monomial, nbytes: int = 0) -> memoryview:
+def _words(m: Monomial) -> memoryview:
     """m's fields as 16-bit words, the degree field first."""
-    nbytes = nbytes or 2 * -(-m.bit_length() // FIELD_BITS)
+    nbytes = 2 * -(-m.bit_length() // FIELD_BITS)
     return memoryview(m.to_bytes(nbytes, sys.byteorder)).cast("H")
 
 
@@ -416,15 +417,19 @@ def _ordered(p: MultiPoly) -> tuple[list[VarKey], list[tuple]]:
     descending lex on the exponent vector.
 
     Each monomial is decoded once, into (degree, e_1, ..., e_k) with e_i the
-    exponent of the i-th variable.  Distinct terms differ in the e_i, so a
+    exponent of the i-th variable: all monomials are written into one
+    buffer of equal-width records, which struct reads back record by
+    record as 16-bit words.  Distinct terms differ in the e_i, so a
     descending sort on these orders them by the e_i alone, and a stable
     sort by degree then gives the term order."""
     variables = sorted(p.variables())
     cols = [_SHIFT[v] // FIELD_BITS for v in variables]
-    nbytes = 2 * (max(cols, default=0) + 1)
+    width = max(cols, default=0) + 1
+    buffer = b"".join([m.to_bytes(2 * width, sys.byteorder) for m in p.terms])
     # with no variable the only monomial is 1, whose words are just (0,)
     exponents = itemgetter(0, *cols) if cols else tuple
-    rows = [(exponents(_words(m, nbytes)), m, c) for m, c in p.terms.items()]
+    rows = [(exponents(words), m, c) for words, (m, c) in
+            zip(struct.iter_unpack(f"{width}H", buffer), p.terms.items())]
     rows.sort(key=itemgetter(0), reverse=True)
     rows.sort(key=lambda row: row[0][0])
     return variables, rows

@@ -189,18 +189,26 @@ def factorial_schurs(inner: Partition, outers: list[Partition], n: int,
 
 
 def _edge_row(window: tuple[int, int], var_kind: str = "x", sign: int = 1,
-              index_shift: int = 0) -> Row:
+              index_shift: int = 0, trunc: Optional[int] = None) -> Row:
     """x_v^|strip| prod over deformed diagonals d of
-    (1 + sign*a_{d+index_shift} x_v)."""
+    (1 + sign*a_{d+index_shift} x_v), mod total degree trunc.
+
+    The term of a subset S of the diagonals has degree k + 2|S|, so under
+    a truncation only the subsets with k + 2|S| <= trunc are formed: at
+    most 1 + D terms at trunc = k + 2 for D diagonals, where the full
+    product has 2**D."""
     def row(top: Partition, bottom: Partition, v: int) -> MultiPoly:
         k = top.size() - bottom.size()
         diagonals = deformed_diagonals(top, bottom, window)
         _fits(k + 2 * len(diagonals))  # x^k prod_d a_d x_v
         x = _letter(var_kind, v)
-        terms = {k * x: 1}
+        terms = {k * x: 1} if trunc is None or k <= trunc else {}
+        # only a term of degree <= cap may take one more factor (degree + 2)
+        cap = k + 2 * len(diagonals) if trunc is None else trunc - 2
         for d in diagonals:
             step = var_code(av(d + index_shift)) + x
-            terms.update([(m + step, sign * t) for m, t in terms.items()])
+            terms.update([(m + step, sign * t) for m, t in terms.items()
+                          if monomial_degree(m) <= cap])
         return MultiPoly(terms)
     return row
 
@@ -210,7 +218,8 @@ def edge_schur(shape: SkewShape, p: EdgeSchurParams, var_kind: str = "x",
     """Edge Schur function via the branching rule's closed row form."""
     return _branch(SkewShape(shape.outer.with_extent(p.extent),
                              shape.inner.with_extent(p.extent)),
-                   p.num_vars, _edge_row(p.window, var_kind, sign, index_shift),
+                   p.num_vars,
+                   _edge_row(p.window, var_kind, sign, index_shift, p.trunc),
                    p.trunc)
 
 
@@ -220,7 +229,8 @@ def edge_schurs(inner: Partition, outers: list[Partition], p: EdgeSchurParams,
     """{lam: edge_schur(lam/inner, p)} for every lam in outers (each
     containing inner or reading zero), off one level map at p.extent."""
     return _read(inner, outers, p.extent, p.num_vars,
-                 _edge_row(p.window, var_kind, sign, index_shift), p.trunc)
+                 _edge_row(p.window, var_kind, sign, index_shift, p.trunc),
+                 p.trunc)
 
 
 def edge_schur_brute(shape: SkewShape, p: EdgeSchurParams) -> MultiPoly:

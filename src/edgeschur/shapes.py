@@ -59,6 +59,8 @@ class Partition:
         return self.parts[0] if self.parts else 0
 
     def with_extent(self, extent: int) -> "Partition":
+        if extent == len(self.parts):
+            return self
         return Partition.of(self.parts, extent)
 
     def contains(self, other: "Partition") -> bool:

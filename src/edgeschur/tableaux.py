@@ -380,6 +380,11 @@ def _checked_chains(shape: SkewShape, n: int, window: tuple[int, int],
     diagonals.  A tableau is one subset per step: its edge sets collect the
     chosen edges, and its weight is the entry code plus the chosen subset
     codes, because packed monomials multiply by int addition.
+
+    Both lists of a step are built by subset doubling: each diagonal b, in
+    ascending order, doubles them, and the new half holds its spot.  That
+    half's indices are the old ones plus 2**b, so subset `mask` lands at
+    index `mask`, the order enumerate_elt states.
     """
     lam = shape.outer.with_extent(extent)
     mu = shape.inner.with_extent(extent)
@@ -404,10 +409,11 @@ def _checked_chains(shape: SkewShape, n: int, window: tuple[int, int],
             spots = [_label_edge(chain[v], d) for d in diagonals]
             for i, j in spots:
                 _check_edge(em, legal, i, j, v, v)
-            codes = [_encode(((xv(v), 1), (av(d), 1))) for d in diagonals]
-            masks = range(1 << len(spots))
-            subsets.append([[spots[b] for b in range(len(spots)) if mask >> b & 1]
-                            for mask in masks])
-            subset_codes.append([sum(codes[b] for b in range(len(spots))
-                                     if mask >> b & 1) for mask in masks])
+            step, step_codes = [[]], [0]
+            for spot, d in zip(spots, diagonals):
+                code = _encode(((xv(v), 1), (av(d), 1)))
+                step += [subset + [spot] for subset in step]
+                step_codes += [m + code for m in step_codes]
+            subsets.append(step)
+            subset_codes.append(step_codes)
         yield bare, entry_code, subsets, subset_codes

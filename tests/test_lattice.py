@@ -256,46 +256,94 @@ class TestPruning:
         assert nonzero > 60 and unreachable > 500
 
     def test_prunes_dead_states(self, monkeypatch):
-        """One _merge per state the sweep keeps: the T grid of E^{21/1}
-        with n = 2 on [-3, 3] keeps 36 states, where a sweep that keeps
-        every state the bottom reaches keeps 215."""
-        merges = []
-        real = lattice._merge
+        """The states the sweep keeps, summed over its vertices: the T grid
+        of E^{21/1} with n = 2 on [-3, 3] keeps 36 of them, where a sweep
+        that keeps every state the bottom reaches keeps 215."""
+        kept = []
+        real = lattice._vertex
 
-        def counting(parts, trunc):
-            merges.append(len(parts))
-            return real(parts, trunc)
+        def counting(states, moves, c, marked):
+            out = real(states, moves, c, marked)
+            kept.append(len(out))
+            return out
 
-        monkeypatch.setattr(lattice, "_merge", counting)
+        class Everything:
+            def __contains__(self, key):
+                return True
+
+        monkeypatch.setattr(lattice, "_vertex", counting)
         shape = SkewShape.of((2, 1), (1,), extent=2)
         p = EdgeSchurParams(2, (-3, 3), 2)
         assert edge_schur_lattice(shape, p, "T") == edge_schur(shape, p)
-        assert len(merges) == 36
+        assert sum(kept) == 36
+        del kept[:]
+        monkeypatch.setattr(lattice, "_live_states", lambda rows, tables, tops:
+                            [[Everything()] * len(row) for row in tables])
+        assert edge_schur_lattice(shape, p, "T") == edge_schur(shape, p)
+        assert sum(kept) == 215
+
+
+def _inflows(states, moves, c, marked):
+    """{key: [(acc, unit, rest), ...]} in the order the sweep meets them."""
+    inflows = {}
+    for st, acc in states.items():
+        for de, dn, unit, rest in moves[st & 1 | st >> c & 2]:
+            key = st + de + (dn << c + 1)
+            if key in marked:
+                inflows.setdefault(key, []).append((acc, unit, rest))
+    return inflows
 
 
 class TestMerge:
-    """_merge passes a lone unit weight's sum on unchanged; a unit weight
-    with siblings must still add them."""
+    """_vertex builds each kept state's sum in place: a lone unit weight
+    hands its acc on as it is, a unit weight with siblings still adds them,
+    and no acc handed in is ever changed."""
 
     def test_unit_weight_first_with_a_sibling(self, monkeypatch):
         # at T = 1 the Lstar weight 1 + a*x of (1, 0, 1, 0) is cut to the
         # unit weight, and its state comes before its sibling (0, 1, 1, 0),
-        # weight x, in this grid's merges
+        # weight x, in this grid's vertices
         rows = (GridRow(model_Lstar(), V(xv(1))),
                 GridRow(model_Lstar(), V(yv(1))))
         g = GridSpec(rows, (-1, 1), (0, 0, 1), (0, 1, 0), trunc=1)
-        first_units = []
-        real = lattice._merge
+        seen = {"unit first": 0, "lone unit": 0, "split": 0}
+        real = lattice._vertex
 
-        def spying(parts, trunc):
-            if len(parts) > 1 and parts[0][0] is lattice._ONE:
-                first_units.append(parts)
-            return real(parts, trunc)
-        monkeypatch.setattr(lattice, "_merge", spying)
+        def checked(states, moves, c, marked):
+            before = {st: dict(acc.terms) for st, acc in states.items()}
+            inflows = _inflows(states, moves, c, marked)
+            out = real(states, moves, c, marked)
+            assert {st: dict(acc.terms) for st, acc in states.items()} == \
+                before
+            assert list(out) == list(inflows)
+            for key, parts in inflows.items():
+                want = MultiPoly.zero()
+                for acc, unit, rest in parts:
+                    if unit:
+                        want = want + acc
+                    if rest is not None:
+                        want = want + rest * acc
+                        seen["split"] += unit
+                assert out[key] == want
+                lone = parts[0][1] and parts[0][2] is None
+                if lone and len(parts) == 1:
+                    assert out[key] is parts[0][0]
+                    seen["lone unit"] += 1
+                elif lone:
+                    assert all(out[key] is not acc for acc, _, _ in parts)
+                    seen["unit first"] += 1
+            return out
+
+        monkeypatch.setattr(lattice, "_vertex", checked)
         z = partition_function(g)
-        assert first_units
+        assert seen["unit first"] and seen["lone unit"]
         assert z == partition_function_brute(g).truncate(1)
         assert z == V(xv(1)) + V(yv(1))
+        # on labeled columns at T = 2 the weight 1 + a*x keeps its rest
+        g = GridSpec(rows, (-1, 1), (0, 0, 1), (0, 1, 0), labels=(-1, 1),
+                     trunc=2)
+        assert partition_function(g) == partition_function_brute(g).truncate(2)
+        assert seen["split"]
 
 
 class TestSweep:
@@ -435,7 +483,8 @@ class TestRowCache:
     @staticmethod
     def snapshot(rows):
         return [[({cfg: (dict(wt.terms), wt.trunc) for cfg, wt in t.items()},
-                  [[(de, dn, dict(wt.terms)) for de, dn, wt in m]
+                  [[(de, dn, unit, None if rest is None else dict(rest.terms))
+                    for de, dn, unit, rest in m]
                    for m in t.moves], t.back) for t in row] for row in rows]
 
     def test_cache_is_bounded(self):
@@ -457,6 +506,10 @@ class TestRowCache:
                     lattice._poly_key(g.col_param(d)), g.trunc)
 
     def test_index_lists_every_key_in_sweep_order(self):
+        """Each move's weight is split once into unit + rest: unit only for
+        a constant term 1 under no truncation tighter than the grid's, rest
+        None only for the weight 1."""
+        units = 0
         for row in TestSweep.tables(self.GRID):
             for t in row:
                 moves = [[] for _ in range(4)]
@@ -466,8 +519,24 @@ class TestRowCache:
                         if e_ == e:
                             moves[h + 2 * s].append((e - h, n - s, wt))
                             back[e + 2 * n].append((h - e, s - n))
-                assert [list(m) for m in t.moves] == moves
+                joined = []
+                for m in t.moves:
+                    joined.append([])
+                    for de, dn, unit, rest in m:
+                        assert rest is not None or unit
+                        if unit:
+                            assert rest is None or rest.constant_term() == 0
+                            units += 1
+                        whole = ((ONE if unit else MultiPoly.zero())
+                                 + (rest or MultiPoly.zero()))
+                        joined[-1].append((de, dn, whole))
+                assert joined == moves
+                for m, want in zip(t.moves, moves):
+                    for (_, _, unit, _), (_, _, wt) in zip(m, want):
+                        assert unit == (wt.constant_term() == 1
+                                        and wt.trunc in (None, 3))
                 assert sorted(map(sorted, t.back)) == sorted(map(sorted, back))
+        assert units
 
     def test_perturbed_model_gets_its_own_row(self):
         g = self.GRID

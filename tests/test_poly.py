@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,14 @@ class TestMul:
         p = MultiPoly.one(2) + V(av(1)) * V(xv(1))
         sq = (p * p).truncate(2)
         assert sq == MultiPoly.one(2) + MultiPoly.const(2) * V(av(1)) * V(xv(1))
+
+    def test_operand_above_its_own_truncation_is_cut(self):
+        # a hand-built operand may hold terms past its own truncation, so
+        # a product may not hand over an operand's terms uncut: x1 at
+        # truncation 0 is one such, times 1 and times 1 + a0
+        x_cut = MultiPoly.var(xv(1), 0)
+        assert (x_cut * MultiPoly.one(0)).is_zero()
+        assert ((MultiPoly.one() + V(av(0))) * x_cut).is_zero()
 
 
 class TestSeriesInverse:
@@ -185,13 +194,18 @@ class TestParse:
 # for its text, with a tuple key per term --------------------------------
 
 
+def _words(m, nbytes):
+    """m's first nbytes // 2 fields as 16-bit words, the degree field first."""
+    return memoryview(m.to_bytes(nbytes, sys.byteorder)).cast("H")
+
+
 def reference_sorted_terms(p):
     """Terms by total degree, then descending-lex on the exponent vector."""
     cols = [poly._SHIFT[v] // FIELD_BITS for v in sorted(p.variables())]
     nbytes = 2 * (max(cols, default=0) + 1)
 
     def key(mc):
-        words = poly._words(mc[0], nbytes)
+        words = _words(mc[0], nbytes)
         return (words[0], tuple(-words[k] for k in cols))
 
     return sorted(p.terms.items(), key=key)
@@ -206,7 +220,7 @@ def reference_string(p):
     nbytes = 2 * (max((k for k, _ in cols), default=0) + 1)
     parts = []
     for m, c in reference_sorted_terms(p):
-        words = poly._words(m, nbytes)
+        words = _words(m, nbytes)
         mono = "*".join(name if words[k] == 1 else f"{name}^{words[k]}"
                         for k, name in cols if words[k])
         if not mono:

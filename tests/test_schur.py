@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from edgeschur.poly import (MultiPoly, av, canonical_string, map_vars,
+from edgeschur.poly import (MAX_DEGREE, MultiPoly, av, canonical_string, map_vars,
                             monomial_degree, parse, sorted_terms, split_x_part,
                             swap_x_vars, x_exponent_vector, xv, yv)
 from edgeschur.schur import (EdgeSchurParams, NotSymmetric, UnsupportedSkew,
@@ -494,10 +494,35 @@ def test_packed_rows_match_the_product_reference():
         for m, M, kind in itertools.product(range(-3, 1), range(-1, 4), "xy"):
             cases.append((_edge_row((m, M), kind, sign, shift),
                           _edge_row_reference((m, M), kind, sign, shift)))
+        # a truncated edge row is the product cut to its truncation
+        for T in (0, 1, 2, 3, 5):
+            reference = _edge_row_reference((-3, 3), "x", sign, shift)
+            cases.append((_edge_row((-3, 3), "x", sign, shift, T),
+                          lambda top, bottom, v, T=T, reference=reference:
+                          reference(top, bottom, v).truncate(T)))
         for packed, reference in cases:
             for top, bottom in strips:
                 assert packed(top, bottom, 2) == reference(top, bottom, 2), \
                     (top, bottom, sign, shift)
+
+
+def test_truncated_edge_row_forms_only_the_terms_it_keeps():
+    """expand --family edge --lambda 1 --n 1 --extent 1 --window 0:18
+    --trunc 3 reads the row (1)/(0) with D = 18 deformed diagonals: at
+    truncation 3 it holds at most 1 + D terms, where the uncut product
+    holds 2**D."""
+    top, bottom = Partition.of((1,), 1), Partition.of((), 1)
+    window = (0, 18)
+    D = len(deformed_diagonals(top, bottom, window))
+    assert D == 18
+    row = _edge_row(window, trunc=3)(top, bottom, 1)
+    assert 1 < len(row.terms) <= 1 + D
+    assert row == _edge_row(window)(top, bottom, 1).truncate(3)
+    shape = SkewShape(top, bottom)
+    assert edge_schur(shape, EdgeSchurParams(1, window, 1, 3)) == row
+    # the top degree is still refused before any term is formed
+    with pytest.raises(OverflowError, match="exceeds"):
+        _edge_row((0, MAX_DEGREE), trunc=3)(top, bottom, 1)
 
 
 def test_brute_oracle_uses_no_other_route(monkeypatch):

@@ -45,6 +45,14 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((1, 2))
 
+    def test_with_extent_equals_of(self):
+        # the same object when the extent does not change
+        for lam in partitions_in_box(4, 4):
+            for k in range(lam.length(), 7):
+                got = lam.with_extent(k)
+                assert got == Partition.of(lam.parts, k)
+                assert (got is lam) == (k == lam.extent)
+
     def test_conjugate_involution(self):
         for lam in partitions_in_box(4, 4):
             pos = Partition.of([p for p in lam.parts if p > 0])
