@@ -32,8 +32,8 @@ from typing import Optional
 from .poly import MultiPoly
 from .shapes import Partition, SkewShape
 from .schur import EdgeSchurParams
-from .tableaux import (EMPTY_WINDOW, EdgeLabeledTableau, enumerate_elt,
-                       reading_word)
+from .tableaux import (EMPTY_WINDOW, EdgeLabeledTableau, _keep_table,
+                       _keep_word, _word, enumerate_elt)
 
 
 def signature(letters: list[int], i: int) -> tuple[list[int], list[int]]:
@@ -76,23 +76,27 @@ def _act(t: EdgeLabeledTableau, i: int,
          up: bool) -> Optional[EdgeLabeledTableau]:
     """f_i (up) or e_i on t: the letter the signature picks turns old into
     new, and a box letter carries its run's markers and bumps with it.  The
-    result keeps t's sorted entries, only the run's values changed, so they
-    need no second sort; its edge sets are normalised as `of` does."""
-    word = reading_word(t)
-    letters = [v for v, _ in word]
+    result keeps t's shape table and its sorted entries and edge sets, only
+    what moved changed: a label tick replaces one edge's set, and a run's
+    values change in place, its edge sets normalised as `of` does."""
+    letters, locators = _word(t)
     minus, plus = signature(letters, i)
     if not (minus if up else plus):
         return None
     pos = minus[-1] if up else plus[0]
     old, new = (i, i + 1) if up else (i + 1, i)
-    _, loc = word[pos]
-    entries = t.entries
-    edges = {p: list(vs) for p, vs in t.edge_sets}
+    loc = locators[pos]
+    entries, edge_sets = t.entries, t.edge_sets
     if loc[0] == "edge":
-        vals = edges[(loc[1], loc[2])]
-        vals[vals.index(old)] = new
+        # An edge reads its i + 1 just before its i, and the two cancel, so
+        # the new letter is not on the edge and the set stays sorted.
+        k = bisect_left(edge_sets, ((loc[1], loc[2]),))
+        edge, vals = edge_sets[k]
+        vals = tuple([new if v == old else v for v in vals])
+        edge_sets = edge_sets[:k] + ((edge, vals),) + edge_sets[k + 1:]
     else:
         _, r, c = loc
+        edges = {p: list(vs) for p, vs in edge_sets}
         # the run is entries[k:end], (r, c) and the boxes after it in the
         # row-major entries
         k = bisect_left(entries, ((r, c),))
@@ -119,20 +123,19 @@ def _act(t: EdgeLabeledTableau, i: int,
             edges[edge].remove(v)
         for edge, v in added:
             edges.setdefault(edge, []).append(v)
-    out = EdgeLabeledTableau(
-        t.shape, t.extent, t.window, entries,
-        tuple(sorted((p, tuple(sorted(set(vs))))
-                     for p, vs in edges.items() if vs)))
+        edge_sets = tuple(sorted((p, tuple(sorted(set(vs))))
+                                 for p, vs in edges.items() if vs))
+    out = EdgeLabeledTableau(t.shape, t.extent, t.window, entries, edge_sets)
+    _keep_table(out, t._table())
     out.validate()
-    letters[pos] = new
-    if [v for v, _ in reading_word(out)] != letters:
+    if _word(out)[0] != letters[:pos] + (new,) + letters[pos + 1:]:
         raise AssertionError(
             f"reading word does not commute with {'f' if up else 'e'}")
     return out
 
 
 def is_highest_weight(t: EdgeLabeledTableau, n: int) -> bool:
-    letters = [v for v, _ in reading_word(t)]
+    letters = _word(t)[0]
     return all(eps_phi(letters, i)[0] == 0 for i in range(1, n))
 
 
@@ -185,6 +188,7 @@ def crystal_graph(lam: Partition, p: EdgeSchurParams) -> CrystalGraph:
             ft = f_elt(t, i)
             if ft is not None:
                 arcs[(k, i)] = index[ft]
+        _keep_word(t, None)     # the graph keeps its vertices, not words
     return CrystalGraph(vertices, arcs, n)
 
 

@@ -23,6 +23,10 @@ weight, the entry monomial plus the chosen subsets', without building it.
 What validate, key() and the uncrowding map read of a shape, an extent and a
 window (its cells, its legal edges, the outer shape's cells by diagonal and
 the end of key()) is built once into a small bounded cache, `_shape_table`.
+A tableau keeps the table it reads, and its reading word once `_word` has
+built it, in two slots: a tableau built from another (by enumeration, a
+crystal move or crowding) is handed its source's table and never looks it
+up.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterator, NamedTuple, Sequence
 
 from .poly import MultiPoly, _encode, av, xv
@@ -66,11 +71,19 @@ def _label_edge(nu: Partition, d: int) -> Cell:
 
 @dataclass(frozen=True)
 class EdgeLabeledTableau:
+    # two slots beside the fields' __dict__, unset until filled and not
+    # fields, so ==, hash, repr and dataclasses.fields never see them
+    __slots__ = ("__dict__", "__weakref__", "_known_table", "_known_word")
     shape: SkewShape
     extent: int                     # declared number of rows
     window: tuple[int, int]         # diagonal window [m, M]
     entries: tuple[tuple[Cell, int], ...]
     edge_sets: tuple[tuple[Cell, tuple[int, ...]], ...]
+
+    def __reduce__(self):
+        """Pickles and copies carry the five fields, not what is kept."""
+        return (EdgeLabeledTableau, (self.shape, self.extent, self.window,
+                                     self.entries, self.edge_sets))
 
     @staticmethod
     def of(shape: SkewShape, extent: int, window: tuple[int, int],
@@ -93,13 +106,27 @@ class EdgeLabeledTableau:
 
     def _table(self) -> "_ShapeTable":
         """The shape table of this tableau's shape, extent and window."""
-        sh = self.shape
-        return _shape_table(sh.outer.parts, sh.inner.parts, self.extent,
-                            tuple(self.window))
+        try:
+            return self._known_table
+        except AttributeError:
+            sh = self.shape
+            table = _shape_table(sh.outer.parts, sh.inner.parts, self.extent,
+                                 tuple(self.window))
+            _keep_table(self, table)
+            return table
 
     def validate(self) -> None:
         table = self._table()
         em = self.entry_map()
+        self._validate(table, em)
+        # last, so that every earlier refusal keeps its message: the entries
+        # are em's items in row-major order, and em keeps their order
+        if len(em) != len(self.entries) or tuple(em) != table.order:
+            _refuse_order([cell for cell, _ in self.entries], "entry")
+
+    def _validate(self, table: "_ShapeTable", em: dict[Cell, int]) -> None:
+        """Every rule of validate but the order of the entries, which em =
+        self.entry_map() cannot show."""
         if em.keys() != table.cells:
             raise ValidationError("entries do not cover the shape")
         for (i, j), v in em.items():
@@ -111,14 +138,21 @@ class EdgeLabeledTableau:
             below = em.get((i + 1, j))
             if below is not None and below <= v:
                 raise ValidationError(f"column violation at {(i, j)}")
-        if self.extent < self.shape.extent:
+        if self.extent < table.rows:
             raise ValidationError("declared extent smaller than the shape")
-        for (i, j), vals in self.edge_sets:
+        ordered, last = True, ()
+        for pos, vals in self.edge_sets:
+            i, j = pos
             if not vals:
                 raise ValidationError(f"empty edge set at {(i, j)}")
             if list(vals) != sorted(set(vals)):
                 raise ValidationError(f"edge set at {(i, j)} not strictly sorted")
             _check_edge(em, table.legal, i, j, vals[0], vals[-1])
+            if pos <= last:
+                ordered = False
+            last = pos
+        if not ordered:     # last, as the order of the entries
+            _refuse_order([pos for pos, _ in self.edge_sets], "edge")
 
     # -- weights ---------------------------------------------------------
 
@@ -214,6 +248,22 @@ class EdgeLabeledTableau:
         return "\n".join(lines)
 
 
+# The slots' own setters: like dataclass __init__, they write past the
+# frozen __setattr__.
+_keep_table = EdgeLabeledTableau._known_table.__set__
+_keep_word = EdgeLabeledTableau._known_word.__set__
+
+
+def _refuse_order(positions: list[Cell], what: str) -> None:
+    """Refuse positions that do not strictly increase, as canonical fields
+    do, naming the first repeated or out-of-order one."""
+    k = list(map(ge, positions, positions[1:])).index(True)
+    if positions[k] == positions[k + 1]:
+        raise ValidationError(f"repeated {what} position {positions[k]}")
+    raise ValidationError(
+        f"{what} position {positions[k + 1]} out of row-major order")
+
+
 # A window [m, M] with no diagonal in it: every edge is illegal.
 EMPTY_WINDOW = (0, -1)
 
@@ -255,6 +305,11 @@ class _ShapeTable(NamedTuple):
     legal: frozenset               # the edges that may carry labels
     diagonals: dict                # content -> outer's cells, bottom to top
     key_tail: str                  # key() after the entries
+    rows: int                      # the shape's extent
+    order: tuple                   # the cells in row-major order
+    c_min: int                     # 1 - the outer shape's nonzero rows
+    first: int                     # the outer shape's first part
+    undo: tuple                    # (c - c_min + 1, j - 1) per outer cell
 
 
 @functools.lru_cache(maxsize=32)
@@ -284,9 +339,14 @@ def _shape_table(outer: tuple[int, ...], inner: tuple[int, ...], extent: int,
     key_tail = (f'"extent": {extent}, "shape": {{"inner": '
                 f'{_partition_key(inner)}, "outer": '
                 f'{_partition_key(outer)}}}, "window": {list(window)}}}')
+    c_min = 1 - len([q for q in outer if q > 0])
     return _ShapeTable(shape, cells, legal,
                        {c: tuple(cells) for c, cells in diagonals.items()},
-                       key_tail)
+                       key_tail, shape.extent, tuple(sorted(cells)), c_min,
+                       outer[0] if outer else 0,
+                       tuple((c - c_min + 1, j - 1)
+                             for c, cells in diagonals.items()
+                             for _, j in cells))
 
 
 def _partition_key(parts: tuple[int, ...]) -> str:
@@ -325,16 +385,27 @@ def _by_position(rows: list, what: str) -> dict:
 
 # -- reading words -----------------------------------------------------
 
-def _reading_order(t: EdgeLabeledTableau) -> list[tuple]:
-    """Every letter as (diagonal, -row, 0 for a label or 1 for the entry,
-    -letter, (letter, locator)), sorted: the diagonal reading order.  Row and
-    diagonal are those of the attachment cell: a box's own, or for a label on
-    edge (i, j) the cell (i - 1, j) above it."""
-    items = [(j - i, -i, 1, -v, (v, ("box", i, j))) for (i, j), v in t.entries]
-    items += [(j - i + 1, 1 - i, 0, -v, (v, ("edge", i, j, v)))
-              for (i, j), vals in t.edge_sets for v in vals]
-    items.sort()
-    return items
+def _word(t: EdgeLabeledTableau) -> tuple[tuple[int, ...], tuple]:
+    """The reading word as (letters, locators), built once and kept on t.
+
+    The letters are sorted by (diagonal, -row, 0 for a label or 1 for the
+    entry, -letter): the diagonal reading order.  Row and diagonal are those
+    of the attachment cell: a box's own, or for a label on edge (i, j) the
+    cell (i - 1, j) above it.
+    """
+    # a getattr default, not the caught AttributeError of `_table`: most
+    # tableaux miss here once, and catching costs about twice as much
+    word = getattr(t, "_known_word", None)
+    if word is None:
+        items = [(j - i, -i, 1, -v, v, ("box", i, j))
+                 for (i, j), v in t.entries]
+        items += [(j - i + 1, 1 - i, 0, -v, v, ("edge", i, j, v))
+                  for (i, j), vals in t.edge_sets for v in vals]
+        items.sort()
+        word = (tuple([item[4] for item in items]),
+                tuple([item[5] for item in items]))
+        _keep_word(t, word)
+    return word
 
 
 def reading_word(t: EdgeLabeledTableau) -> list[tuple[int, tuple]]:
@@ -345,7 +416,7 @@ def reading_word(t: EdgeLabeledTableau) -> list[tuple[int, tuple]]:
     attachment cell (r, c) first emits the labels of the edge below it
     (edge position (r+1, c)) in decreasing order, then its entry.
     """
-    return [item[4] for item in _reading_order(t)]
+    return list(zip(*_word(t)))
 
 
 def enumerate_elt(shape: SkewShape, n: int, window: tuple[int, int],
@@ -357,14 +428,18 @@ def enumerate_elt(shape: SkewShape, n: int, window: tuple[int, int],
     diagonals (ascending) whose bit is set.
     """
     for bare, _, subsets, _ in _checked_chains(shape, n, window, extent):
+        table = bare._table()
         for choice in itertools.product(*subsets):
             edges: dict[Cell, list[int]] = {}
             for v, step in enumerate(choice, start=1):
                 for pos in step:
                     edges.setdefault(pos, []).append(v)
-            yield EdgeLabeledTableau(
+            t = EdgeLabeledTableau(
                 bare.shape, extent, window, bare.entries,
-                tuple(sorted((pos, tuple(vals)) for pos, vals in edges.items())))
+                tuple(sorted([(pos, tuple(vals))
+                              for pos, vals in edges.items()])))
+            _keep_table(t, table)
+            yield t
 
 
 def _checked_chains(shape: SkewShape, n: int, window: tuple[int, int],
@@ -389,7 +464,8 @@ def _checked_chains(shape: SkewShape, n: int, window: tuple[int, int],
     lam = shape.outer.with_extent(extent)
     mu = shape.inner.with_extent(extent)
     sh = SkewShape(lam, mu)
-    legal = _shape_table(lam.parts, mu.parts, extent, tuple(window)).legal
+    table = _shape_table(lam.parts, mu.parts, extent, tuple(window))
+    legal = table.legal
     for chain in strip_chains(sh, n):
         # Every rule of validate is local to one edge, and its tests on an
         # edge's least and greatest label hold iff they hold for each label,
@@ -401,6 +477,7 @@ def _checked_chains(shape: SkewShape, n: int, window: tuple[int, int],
         em = _chain_entries(chain)
         bare = EdgeLabeledTableau(sh, extent, window, tuple(sorted(em.items())),
                                   ())
+        _keep_table(bare, table)
         bare.validate()
         entry_code = _encode((xv(v), 1) for v in em.values())
         subsets, subset_codes = [], []

@@ -19,13 +19,14 @@ cache per shape, extent and window), not from a walk over the shape.
 So every column of Q on the image fills the bottom of P's column and
 weakly decreases downwards, and the inverse gives each index back on its
 own diagonal (index i is diagonal i - l, l the shape's nonzero rows): it
-first refuses a column of Q that does not.  It then buckets the cells of Q
-and of the original shape by diagonal index, sorts them top diagonal first
-and, within a diagonal, right column first, and visits only those: each
-marks the cell at the bottom of its column of P, which must end its row;
-reverse bumping a diagonal's rows, bottom row first, gives back its word,
-and a diagonal without cells costs nothing.  Then it splits the words over
-boxes and edges with no search, lowest diagonal first.  Diagonal c's word
+first refuses a column of Q that does not.  It then sorts the cells of Q
+and of the original shape by diagonal index, top diagonal first and,
+within a diagonal, right column first, and visits only those, grouped by
+index: each marks the cell at the bottom of its column of P, which must
+end its row; reverse bumping a diagonal's rows, bottom row first, gives
+back its word, and a diagonal without cells costs nothing.  Then it splits
+the words over boxes and edges, lowest diagonal first, with one bisection
+per cell and no backtracking.  Diagonal c's word
 reads, bottom to top, the labels under each cell and then its
 entry, and last the labels on the row-0 edge (1, c).  A cell (r, j) with
 j > 1 has its left neighbour (r, j - 1), on diagonal c - 1, already filled,
@@ -76,11 +77,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import ge, gt, itemgetter, le
+from operator import ge, gt, itemgetter
 
 from .shapes import Partition, SkewShape
-from .tableaux import (EdgeLabeledTableau, ValidationError, _reading_order,
-                       _shape_table, semistandard)
+from .tableaux import (EdgeLabeledTableau, ValidationError, _keep_table,
+                       _shape_table, _word, semistandard)
 
 
 class MalformedPair(ValueError):
@@ -152,7 +153,9 @@ def uncrowd(t: EdgeLabeledTableau, with_trace: bool = False):
     if t.shape.inner.size() > 0:
         raise MalformedPair("uncrowding is defined for straight shapes")
     words: dict[int, list[int]] = {}      # diagonal -> its reading word
-    for c, _, _, _, (x, _) in _reading_order(t):
+    for x, loc in zip(*_word(t)):
+        # the diagonal of the letter's attachment cell
+        c = loc[2] - loc[1] if loc[0] == "box" else loc[2] - loc[1] + 1
         word = words.get(c)
         if word is None:
             words[c] = [x]
@@ -161,9 +164,10 @@ def uncrowd(t: EdgeLabeledTableau, with_trace: bool = False):
         else:
             raise AssertionError(
                 f"diagonal word {word + [x]} is not decreasing")
-    c_min = 1 - lam.length()
-    c_max = max(list(words) + [lam.first() - 1]) if (words or lam.parts) else 0
-    diagonals = t._table().diagonals
+    table = t._table()
+    c_min = table.c_min
+    c_max = max(list(words) + [table.first - 1]) if (words or lam.parts) else 0
+    diagonals = table.diagonals
     rows: list[list[int]] = []
     q_cols: list[list[int]] = []          # Q by column, bottom to top
     trace = []
@@ -196,19 +200,34 @@ def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
     to the pair, split by the module docstring's rule; else MalformedPair.
     The docstring's checks (a) to (d) prove that the result uncrowds to the
     pair, so it is not uncrowded again."""
-    lengths = list(map(len, pair.P))
-    if lengths != sorted(lengths, reverse=True):
-        raise MalformedPair("rows of P do not weakly shrink downwards")
+    # check (a) and copy P in one pass, raising the first failure of the
+    # lengths, then of a row, then of a column; p_cols are the column
+    # heights of P's first width columns
+    width = max(lam.first(), len(pair.P[0]) if pair.P else 0)
+    p_cols = [0] * width
+    rows: list[list[int]] = []
+    shrinks, bad_row, bad_column = True, None, None
+    upper: tuple[int, ...] = ()
     for r, row in enumerate(pair.P, 1):
-        if not row:
-            raise MalformedPair(f"row {r} of P is empty")
-        if any(map(gt, row, row[1:])):
-            raise MalformedPair(f"row {r} of P does not weakly increase: {row}")
-    for upper, lower in zip(pair.P, pair.P[1:]):
-        if any(map(ge, upper, lower)):
-            j = list(map(ge, upper, lower)).index(True) + 1
-            raise MalformedPair(
-                f"column {j} of P does not strictly increase downwards")
+        if r > 1 and len(row) > len(upper):
+            shrinks = False
+        elif bad_column is None and any(map(ge, upper, row)):
+            bad_column = list(map(ge, upper, row)).index(True) + 1
+        if bad_row is None:
+            if not row:
+                bad_row = f"row {r} of P is empty"
+            elif any(map(gt, row, row[1:])):
+                bad_row = f"row {r} of P does not weakly increase: {row}"
+        p_cols[:len(row)] = [r] * len(row)     # widens only a P failing (a)
+        rows.append(list(row))
+        upper = row
+    if not shrinks:
+        raise MalformedPair("rows of P do not weakly shrink downwards")
+    if bad_row is not None:
+        raise MalformedPair(bad_row)
+    if bad_column is not None:
+        raise MalformedPair(
+            f"column {bad_column} of P does not strictly increase downwards")
     q = dict(pair.Q)
     if len(q) != len(pair.Q):
         seen = set()
@@ -220,19 +239,14 @@ def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
     outer = (lam.parts if lam.extent == extent
              else Partition.of(lam.parts, extent).parts)
     table = _shape_table(outer, (0,) * extent, extent, tuple(window))
-    diagonals = table.diagonals
-    c_min = 1 - lam.length()
-    i_max = max([0, lam.first() - c_min] + list(q.values()))
-    rows = [list(row) for row in pair.P]
-    width = max(lam.first(), lengths[0] if lengths else 0)
-    p_cols = _column_heights(rows, width)
+    diagonals, c_min = table.diagonals, table.c_min
+    i_max = max([0, table.first - c_min] + list(q.values()))
     # Each cell of Q and of lam takes one cell of P off when its diagonal
     # index i is undone: uncrowd stacks indices on a column of Q in
     # increasing order at the bottom of P's column, so a column that fills
     # that bottom and weakly decreases downwards gives each back on its own
     # diagonal.  An index below 1 is never undone.
-    undo = [(c - c_min + 1, j - 1) for c, cells in diagonals.items()
-            for _, j in cells]
+    undo = list(table.undo)
     q_cols: dict[int, list[tuple[int, int]]] = {}   # column -> (row, index)
     for (r, cc), v in sorted(q.items()):
         q_cols.setdefault(cc, []).append((r, v))
@@ -263,49 +277,52 @@ def crowd(pair: RSKPair, lam: Partition, window: tuple[int, int],
         for _, j in group:
             p_cols[j] -= 1
             r = p_cols[j]
-            if r in added:
-                raise MalformedPair(
-                    "diagonal strip removes two cells in a row")
             if r < 0 or len(rows[r]) != j + 1:
+                # a row taken twice in the group fails here too, since
+                # the group's cells of one column take distinct rows
+                if r in added:
+                    raise MalformedPair(
+                        "diagonal strip removes two cells in a row")
                 raise MalformedPair("recording data inconsistent with P")
             added.append(r)
         added.sort(reverse=True)
-        word = [_reverse_bump(rows, r) for r in added]
-        word.reverse()
-        if any(map(le, word, word[1:])):
+        # the word read backwards, as the bumps give it back
+        backwards = [_reverse_bump(rows, r) for r in added]
+        if any(map(ge, backwards, backwards[1:])):
             raise MalformedPair(
-                f"diagonal word {word} of index {i} does not strictly "
-                f"decrease")
-        words[i] = word
+                f"diagonal word {backwards[::-1]} of index {i} does not "
+                f"strictly decrease")
+        words[i] = backwards
     if any(rows) or stranded:
         raise MalformedPair("leftover cells after unwinding all diagonals")
 
-    # split each diagonal word over boxes and edges, lowest diagonal first;
-    # by (d) a run of labels reversed is the sorted set `of` would store
+    # split each diagonal word over boxes and edges, lowest diagonal first.
+    # By (d) the word read backwards strictly increases, so the letters left
+    # are its first m, the run of those >= z is the rest from bisect_left,
+    # and a run's labels are the sorted set `of` would store.
     em: dict[tuple[int, int], int] = {}
     edges: dict[tuple[int, int], tuple[int, ...]] = {}
     for i in range(1, i_max + 1):
         c = c_min + i - 1
-        word = words.get(i, [])
-        k = 0
+        backwards = words.get(i, ())
+        m = len(backwards)
         for r, j in diagonals.get(c, ()):
             z = em.get((r, j - 1))      # None in column 1: take every letter
-            end = k
-            while end < len(word) and (z is None or word[end] >= z):
-                end += 1
-            if end == k:
+            k = 0 if z is None else bisect_left(backwards, z, 0, m)
+            if k == m:
                 raise MalformedPair(f"no letters left for cell {(r, j)}")
-            em[(r, j)] = word[end - 1]
-            if end - 1 > k:
-                edges[(r + 1, j)] = tuple(word[k:end - 1][::-1])
-            k = end
-        if k < len(word):
-            edges[(1, c)] = tuple(word[k:][::-1])
+            em[(r, j)] = backwards[k]
+            if m - k > 1:
+                edges[(r + 1, j)] = tuple(backwards[k + 1:m])
+            m = k
+        if m:
+            edges[(1, c)] = tuple(backwards[:m])
     t = EdgeLabeledTableau(table.shape, extent, window,
                            tuple(sorted(em.items())),
                            tuple(sorted(edges.items())))
-    try:
-        t.validate()
+    _keep_table(t, table)
+    try:        # its entries are em's items sorted, so in canonical order
+        t._validate(table, em)
     except ValidationError as exc:
         raise MalformedPair(f"reconstruction is not a tableau: {exc}") from exc
     return t

@@ -337,3 +337,30 @@ class TestWordCommutation:
                 expected = tensor_f(letters, i)
                 got = None if ft is None else [v for v, _ in reading_word(ft)]
                 assert got == expected
+
+    def test_label_tick_never_meets_its_new_letter(self):
+        """An edge reads its labels in decreasing order, so its i + 1 comes
+        just before its i and the two cancel: f_i never ticks an i on an
+        edge holding i + 1, nor e_i an i + 1 on an edge holding i.  So a
+        tick replaces one letter of one edge set and the set stays sorted,
+        with nothing to de-duplicate."""
+        shape = SkewShape.of((2, 2), (), extent=2)
+        ticks = 0
+        for t in enumerate_elt(shape, 3, (-2, 2), 2):
+            word = reading_word(t)
+            letters = [v for v, _ in word]
+            edges = t.edge_map()
+            for i in (1, 2):
+                minus, plus = signature(letters, i)
+                moves = [(minus[-1], i + 1)] if minus else []
+                moves += [(plus[0], i)] if plus else []
+                for pos, new in moves:
+                    _, loc = word[pos]
+                    if loc[0] == "edge":
+                        ticks += 1
+                        assert new not in edges[loc[1], loc[2]]
+                        moved = (f_elt if new == i + 1 else e_elt)(t, i)
+                        vals = moved.edge_map()[loc[1], loc[2]]
+                        assert vals == tuple(sorted(
+                            set(edges[loc[1], loc[2]]) - {loc[3]} | {new}))
+        assert ticks == 136

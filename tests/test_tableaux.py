@@ -160,6 +160,33 @@ class TestValidation:
                                (((1, 1), 1), ((2, 1), 2)), (((2, 1), (1,)),))
         assert refusal(t) == "label 1 at edge (2, 1) not above entry 1"
 
+    @pytest.mark.parametrize("outer, entries, edges, message", [
+        # dict(entries) folds the two cells into one, weight x1*x2
+        ((1,), (((1, 1), 1), ((1, 1), 2)), (),
+         "repeated entry position (1, 1)"),
+        ((2,), (((1, 2), 2), ((1, 1), 1)), (),
+         "entry position (1, 1) out of row-major order"),
+        ((2, 1), (((1, 1), 1), ((1, 2), 4), ((2, 1), 2)),
+         (((1, 2), (1,)), ((1, 2), (3,))), "repeated edge position (1, 2)"),
+        ((2, 1), (((1, 1), 1), ((1, 2), 4), ((2, 1), 2)),
+         (((1, 3), (1,)), ((1, 2), (3,))),
+         "edge position (1, 2) out of row-major order"),
+    ], ids=["repeated-cell", "unsorted-entries", "repeated-edge",
+            "unsorted-edges"])
+    def test_fields_not_canonical(self, outer, entries, edges, message):
+        """Each field alone obeys every rule; only its form is wrong, so
+        the refusal names it.  Equality, hashing and crystal graphs read
+        the fields as given, so validate() holds them canonical."""
+        extent = len(outer)
+        window = (-extent, 2) if edges else EMPTY_WINDOW
+        t = EdgeLabeledTableau(SkewShape.of(outer), extent, window, entries,
+                               edges)
+        canonical = EdgeLabeledTableau(
+            t.shape, extent, window, tuple(sorted(dict(entries).items())),
+            tuple(sorted(dict(edges).items())))
+        canonical.validate()
+        assert refusal(t) == message
+
 
 def corrupted_elts(seed: int, count: int) -> list[EdgeLabeledTableau]:
     """One-edit corruptions of the ELTs of every skew shape in the 2x3 box

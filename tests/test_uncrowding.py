@@ -1,10 +1,14 @@
+import collections
+import dataclasses
 import hashlib
+import pickle
 import random
 import re
 
 import pytest
 
-from edgeschur import uncrowding
+from edgeschur import tableaux, uncrowding
+from edgeschur.crystal import e_elt, f_elt
 from edgeschur.shapes import Partition, SkewShape, partitions_in_box
 from edgeschur.tableaux import EdgeLabeledTableau, enumerate_elt
 from edgeschur.uncrowding import (MalformedPair, RSKPair, _reverse_bump,
@@ -138,6 +142,19 @@ class TestWorkedExample:
         assert back.key() == example_tableau.key()
 
 
+def roundtrip_cases() -> list[tuple[Partition, tuple[int, int]]]:
+    """(lam, window) of the small exhaustive round trips, all at n = 3."""
+    straight = [Partition.of([p for p in lam.parts if p > 0])
+                for lam in partitions_in_box(2, 2) if lam.size()]
+    cases = [(lam, (-2, 2)) for lam in straight]
+    # every three-row shape in the 3x2 box
+    cases += [(lam, (-3, lam.first() + 1))
+              for lam in partitions_in_box(3, 2) if lam.length() == 3]
+    # with trailing zeros the empty shape still carries row-0 labels
+    cases += [(Partition.of((), extent=e), (-2, 1)) for e in (1, 2)]
+    return cases
+
+
 class TestBijection:
     def test_no_labels_empty_recording(self):
         sh = SkewShape.of((2, 2))
@@ -149,15 +166,7 @@ class TestBijection:
         assert pair.P == ((1, 1), (2, 2))
 
     def test_exhaustive_roundtrip_small(self):
-        straight = [Partition.of([p for p in lam.parts if p > 0])
-                    for lam in partitions_in_box(2, 2) if lam.size()]
-        cases = [(lam, (-2, 2)) for lam in straight]
-        # every three-row shape in the 3x2 box
-        cases += [(lam, (-3, lam.first() + 1))
-                  for lam in partitions_in_box(3, 2) if lam.length() == 3]
-        # with trailing zeros the empty shape still carries row-0 labels
-        cases += [(Partition.of((), extent=e), (-2, 1)) for e in (1, 2)]
-        for lam, window in cases:
+        for lam, window in roundtrip_cases():
             shape = SkewShape.of(lam.parts, (), extent=lam.extent)
             seen = {}
             for t in enumerate_elt(shape, 3, window, lam.extent):
@@ -346,6 +355,97 @@ def crowd_cases(seed: int, count: int):
         out.append((RSKPair(tuple(map(tuple, rows)), tuple(sorted(q.items()))),
                     lam, window))
     return out
+
+
+def own_table(t: EdgeLabeledTableau):
+    """The shape table of t's own fields, looked up afresh."""
+    return tableaux._shape_table(t.shape.outer.parts, t.shape.inner.parts,
+                                 t.extent, tuple(t.window))
+
+
+class TestKeptData:
+    """A tableau builds its reading word at most once, a tableau built from
+    another is handed its shape table, and neither is part of its value."""
+
+    def test_one_build_per_object(self, monkeypatch):
+        builds = collections.Counter()          # id -> reading words built
+        alive = []                              # so that no id is reused
+        lookups = []
+        keep_word, shape_table = tableaux._keep_word, tableaux._shape_table
+
+        def counting_keep(t, word):
+            builds[id(t)] += 1
+            alive.append(t)
+            keep_word(t, word)
+
+        def counting_table(*args):
+            lookups.append(args)
+            return shape_table(*args)
+
+        monkeypatch.setattr(tableaux, "_keep_word", counting_keep)
+        monkeypatch.setattr(tableaux, "_shape_table", counting_table)
+        monkeypatch.setattr(uncrowding, "_shape_table", counting_table)
+        # the benchmark's uncrowd job: key, uncrowd, crowd, then f_i, e_i
+        lam, n, window = Partition.of((2, 1)), 3, (-2, 2)
+        shape = SkewShape.of(lam.parts, (), extent=lam.extent)
+        made, moves = [], 0
+        for t in enumerate_elt(shape, n, window, lam.extent):
+            key = t.key()
+            back = crowd(uncrowd(t), lam, window, lam.extent)
+            assert back.key() == key
+            made += [t, back]
+            for i in range(1, n):
+                ft = f_elt(t, i)
+                if ft is None:
+                    continue
+                moves += 1
+                et = e_elt(ft, i)
+                assert et.key() == key
+                ft.key()
+                made += [ft, et]
+        assert (len(made), moves) == (512 + 512 + 2 * 444, 444)
+        # one word for each tableau, its image and the image's e: none is
+        # built twice, and none for crowd's results, which only print
+        assert set(builds.values()) == {1}
+        assert len(builds) == 512 + 2 * 444
+        # one table for the enumeration and one per crowd call, which reads
+        # it from its arguments; no tableau looks its own up
+        assert len(lookups) == 1 + 512
+        for t in made:
+            assert t._known_table == own_table(t)
+        monkeypatch.undo()
+
+        for t in made:
+            # the same fields, nothing kept
+            bare = EdgeLabeledTableau(t.shape, t.extent, t.window, t.entries,
+                                      t.edge_sets)
+            assert bare == t and hash(bare) == hash(t)
+            assert repr(bare) == repr(t)
+            assert bare.key() == t.key() and bare.to_json() == t.to_json()
+            assert dataclasses.asdict(bare) == dataclasses.asdict(t)
+            copy = pickle.loads(pickle.dumps(t))
+            assert copy == t and repr(copy) == repr(t)
+            assert not hasattr(copy, "_known_word")
+            assert dataclasses.replace(t) == t
+        assert [f.name for f in dataclasses.fields(EdgeLabeledTableau)] == [
+            "shape", "extent", "window", "entries", "edge_sets"]
+
+    def test_inherited_table_is_its_own(self):
+        for lam, window in roundtrip_cases():
+            shape = SkewShape.of(lam.parts, (), extent=lam.extent)
+            for t in enumerate_elt(shape, 3, window, lam.extent):
+                made = [t, crowd(uncrowd(t), lam, window, lam.extent)]
+                for i in (1, 2):
+                    made += [u for u in (f_elt(t, i), e_elt(t, i))
+                             if u is not None]
+                for u in made:
+                    # read off the slot: a tableau not handed one fails here
+                    assert u._known_table == own_table(u)
+        t = next(iter(enumerate_elt(SkewShape.of((2, 1)), 2, (-2, 2), 2)))
+        t._table()
+        wider = dataclasses.replace(t, window=(-2, 3))
+        assert wider._table() == own_table(wider) != t._table()
+        assert wider._table().legal > t._table().legal
 
 
 class TestOffImage:
