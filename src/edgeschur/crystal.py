@@ -78,7 +78,9 @@ def _act(t: EdgeLabeledTableau, i: int,
     new, and a box letter carries its run's markers and bumps with it.  The
     result keeps t's shape table and its sorted entries and edge sets, only
     what moved changed: a label tick replaces one edge's set, and a run's
-    values change in place, its edge sets normalised as `of` does."""
+    values change in place, its edge sets normalised as `of` does.  t is
+    validated only when a check of the move fails, so a malformed t raises
+    its ValidationError there and only a valid one an AssertionError."""
     letters, locators = _word(t)
     minus, plus = signature(letters, i)
     if not (minus if up else plus):
@@ -110,6 +112,7 @@ def _act(t: EdgeLabeledTableau, i: int,
         cend = c + end - k - 1
         run = tuple(((r, j), old) for j in range(c, cend + 1))
         if entries[k:end] != run:
+            t.validate()
             raise AssertionError(f"run ({r}, {c})..({r}, {cend}) does not "
                                  f"hold {old} throughout")
         entries = (entries[:k] + tuple((cell, new) for cell, _ in run)
@@ -119,6 +122,7 @@ def _act(t: EdgeLabeledTableau, i: int,
         gone, added = (bumps, markers) if up else (markers, bumps)
         for edge, v in gone:
             if v not in edges.get(edge, ()):
+                t.validate()
                 raise AssertionError(f"no label {v} on edge {edge} of the run")
             edges[edge].remove(v)
         for edge, v in added:
@@ -129,6 +133,7 @@ def _act(t: EdgeLabeledTableau, i: int,
     _keep_table(out, t._table())
     out.validate()
     if _word(out)[0] != letters[:pos] + (new,) + letters[pos + 1:]:
+        t.validate()
         raise AssertionError(
             f"reading word does not commute with {'f' if up else 'e'}")
     return out

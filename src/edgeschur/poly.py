@@ -30,17 +30,19 @@ the polynomial it is called on, which must be one the calling loop built.
 
 There is one term order, by total degree and then descending lex on the
 exponent vector in VarKey order, and one place that applies it, _ordered.
-It decodes each monomial once into a row of exponents; sorted_terms reads
-its order from those rows, and canonical_string formats them, variables in
-print order (a-parameters, alpha, x, y).
+It decodes all monomials by columns, each a strided slice of one buffer of
+16-bit words, and sorts the rows (-degree, exponents, monomial,
+coefficient) once, with no key.  sorted_terms reads its order from those
+rows, and canonical_string formats them column by column, variables in
+print order (a-parameters, alpha, x, y), with no Python loop per term.
 """
 
 from __future__ import annotations
 
 import re
-import struct
 import sys
-from operator import itemgetter
+from itertools import repeat
+from operator import getitem, itemgetter, neg
 from typing import Callable, Iterable, Optional
 
 # Family ranks fix the global variable order x1 < x2 < ... < y1 < ... < alpha < a_d < ...
@@ -204,12 +206,6 @@ class MultiPoly:
 
     def constant_term(self) -> int:
         return self.terms.get(UNIT_MONOMIAL, 0)
-
-    def total_degree(self) -> int:
-        """Max total degree of a stored monomial; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(m & _FIELD_MASK for m in self.terms)
 
     def coeff(self, m: Monomial) -> int:
         return self.terms.get(m, 0)
@@ -412,32 +408,31 @@ def _rename(p: MultiPoly, images: dict[VarKey, MultiPoly],
 
 
 def _ordered(p: MultiPoly) -> tuple[list[VarKey], list[tuple]]:
-    """p's variables in VarKey order, and one (exponents, monomial,
-    coefficient) row per term in the one term order: by total degree, then
-    descending lex on the exponent vector.
+    """p's variables in VarKey order, and one row (-degree, e_1, ..., e_k,
+    monomial, coefficient) per term, e_i the exponent of the i-th variable,
+    in the one term order: by total degree, then descending lex on the
+    exponent vector.
 
-    Each monomial is decoded once, into (degree, e_1, ..., e_k) with e_i the
-    exponent of the i-th variable: all monomials are written into one
-    buffer of equal-width records, which struct reads back record by
-    record as 16-bit words.  Distinct terms differ in the e_i, so a
-    descending sort on these orders them by the e_i alone, and a stable
-    sort by degree then gives the term order."""
+    The monomials are decoded by columns: all of them are written into one
+    buffer of equal-width records of 16-bit words, and the degrees and each
+    variable's exponents are strided slices of it.  Distinct terms differ in
+    the e_i, so one descending sort of the rows, with no key, gives the
+    term order and never compares two monomials."""
     variables = sorted(p.variables())
     cols = [_SHIFT[v] // FIELD_BITS for v in variables]
     width = max(cols, default=0) + 1
-    buffer = b"".join([m.to_bytes(2 * width, sys.byteorder) for m in p.terms])
-    # with no variable the only monomial is 1, whose words are just (0,)
-    exponents = itemgetter(0, *cols) if cols else tuple
-    rows = [(exponents(words), m, c) for words, (m, c) in
-            zip(struct.iter_unpack(f"{width}H", buffer), p.terms.items())]
-    rows.sort(key=itemgetter(0), reverse=True)
-    rows.sort(key=lambda row: row[0][0])
+    terms = p.terms
+    words = memoryview(b"".join(map(int.to_bytes, terms, repeat(2 * width),
+                                    repeat(sys.byteorder)))).cast("H")
+    rows = sorted(zip(map(neg, words[::width]),
+                      *[words[k::width] for k in cols], terms, terms.values()),
+                  reverse=True)
     return variables, rows
 
 
 def sorted_terms(p: MultiPoly) -> list[tuple[Monomial, int]]:
     """Terms by total degree, then descending-lex on the exponent vector."""
-    return [(m, c) for _, m, c in _ordered(p)[1]]
+    return list(map(itemgetter(-2, -1), _ordered(p)[1]))
 
 
 def first_difference(p: MultiPoly, q: MultiPoly) -> tuple[str, int, int]:
@@ -450,31 +445,46 @@ def first_difference(p: MultiPoly, q: MultiPoly) -> tuple[str, int, int]:
 # Print order inside one monomial: a-parameters first, then alpha, x, y.
 _PRINT_RANK = {_RANK_A: 0, _RANK_ALPHA: 1, _RANK_X: 2, _RANK_Y: 3}
 
+# each printed variable's pieces "", name*, name^2*, ..., indexed by the
+# exponent; a variable's list is replaced by a longer one when a higher
+# exponent is printed, never changed in place
+_PIECES: dict[VarKey, list[str]] = {}
+
+_CUT = slice(-1)  # a term's text without its trailing "*"
+
+
+def _pieces(v: VarKey, top: int) -> list[str]:
+    """v's pieces up to at least exponent top."""
+    pieces = _PIECES.get(v)
+    if pieces is None or len(pieces) <= top:
+        name = var_name(v)
+        pieces = _PIECES[v] = ["", f"{name}*", *(f"{name}^{e}*"
+                                                 for e in range(2, top + 1))]
+    return pieces
+
 
 def canonical_string(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
     variables, rows = _ordered(p)
-    # no exponent passes the top degree, the last row's: each variable's
-    # pieces name, name^2, ..., name^top are formatted once, indexed by e
-    top = rows[-1][0][0]
-    printed = sorted(((_PRINT_RANK[v[0]], v[1]), k, var_name(v))
+    # Each term is the one join of its sign-and-coefficient prefix and its
+    # variables' pieces in print order, each piece ending in "*", which the
+    # cut then drops.  No exponent passes the top degree, the last row's.
+    top = -rows[-1][0]
+    printed = sorted(((_PRINT_RANK[v[0]], v[1]), k, v)
                      for k, v in enumerate(variables, start=1))
-    cols = [(k, ["", name, *(f"{name}^{e}" for e in range(2, top + 1))])
-            for _, k, name in printed]
-    parts: list[str] = []
-    for exps, _, c in rows:
-        mono = "*".join([pieces[exps[k]] for k, pieces in cols if exps[k]])
-        if not mono:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = f"{abs(c)}*{mono}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"{' + ' if c > 0 else ' - '}{body}")
+    prefix = {c: (" + " if c > 0 else " - ") + (f"{abs(c)}*" if abs(c) != 1
+                                                else "")
+              for c in set(p.terms.values())}
+    parts = list(map(getitem, map("".join, zip(
+        map(prefix.__getitem__, map(itemgetter(-1), rows)),
+        *[map(_pieces(v, top).__getitem__, map(itemgetter(k), rows))
+          for _, k, v in printed])), repeat(_CUT)))
+    first, c = parts[0], rows[0][-1]
+    if not rows[0][0]:    # the unit monomial sorts first: its coefficient
+        parts[0] = str(c)
+    else:
+        parts[0] = first[3:] if c > 0 else f"-{first[3:]}"
     return "".join(parts)
 
 

@@ -237,13 +237,19 @@ def edge_schur_brute(shape: SkewShape, p: EdgeSchurParams) -> MultiPoly:
     """Independent oracle: enumerate all ELTs and sum their weights.
 
     Each tableau is counted at its packed weight: its chain's entry code
-    plus the code of the label subset it takes at each step."""
+    plus the code of the label subset it takes at each step.  A chain's
+    weights are built by doubling over its steps, each step adding every
+    one of its subset codes to every weight so far, so the list holds one
+    weight per tableau of the chain."""
     counts: dict[int, int] = {}
+    get = counts.get
     for _, entry_code, _, subset_codes in _checked_chains(
             shape, p.num_vars, p.window, p.extent):
-        for choice in itertools.product(*subset_codes):
-            code = entry_code + sum(choice)
-            counts[code] = counts.get(code, 0) + 1
+        codes = [entry_code]
+        for step in subset_codes:
+            codes = [c + s for c in codes for s in step]
+        for code in codes:
+            counts[code] = get(code, 0) + 1
     out = MultiPoly.zero(p.trunc)
     out._accumulate(MultiPoly(counts))
     return out

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import edgeschur
-from edgeschur.poly import MultiPoly, av, xv, yv
+from edgeschur.poly import MultiPoly, av, monomial_degree, xv, yv
 
 
 @pytest.fixture
@@ -57,3 +57,8 @@ def random_poly(rng: random.Random, nvars: int = 3, max_deg: int = 3,
             term = term * MultiPoly.var(rng.choice(vars_))
         out = out + term
     return out
+
+
+def total_degree(p: MultiPoly) -> int:
+    """Max total degree of a stored monomial; -1 for the zero polynomial."""
+    return max(map(monomial_degree, p.terms), default=-1)

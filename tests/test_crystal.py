@@ -13,8 +13,8 @@ from edgeschur.crystal import (component_decomposition, crystal_graph,
 from edgeschur.poly import MultiPoly, av
 from edgeschur.schur import EdgeSchurParams, edge_schur, schur_expand
 from edgeschur.shapes import Partition, SkewShape, partitions_in_box
-from edgeschur.tableaux import (EdgeLabeledTableau, enumerate_elt,
-                                enumerate_ssyt, reading_word)
+from edgeschur.tableaux import (EdgeLabeledTableau, ValidationError,
+                                enumerate_elt, enumerate_ssyt, reading_word)
 
 
 def tensor_f(letters: list[int], i: int) -> list[int] | None:
@@ -136,6 +136,28 @@ class TestEltOperators:
                 assert diff[i - 1] == -1 and diff[i] == 1
                 assert all(d == 0 for k, d in enumerate(diff)
                            if k not in (i - 1, i))
+
+    @pytest.mark.parametrize("move, t, message", [
+        # the run check: entries out of row-major order
+        (f_elt, EdgeLabeledTableau(SkewShape.of((2,)), 1, (0, -1),
+                                   (((1, 2), 2), ((1, 1), 1)), ()),
+         r"entry position \(1, 1\) out of row-major order"),
+        # no label on an edge of the run: its bump sits off the shape
+        (f_elt, EdgeLabeledTableau(SkewShape.of((2, 1)), 2, (-2, 2),
+                                   (((1, 1), 1), ((1, 2), 1), ((2, 1), 3)),
+                                   (((3, 3), (2,)),)),
+         r"illegal edge position \(3, 3\)"),
+        # the reading word check: a label on the edge below the row
+        (e_elt, EdgeLabeledTableau(SkewShape.of((2,)), 1, (-1, 2),
+                                   (((1, 1), 2), ((1, 2), 2)),
+                                   (((1, 1), (1,)), ((2, 2), (2,)))),
+         r"label 2 at edge \(2, 2\) not above entry 2")])
+    def test_malformed_input_raises_validation_error(self, move, t, message):
+        """A tableau built without `of` that breaks a rule of validate is
+        refused by name on each of the move's failure paths, never with a
+        bare AssertionError."""
+        with pytest.raises(ValidationError, match=message):
+            move(t, 1)
 
     def test_move_is_pinned(self):
         """f_i and e_i on every tableau of every nonempty straight shape in

@@ -14,7 +14,7 @@ from edgeschur.poly import (ALPHA, FIELD_BITS, MAX_DEGREE, MultiPoly,
 from edgeschur.schur import EdgeSchurParams, edge_schur_brute
 from edgeschur.shapes import Partition, SkewShape
 
-from conftest import random_poly
+from conftest import random_poly, total_degree
 
 
 def V(v):
@@ -253,7 +253,7 @@ def _random_terms(rng, variables, nterms, top, constant=True):
         term = MultiPoly.const(_coeff(rng))
         for v in variables:
             term = term * V(v) ** rng.randint(0, top)
-        if constant or term.total_degree() > 0:
+        if constant or total_degree(term) > 0:
             out = out + term
     return out
 
@@ -329,6 +329,49 @@ class TestPrintingParity:
             assert parse(s) == p
 
 
+# seventeen fresh a-parameters, registered in this order: the last ones sit
+# past the 16th field whatever the tests before them registered
+LATE = [av(2101 + k) for k in range(17)]
+
+
+@st.composite
+def printed_polys(draw):
+    """A polynomial drawn term by term: exponents up to 12 over a few
+    variables of POOL and LATE, coefficients +-1 or larger, an optional
+    constant beside the other terms, an optional negative leading term and
+    an optional truncation."""
+    for v in FRESH + LATE:
+        V(v)
+    variables = draw(st.lists(st.sampled_from(POOL + LATE[-3:]), min_size=1,
+                              max_size=6, unique=True))
+    coeffs = st.sampled_from([1, -1]) | st.integers(-60, 60).filter(bool)
+    p = MultiPoly.const(draw(st.sampled_from([0, 1, -1])))
+    for _ in range(draw(st.integers(1, 8))):
+        term = MultiPoly.const(draw(coeffs))
+        for v in variables:
+            term = term * V(v) ** draw(st.integers(0, 12))
+        p = p + term
+    if draw(st.booleans()) and p.terms:
+        if reference_sorted_terms(p)[0][1] > 0:
+            p = -p
+    return p.truncate(draw(st.none() | st.integers(0, 40)))
+
+
+class TestPrinterProperties:
+    def test_late_variables_sit_past_the_16th_field(self):
+        for v in LATE:
+            V(v)
+        assert poly._SHIFT[LATE[-1]] // FIELD_BITS > 16
+
+    @given(printed_polys())
+    @settings(max_examples=300, deadline=None)
+    def test_printer_matches_the_reference(self, p):
+        s = canonical_string(p)
+        assert s == reference_string(p)
+        assert sorted_terms(p) == reference_sorted_terms(p)
+        assert parse(s) == p
+
+
 @st.composite
 def polys(draw):
     seed = draw(st.integers(0, 10 ** 6))
@@ -366,7 +409,7 @@ class TestPackedMonomials:
     def test_degree_past_the_field_raises(self):
         x = V(xv(1))
         top = x ** MAX_DEGREE
-        assert top.total_degree() == MAX_DEGREE
+        assert total_degree(top) == MAX_DEGREE
         with pytest.raises(OverflowError):
             top * x
         with pytest.raises(OverflowError):

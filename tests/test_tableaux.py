@@ -414,15 +414,20 @@ class TestWeightByChain:
         assert count == 48397
 
     def test_brute_counts_every_tableau_over_the_sweep(self):
+        """The brute sum at x = a = 1 is the number of tableaux, so its
+        weight doubling counts each tableau once, also on the empty window
+        (1, 0), where each chain has one tableau and no step doubles."""
         # EdgeSchurParams needs n >= 1: the sweep without its n = 0 cases
+        empty = [(shape, n, (1, 0)) for shape, n, window in sweep()
+                 if window == (-2, 2)]
         cases = 0
-        for shape, n, window in sweep():
+        for shape, n, window in itertools.chain(sweep(), empty):
             if n:
                 brute = edge_schur_brute(shape, EdgeSchurParams(n, window, 2))
                 assert sum(brute.terms.values()) == len(list(
                     enumerate_elt(shape, n, window, 2))), (shape, n, window)
                 cases += 1
-        assert cases == 450
+        assert cases == 600
 
     @pytest.mark.parametrize("trunc", [None, 3])
     def test_brute_sums_tableau_weights(self, trunc):
